@@ -42,10 +42,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .calculus import FormField, ParametrizedChain, exterior_derivative, integrate
+from .calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
 from .liealg import LieAlgebraElement, MatrixLieAlgebra, ReductiveSplit
-from .rationals import cs_coefficient, phi_coefficient
+from .rationals import phi_coefficient
 
 __all__ = [
     "BundleChart",
@@ -287,37 +287,19 @@ def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega")
 
 
 def tp_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
-    """Transgression form sum_i A_i P(w, [w,w]^i, Omega^{k-1-i}), degree 2k-1."""
-    k = P.degree
-    coeff = [float(cs_coefficient(k, i)) for i in range(k)]
+    """Transgression form sum_i A_i P(w, [w,w]^i, Omega^{k-1-i}), degree 2k-1.
 
-    def ev(pt, tangents):
-        ctx = chart.ctx(pt)
-        wv = [ctx.omega(v) for v in tangents]
-
-        def w1(i):
-            return wv[i]
-
-        def ww(i, j):
-            return 2 * (wv[i] @ wv[j] - wv[j] @ wv[i])
-
-        def om(i, j):
-            return ctx.curv(tangents[i], tangents[j])
-
-        total = 0.0
-        for i in range(k):
-            args = [(w1, 1)] + [(ww, 2)] * i + [(om, 2)] * (k - 1 - i)
-            total += coeff[i] * eval_on_forms_indexed(P, args, 2 * k - 1)
-        return total
-
-    return FormField(chart.dim, 2 * k - 1, ev)
+    This is phi_p_form on the chart without its split: phi = w and Psi = 0,
+    so only the j = 0 terms remain and A_i0 = A_i.
+    """
+    return phi_p_form(replace(chart, split=None), P)
 
 
 def phi_p_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
     """Extended transgression sum_ij A_ij P(phi, [phi,phi]^i, Psi^j, Omega^...).
 
-    Without a split this coincides with tp_form (phi = w, Psi = 0): the j > 0
-    terms drop and A_i0 = A_i.
+    Without a split this is tp_form (phi = w, Psi = 0): the j > 0 terms drop
+    and A_i0 = A_i.
     """
     k = P.degree
     coeff = {(i, j): float(phi_coefficient(k, i, j)) for i in range(k) for j in range(k - i)}
@@ -373,10 +355,8 @@ def transgression_residual(
     tangents: Sequence[np.ndarray],
     fd_step: float = 1e-4,
 ) -> float:
-    """|d TP - P(Omega)| on 2k tangents at one point."""
-    lhs = exterior_derivative(tp_form(chart, P), fd_step)(point, list(tangents))
-    rhs = char_form(chart, P, "omega")(point, list(tangents))
-    return abs(lhs - rhs)
+    """|d TP - P(Omega)| on 2k tangents: the split-free heterotic residual."""
+    return heterotic_residual(replace(chart, split=None), P, point, tangents, fd_step)
 
 
 def covariant_derivative_residual(
@@ -485,16 +465,9 @@ def fiber_integral(
     p = len(fiber.intervals)
     base_point = np.asarray(base_point, dtype=float)
     alg = chart.algebra
-    orders = [int(quad_order)] * p if np.isscalar(quad_order) else list(quad_order)
-    axes = []
-    for o, (lo, hi) in zip(orders, fiber.intervals):
-        xs, ws = np.polynomial.legendre.leggauss(o)
-        axes.append((0.5 * (hi + lo) + 0.5 * (hi - lo) * xs, 0.5 * (hi - lo) * ws))
     total = 0.0
     zero_base = np.zeros(chart.base_dim)
-    for idx in np.ndindex(*[len(a[0]) for a in axes]):
-        s = np.array([axes[i][0][j] for i, j in enumerate(idx)])
-        weight = float(np.prod([axes[i][1][j] for i, j in enumerate(idx)]))
+    for s, weight in zip(*gauss_product(fiber.intervals, quad_order)):
         g = lift(s)
         ch = chart.at(g)
         form = form_at(ch)

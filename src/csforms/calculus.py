@@ -9,18 +9,18 @@ ingredients of the bundle identities are supplied analytically elsewhere, so
 finite differencing is confined to the verification side of each identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
-domains (spheres are parametrized by angle boxes with measure-zero seams).
+domains (spheres are parametrized by angle boxes with measure-zero seams);
+gauss_product is the one rule, shared with the fiber and degree integrals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
-from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .invariants import _shuffles
 from .liealg import MatrixLieAlgebra
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "exterior_derivative",
     "pullback",
     "integrate",
+    "gauss_product",
     "ChartMap",
 ]
 
@@ -57,37 +58,32 @@ class FormField:
         return self.algebra is None
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+def _shuffle_product(a: FormField, b: FormField, mul, algebra: MatrixLieAlgebra | None) -> FormField:
+    """(a, b) -> sum over (p, q) shuffles s of sgn(s) mul(a(X_s..), b(X_s..))."""
+    p, q = a.degree, b.degree
+
+    def ev(pt, tangents):
+        total = 0.0
+        for sign, (ia, ib) in _shuffles((p, q)):
+            x = a(pt, [tangents[i] for i in ia])
+            y = b(pt, [tangents[i] for i in ib])
+            total = total + sign * mul(x, y)
+        return total
+
+    return FormField(a.dim, p + q, ev, algebra=algebra)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
     """Exterior product of scalar forms, determinant convention.
 
-    (a ^ b)(X_1..X_{p+q}) = (1/(p! q!)) sum_s sgn(s) a(X_s..) b(X_s..).
+    (a ^ b)(X_1..X_{p+q}) = (1/(p! q!)) sum_s sgn(s) a(X_s..) b(X_s..),
+    summed once per shuffle (see invariants).
     """
     if a.dim != b.dim:
         raise ValueError("wedge needs forms on the same chart dimension")
     if not (a.is_scalar and b.is_scalar):
         raise ValueError("wedge is for scalar forms; use bracket_wedge for Lie-valued ones")
-    p, q = a.degree, b.degree
-    w = 1.0 / (factorial(p) * factorial(q))
-
-    def ev(pt, tangents):
-        total = 0.0
-        for perm in permutations(range(p + q)):
-            sgn = _parity(perm)
-            total += sgn * a(pt, [tangents[i] for i in perm[:p]]) * b(
-                pt, [tangents[i] for i in perm[p:]]
-            )
-        return w * total
-
-    return FormField(a.dim, p + q, ev)
+    return _shuffle_product(a, b, lambda x, y: x * y, None)
 
 
 def bracket_wedge(a: FormField, b: FormField) -> FormField:
@@ -100,20 +96,7 @@ def bracket_wedge(a: FormField, b: FormField) -> FormField:
         raise ValueError("bracket_wedge needs forms on the same chart dimension")
     if a.is_scalar or b.is_scalar or a.algebra != b.algebra:
         raise ValueError("bracket_wedge needs Lie-valued forms with one algebra tag")
-    p, q = a.degree, b.degree
-    w = 1.0 / (factorial(p) * factorial(q))
-
-    def ev(pt, tangents):
-        total = None
-        for perm in permutations(range(p + q)):
-            sgn = _parity(perm)
-            x = a(pt, [tangents[i] for i in perm[:p]])
-            y = b(pt, [tangents[i] for i in perm[p:]])
-            term = sgn * (x @ y - y @ x)
-            total = term if total is None else total + term
-        return w * total
-
-    return FormField(a.dim, p + q, ev, algebra=a.algebra)
+    return _shuffle_product(a, b, lambda x, y: x @ y - y @ x, a.algebra)
 
 
 def exterior_derivative(
@@ -219,10 +202,29 @@ class ParametrizedChain:
         return replace(self, orientation=-self.orientation, name=self.name + ":rev")
 
 
-def _gauss_nodes(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+def gauss_product(
+    intervals: Sequence[tuple[float, float]], quad_order: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre rule on an interval box.
+
+    quad_order is one order for every axis or one order per axis.  Returns
+    nodes (N, d) in C order (last axis fastest) and weights (N,).
+    """
+    d = len(intervals)
+    orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
+    if len(orders) != d:
+        raise ValueError(f"need one quadrature order per axis: {d} axes, {len(orders)} orders")
+    if any(int(o) < 1 for o in orders):
+        raise ValueError(f"quadrature orders must be >= 1, got {orders}")
+    xs, ws = [], []
+    for o, (lo, hi) in zip(orders, intervals):
+        x, w = np.polynomial.legendre.leggauss(int(o))
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        xs.append(mid + half * x)
+        ws.append(half * w)
+    nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, d)
+    weights = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0).reshape(-1)
+    return nodes, weights
 
 
 def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Sequence[int]) -> float:
@@ -231,18 +233,7 @@ def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Seque
         raise ValueError(
             f"chain parameter dimension {chain.param_dim} != form degree {form.degree}"
         )
-    orders = (
-        [int(quad_order)] * chain.param_dim
-        if np.isscalar(quad_order)
-        else list(quad_order)
-    )
-    if len(orders) != chain.param_dim:
-        raise ValueError("need one quadrature order per parameter axis")
-    axes = [_gauss_nodes(o, lo, hi) for o, (lo, hi) in zip(orders, chain.intervals)]
     total = 0.0
-    for idx in np.ndindex(*[len(a[0]) for a in axes]):
-        params = np.array([axes[i][0][j] for i, j in enumerate(idx)])
-        weight = float(np.prod([axes[i][1][j] for i, j in enumerate(idx)]))
-        tangents = chain.tangent_frame(params)
-        total += weight * form(chain.point(params), tangents)
+    for params, weight in zip(*gauss_product(chain.intervals, quad_order)):
+        total += weight * form(chain.point(params), chain.tangent_frame(params))
     return chain.orientation * total

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -308,30 +308,16 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
 
 # --- bundle sweeps --------------------------------------------------------------
 
-_POLY_FOR = {
-    "hopf_u1": ("chern_j", 1),
-    "ut_s2": ("euler", 1),
-    "frame_s4": ("euler", 2),
-    "frame_s4:b1": ("pontryagin_1", 2),
-    "frame_s4:b2": ("pontryagin_1", 2),
-    "twisted_u2:su2": ("chern_j", 1),
-    "twisted_u2:u1": ("chern_j", 2),
-}
-
-
 def _polynomial_for(bundle: NamedBundle, poly: str | None):
     if poly is None:
-        name, k = _POLY_FOR.get(bundle.name, bundle.default_poly or (None, None))
-        if name is None:
-            raise ValueError(f"no default polynomial for bundle {bundle.name}")
-    else:
-        name, k = {
-            "euler1": ("euler", 1),
-            "euler": ("euler", bundle.chart.algebra.n // 2),
-            "c1": ("chern_j", 1),
-            "c2": ("chern_j", 2),
-            "p1": ("pontryagin_1", 2),
-        }.get(poly, (poly, bundle.chart.algebra.n // 2))
+        return bundle.polynomial()
+    name, k = {
+        "euler1": ("euler", 1),
+        "euler": ("euler", bundle.chart.algebra.n // 2),
+        "c1": ("chern_j", 1),
+        "c2": ("chern_j", 2),
+        "p1": ("pontryagin_1", 2),
+    }.get(poly, (poly, bundle.chart.algebra.n // 2))
     return make_polynomial(name, k, bundle.chart.algebra.tag)
 
 
@@ -431,37 +417,13 @@ def chern_number_checks(quad_order: int = 24) -> list[CheckRecord]:
     return [_rec("chern_number_s2", "degree-one line bundle has c_1 integral 1", v, 1.0, 1e-8)]
 
 
-def fiber_norm_checks(quad_order_1d: int = 24, quad_order_3d: int = 10) -> list[CheckRecord]:
-    records = []
-    ut = get_bundle("ut_s2")
-    e1 = make_polynomial("euler", 1, "so2")
-    base2 = np.zeros(2)
-    v = fiber_integral(ut.chart, lambda ch: phi_p_form(ch, e1), base2, ut.fiber, quad_order_1d)
-    records.append(_rec("fiber_norm_circle", "circle-fiber integral of Phi-e is 1", v, 1.0, 1e-8))
-    v_alt = fiber_integral(ut.chart, lambda ch: phi_p_form(ch, e1), base2, ut.fiber, 2 * quad_order_1d, use_alt_lift=True)
-    records.append(_rec("fiber_lift_independence_circle", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
+FIBER_NORM_BUNDLES = ("ut_s2", "frame_s4", "frame_s4:b1", "frame_s4:b2")
 
-    fs = get_bundle("frame_s4")
-    e2 = make_polynomial("euler", 2, "so4")
-    base4 = np.zeros(4)
-    v = fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), base4, fs.fiber, quad_order_3d)
-    records.append(_rec("fiber_norm_s3", "3-sphere-fiber integral of Phi-e is 1", v, 1.0, 1e-4))
-    v_alt = fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), base4, fs.fiber, quad_order_3d, use_alt_lift=True)
-    records.append(_rec("fiber_lift_independence_s3", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
 
-    p1 = make_polynomial("pontryagin_1", 2, "so4")
-    for name in ("frame_s4:b1", "frame_s4:b2"):
-        b = get_bundle(name)
-        v = fiber_integral(b.chart, lambda ch: phi_p_form(ch, p1), base4, b.fiber, quad_order_3d)
-        records.append(
-            _rec(f"fiber_norm_{name.split(':')[1]}", "projective-fiber integral of Phi-P1 is 1", v, 1.0, 1e-4)
-        )
+def _bare_integrand(P) -> Callable[[BundleChart], FormField]:
+    """Chart -> the bare fiber integrand P(phi, [phi,phi]) of a degree-2 P."""
 
-    # bare fiber integrand P1(phi, [phi,phi]): on a fiber Omega = Psi = 0, so
-    # the Phi-P1 integral above is A_10 times this one, which is 1/A_10 = -6
-    b1 = get_bundle("frame_s4:b1")
-
-    def literal(ch: BundleChart) -> FormField:
+    def form_at(ch: BundleChart) -> FormField:
         def ev(pt, tangents):
             ctx = ch.ctx(pt)
             pv = [ctx.phi(v) for v in tangents]
@@ -472,21 +434,62 @@ def fiber_norm_checks(quad_order_1d: int = 24, quad_order_3d: int = 10) -> list[
             def f2(i, j):
                 return 2 * (pv[i] @ pv[j] - pv[j] @ pv[i])
 
-            return eval_on_forms_indexed(p1, [(f1, 1), (f2, 2)], 3)
+            return eval_on_forms_indexed(P, [(f1, 1), (f2, 2)], 3)
 
         return FormField(ch.dim, 3, ev)
 
-    v = fiber_integral(b1.chart, literal, base4, b1.fiber, quad_order_3d)
-    records.append(
-        _rec(
-            "fiber_norm_b1_literal_integrand",
-            "projective-fiber integral of the bare P1(phi,[phi,phi])",
-            v,
-            float(1 / rationals.phi_coefficient(2, 1, 0)),
-            1e-4,
-            note="1/A_10 = -6: the A_10 = -1/6 coefficient brings the Phi-P1 integral to 1",
+    return form_at
+
+
+def fiber_norm_checks(
+    quad_order_1d: int = 24, quad_order_3d: int = 10, bundle: str | None = None
+) -> list[CheckRecord]:
+    """Fiber integrals over the fibers of FIBER_NORM_BUNDLES, or of one of them."""
+    if bundle is not None and bundle not in FIBER_NORM_BUNDLES:
+        raise ValueError(f"no fiber-norm records for bundle {bundle!r}; known: {list(FIBER_NORM_BUNDLES)}")
+    wanted = FIBER_NORM_BUNDLES if bundle is None else (bundle,)
+
+    def on_fiber(name, form_at, order, **kw):
+        b = get_bundle(name)
+        return fiber_integral(b.chart, form_at, np.zeros(b.chart.base_dim), b.fiber, order, **kw)
+
+    records = []
+    if "ut_s2" in wanted:
+        e1 = make_polynomial("euler", 1, "so2")
+        v = on_fiber("ut_s2", lambda ch: phi_p_form(ch, e1), quad_order_1d)
+        records.append(_rec("fiber_norm_circle", "circle-fiber integral of Phi-e is 1", v, 1.0, 1e-8))
+        v_alt = on_fiber("ut_s2", lambda ch: phi_p_form(ch, e1), 2 * quad_order_1d, use_alt_lift=True)
+        records.append(_rec("fiber_lift_independence_circle", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
+
+    if "frame_s4" in wanted:
+        e2 = make_polynomial("euler", 2, "so4")
+        v = on_fiber("frame_s4", lambda ch: phi_p_form(ch, e2), quad_order_3d)
+        records.append(_rec("fiber_norm_s3", "3-sphere-fiber integral of Phi-e is 1", v, 1.0, 1e-4))
+        v_alt = on_fiber("frame_s4", lambda ch: phi_p_form(ch, e2), quad_order_3d, use_alt_lift=True)
+        records.append(_rec("fiber_lift_independence_s3", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
+
+    p1 = make_polynomial("pontryagin_1", 2, "so4")
+    for name in ("frame_s4:b1", "frame_s4:b2"):
+        if name in wanted:
+            v = on_fiber(name, lambda ch: phi_p_form(ch, p1), quad_order_3d)
+            records.append(
+                _rec(f"fiber_norm_{name.split(':')[1]}", "projective-fiber integral of Phi-P1 is 1", v, 1.0, 1e-4)
+            )
+
+    # bare fiber integrand P1(phi, [phi,phi]): on a fiber Omega = Psi = 0, so
+    # the Phi-P1 integral above is A_10 times this one, which is 1/A_10 = -6
+    if "frame_s4:b1" in wanted:
+        v = on_fiber("frame_s4:b1", _bare_integrand(p1), quad_order_3d)
+        records.append(
+            _rec(
+                "fiber_norm_b1_literal_integrand",
+                "projective-fiber integral of the bare P1(phi,[phi,phi])",
+                v,
+                float(1 / rationals.phi_coefficient(2, 1, 0)),
+                1e-4,
+                note="1/A_10 = -6: the A_10 = -1/6 coefficient brings the Phi-P1 integral to 1",
+            )
         )
-    )
 
     # exact coefficient identity backing the fiber reduction
     ok = all(
@@ -589,6 +592,9 @@ def obstruction_checks(
     tol: float = 1e-4,
 ) -> list[CheckRecord]:
     bundle = get_bundle(bundle_name)
+    for kind, name, known in (("chain", chain, bundle.chains), ("section", section, bundle.sections)):
+        if name not in known:
+            raise ValueError(f"bundle {bundle_name} has no {kind} {name!r}; known: {sorted(known)}")
     P = _polynomial_for(bundle, None)
     rep = obstruction_identity_check(
         bundle.chart, P, bundle.chains[chain], bundle.sections[section], quad_order, boundary_quad_order
@@ -621,7 +627,7 @@ def suite_all(
     for name in ("hopf_u1", "ut_s2", "frame_s4", "frame_s4:b1", "frame_s4:b2"):
         records += heterotic_sweep(name, points=pts, seed=seed, fd_step=fd_step)
     records += vanishing_sweep(points=pts, seed=seed)
-    records += gauss_bonnet_checks(quad_order_4d=(8, 8, 8, 8) if quick else (8, 8, 8, 8))
+    records += gauss_bonnet_checks()
     records += chern_number_checks()
     records += pontryagin_checks(points=pts, seed=seed, fd_step=fd_step)
     records += closedness_checks(points=max(5, pts // 5), seed=seed, fd_step=fd_step)

@@ -27,15 +27,28 @@ from .zoo import PrecisionError, bundle_names
 SCHEMA_VERSION = 1
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind that is > 0."""
+
+    def parse(text: str):
+        v = kind(text)
+        if not (0 < v < float("inf")):
+            raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+        return v
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
     p.add_argument("--csv", action="store_true", help="emit the report as CSV rows")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
     p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
     p.add_argument("--tol", type=float, default=None, help="override the default tolerance")
-    p.add_argument("--fd-step", type=float, default=1e-4, help="finite-difference step")
-    p.add_argument("--quad-order", type=int, default=None, help="override quadrature order")
-    p.add_argument("--points", type=int, default=100, help="random points per sweep")
+    p.add_argument("--fd-step", type=_positive(float), default=1e-4, help="finite-difference step (> 0)")
+    p.add_argument("--quad-order", type=_positive(int), default=None, help="override quadrature order (>= 1)")
+    p.add_argument("--points", type=_positive(int), default=100, help="random points per sweep (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,16 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gauss-bonnet", help="Euler-form integrals and cap identities")
-    p.add_argument("--bundle", type=str, default="ut_s2")
-    p.add_argument("--chain", type=str, default="full_sphere")
     _add_common(p)
 
     p = sub.add_parser("chern-number", help="c_1 integral of the degree-one line bundle")
-    p.add_argument("--bundle", type=str, default="hopf_u1")
     _add_common(p)
 
     p = sub.add_parser("fiber-norm", help="fiber integrals of the transgression forms")
-    p.add_argument("--bundle", type=str, default=None, help="restrict to one bundle")
+    p.add_argument("--bundle", type=str, default=None, help=f"restrict to one of {list(checks.FIBER_NORM_BUNDLES)}")
     p.add_argument("--k", type=int, default=None, help="also report the exact antidiagonal constant")
     _add_common(p)
 
@@ -152,22 +162,14 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         order4 = (args.quad_order,) * 4 if args.quad_order else (8, 8, 8, 8)
         order2 = args.quad_order if args.quad_order else 24
         recs = checks.gauss_bonnet_checks(quad_order_2d=order2, quad_order_4d=order4)
-        if args.bundle != "ut_s2" or args.chain != "full_sphere":
-            cfg["bundle"], cfg["chain"] = args.bundle, args.chain
     elif cmd == "chern-number":
         recs = checks.chern_number_checks(quad_order=args.quad_order or 24)
     elif cmd == "fiber-norm":
-        recs = checks.fiber_norm_checks(quad_order_3d=args.quad_order or 10)
         if args.bundle:
-            keys = {
-                "ut_s2": ("circle",),
-                "hopf_u1": ("circle",),
-                "frame_s4": ("s3",),
-                "frame_s4:b1": ("b1",),
-                "frame_s4:b2": ("b2",),
-            }.get(args.bundle, (args.bundle,))
-            recs = [r for r in recs if any(k in r.name for k in keys) or "constant" in r.name]
             cfg["bundle"] = args.bundle
+        recs = checks.fiber_norm_checks(
+            quad_order_1d=args.quad_order or 24, quad_order_3d=args.quad_order or 10, bundle=args.bundle
+        )
         if args.k:
             fc = rationals.fiber_constant(args.k)
             cfg["fiber_constant"] = {"k": args.k, "num": fc.numerator, "den": fc.denominator}

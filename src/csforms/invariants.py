@@ -9,7 +9,10 @@ convention
     P(a_1,...,a_k)(X_1..X_p) =
         (1/(p_1! ... p_k!)) sum_{s in S_p} sgn(s) P(a_1(X_s..), ..., a_k(X_s..)),
 
-the same normalization under which dx^dy has value 1 on (e_x, e_y).  All
+the same normalization under which dx^dy has value 1 on (e_x, e_y).  Since
+every a_i is alternating, each shuffle (increasing index blocks) stands for
+p_1!...p_k! equal terms, so the sum is taken once per shuffle with weight 1;
+calculus.wedge and calculus.bracket_wedge use the same shuffles.  All
 shipped normalizations are fixed here once:
 
     euler        e(X)   = Pf(X) / (2 pi)^k           on so(2k)
@@ -26,7 +29,7 @@ chosen to match, giving integral 1 over the base sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial, pi
 from typing import Callable, Sequence
 
@@ -168,18 +171,29 @@ def polarize_eval(P: InvariantPolynomial, args: Sequence[np.ndarray]) -> float:
     return total / factorial(k)
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+def _shuffles(degs: Sequence[int]):
+    """Signed shuffles of range(sum(degs)) into increasing blocks.
 
+    Yields (sign, blocks) with len(blocks[i]) == degs[i]; sign is the parity
+    of the permutation that lists the blocks one after another.  On
+    alternating arguments the weight-1/(p_1!...p_k!) sum over S_n collapses
+    to the weight-1 sum over these shuffles.
+    """
 
-def _sorted_with_sign(idx: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    order = tuple(sorted(idx))
-    return order, _parity([order.index(i) for i in idx])
+    def rec(rest: tuple[int, ...], degs: tuple[int, ...]):
+        if not degs:
+            yield 1, ()
+            return
+        p = degs[0]
+        for pos in combinations(range(len(rest)), p):
+            block = tuple(rest[i] for i in pos)
+            remaining = tuple(r for i, r in enumerate(rest) if i not in pos)
+            # each block entry jumps over the remaining entries below it
+            sign = -1 if (sum(pos) - p * (p - 1) // 2) & 1 else 1
+            for s, tail in rec(remaining, degs[1:]):
+                yield sign * s, (block,) + tail
+
+    yield from rec(tuple(range(sum(degs))), tuple(degs))
 
 
 def eval_on_forms_indexed(
@@ -190,33 +204,16 @@ def eval_on_forms_indexed(
     """Shuffle-alternating evaluation with index-based argument callables.
 
     Each entry of ``args`` is (f, p) where f(i_1..i_p) returns the value of an
-    alternating p-tensor on tangents number i_1..i_p.  Values are cached on
-    sorted index tuples, exploiting alternation.
+    alternating p-tensor on tangents number i_1..i_p.  Every f is called on
+    increasing index tuples only, once per shuffle that uses it.
     """
     degs = [p for _, p in args]
     if sum(degs) != n_tangents:
         raise ValueError(f"form degrees sum to {sum(degs)}, got {n_tangents} tangents")
-    weight = 1.0
-    for p in degs:
-        weight /= factorial(p)
-    cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     total = 0.0
-    for perm in permutations(range(n_tangents)):
-        sgn = _parity(perm)
-        vals = []
-        pos = 0
-        for f, p in args:
-            chunk = perm[pos : pos + p]
-            pos += p
-            key, s = _sorted_with_sign(chunk)
-            v = cache.get((id(f), key))
-            if v is None:
-                v = f(*key)
-                cache[(id(f), key)] = v
-            sgn *= s
-            vals.append(v)
-        total += sgn * polarize_eval(P, vals)
-    return weight * total
+    for sign, blocks in _shuffles(degs):
+        total += sign * polarize_eval(P, [f(*b) for (f, _), b in zip(args, blocks)])
+    return total
 
 
 def eval_on_forms(

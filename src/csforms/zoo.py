@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
-from .calculus import ParametrizedChain
+from .calculus import ParametrizedChain, gauss_product
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
     algebra_from_tag,
@@ -539,11 +539,6 @@ def winding_degree(
     if d not in (1, 3):
         raise ValueError("winding_degree supports d in {1, 3}")
     intervals = ((0.0, 2 * pi),) if d == 1 else ((0.0, pi), (0.0, pi), (0.0, 2 * pi))
-    orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
-    axes = []
-    for o, (lo, hi) in zip(orders, intervals):
-        xs, ws = np.polynomial.legendre.leggauss(int(o))
-        axes.append((0.5 * (hi + lo) + 0.5 * (hi - lo) * xs, 0.5 * (hi - lo) * ws))
     vol = target_volume if target_volume is not None else _SPHERE_VOLUMES[d]
 
     def value(params):
@@ -551,9 +546,7 @@ def winding_degree(
         return v / np.linalg.norm(v)
 
     total = 0.0
-    for idx in np.ndindex(*[len(a[0]) for a in axes]):
-        s = np.array([axes[i][0][j] for i, j in enumerate(idx)])
-        weight = float(np.prod([axes[i][1][j] for i, j in enumerate(idx)]))
+    for s, weight in zip(*gauss_product(intervals, quad_order)):
         center = value(s)
         cols = [center]
         for i in range(d):

@@ -11,6 +11,7 @@ from csforms.calculus import (
     ParametrizedChain,
     bracket_wedge,
     exterior_derivative,
+    gauss_product,
     integrate,
     pullback,
     wedge,
@@ -149,6 +150,17 @@ def test_pullback_commutes_with_d():
 
 def unit_square():
     return ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
+
+
+def test_gauss_product_layout():
+    nodes, weights = gauss_product(((0.0, 1.0), (-1.0, 3.0)), (2, 3))
+    assert nodes.shape == (6, 2) and weights.shape == (6,)
+    assert weights.sum() == pytest.approx(4.0)
+    # C order: the last axis runs fastest
+    assert np.all(nodes[:3, 0] == nodes[0, 0]) and len(set(nodes[:3, 1])) == 3
+    assert weights @ (nodes[:, 0] ** 3 * nodes[:, 1] ** 5) == pytest.approx(0.25 * (3**6 - 1) / 6)
+    with pytest.raises(ValueError):
+        gauss_product(((0.0, 1.0),), 0)
 
 
 def test_integrate_dx_dy_over_square():

@@ -100,3 +100,36 @@ def test_fiber_norm_all_pass(capsys):
     literal = recs["fiber_norm_b1_literal_integrand"]
     assert literal["passed"]
     assert literal["expected"] == -6.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heterotic-check", "--bundle", "ut_s2", "--points", "0"],
+        ["heterotic-check", "--bundle", "ut_s2", "--fd-step", "0"],
+        ["heterotic-check", "--bundle", "ut_s2", "--fd-step", "nan"],
+        ["chern-number", "--quad-order", "0"],
+        ["obstruction", "--bundle", "hopf_u1"],
+        ["obstruction", "--chain", "no_such_chain"],
+        ["obstruction", "--section", "no_such_section"],
+        ["fiber-norm", "--bundle", "nonsense"],
+        ["gauss-bonnet", "--bundle", "ut_s2"],
+        ["gauss-bonnet", "--chain", "full_sphere"],
+        ["chern-number", "--bundle", "hopf_u1"],
+    ],
+)
+def test_rejected_input_exits_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value or the flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def test_fiber_norm_bundle_selects_records(capsys):
+    code, out = run(capsys, "fiber-norm", "--bundle", "ut_s2", "--quad-order", "6", "--json")
+    assert code == 0
+    names = [r["name"] for r in json.loads(out)["records"]]
+    assert names == ["fiber_norm_circle", "fiber_lift_independence_circle", "fiber_constant_identity"]

@@ -1,14 +1,16 @@
 """Invariant polynomial tests, including the perfect-matching Pfaffian oracle."""
 
 from itertools import permutations
-from math import pi
+from math import factorial, pi
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from csforms.calculus import FormField, bracket_wedge, wedge
 from csforms.invariants import (
     eval_on_forms,
+    eval_on_forms_indexed,
     invariance_identity_residual,
     make_polynomial,
     pfaffian,
@@ -199,3 +201,84 @@ def test_invariance_identity_zero_phi():
     phi = lambda v: np.zeros((4, 4))
     tangents = [rng.standard_normal(4) for _ in range(4)]
     assert invariance_identity_residual(P, forms, phi, tangents) == 0.0
+
+
+# --- the literal S_n sum as reference for the shuffle kernel --------------------
+
+def _parity(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inv & 1 else 1
+
+
+def literal_alternating_sum(degs, evaluate):
+    """(1/(p_1!...p_k!)) sum over s in S_n of sgn(s) evaluate(index blocks of s).
+
+    The blocks are handed over in permuted (unsorted) order, so the reference
+    also exercises the alternation of the arguments.
+    """
+    n = sum(degs)
+    total = 0.0
+    for perm in permutations(range(n)):
+        blocks, pos = [], 0
+        for p in degs:
+            blocks.append(perm[pos : pos + p])
+            pos += p
+        total = total + _parity(perm) * evaluate(blocks)
+    return total / np.prod([factorial(p) for p in degs])
+
+
+def _alternating_tensor(dim, degree, values):
+    """Index-based alternating tensor sum_m det(D_m . v) values[m] on vectors v."""
+    dirs = rng.standard_normal((len(values), degree, dim))
+
+    def f(*vecs):
+        out = 0.0
+        for d, val in zip(dirs, values):
+            out = out + np.linalg.det(np.array([[a @ v for v in vecs] for a in d])) * val
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "pname,k,tag,degs",
+    [
+        ("pontryagin_1", 2, "so4", (1, 2)),
+        ("euler", 2, "so4", (2, 2)),
+        ("chern_j", 3, "u3", (1, 2, 2)),
+    ],
+)
+def test_shuffle_sum_matches_literal_sn_sum(pname, k, tag, degs):
+    P = make_polynomial(pname, k, tag)
+    alg = so(4) if tag == "so4" else u(3)
+    n = sum(degs)
+    tangents = [rng.standard_normal(6) for _ in range(n)]
+    tensors = [_alternating_tensor(6, p, [random_element(alg, rng) for _ in range(2)]) for p in degs]
+    args = [(lambda *idx, f=f: f(*[tangents[i] for i in idx]), p) for f, p in zip(tensors, degs)]
+    expected = literal_alternating_sum(degs, lambda blocks: polarize_eval(P, [f(*b) for (f, _), b in zip(args, blocks)]))
+    assert abs(expected) > 1e-6
+    assert eval_on_forms_indexed(P, args, n) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("degs", [(1, 2), (2, 2)])
+def test_wedge_and_bracket_match_literal_sn_sum(degs):
+    dim = 5
+    tangents = [rng.standard_normal(dim) for _ in range(sum(degs))]
+    pt = rng.standard_normal(dim)
+    scalar = [_alternating_tensor(dim, p, rng.standard_normal(2)) for p in degs]
+    lie = [_alternating_tensor(dim, p, [random_element(so(4), rng) for _ in range(2)]) for p in degs]
+    a, b = (FormField(dim, p, lambda x, tg, f=f: f(*tg)) for f, p in zip(scalar, degs))
+    la, lb = (FormField(dim, p, lambda x, tg, f=f: f(*tg), algebra=so(4)) for f, p in zip(lie, degs))
+
+    def pick(blocks, fs):
+        return [f(*[tangents[i] for i in blk]) for f, blk in zip(fs, blocks)]
+
+    def commutator(blocks):
+        x, y = pick(blocks, lie)
+        return x @ y - y @ x
+
+    expected = literal_alternating_sum(degs, lambda blocks: np.prod(pick(blocks, scalar)))
+    assert wedge(a, b)(pt, tangents) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    expected = literal_alternating_sum(degs, commutator)
+    scale = max(1.0, np.max(np.abs(expected)))
+    assert np.max(np.abs(bracket_wedge(la, lb)(pt, tangents) - expected)) < 1e-12 * scale

@@ -14,7 +14,7 @@ from csforms.bundles import (
     potential_curvature_residual,
     tp_form,
 )
-from csforms.calculus import integrate
+from csforms.calculus import FormField, ParametrizedChain, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_group_element
 from csforms.zoo import (
@@ -205,6 +205,24 @@ def test_winding_degree_reparametrization_invariance():
         return _s3_angles(q)
 
     assert winding_degree(h, 3, quad_order=(8, 8, 12)) == 1
+
+
+def test_quadrature_order_count_must_match_axes():
+    from csforms.zoo import _s3_angles
+
+    square = ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
+    dxdy = FormField(2, 2, lambda pt, tg: float(tg[0][0] * tg[1][1] - tg[0][1] * tg[1][0]))
+    with pytest.raises(ValueError):
+        integrate(dxdy, square, (4, 4, 4))
+    ut = get_bundle("ut_s2")
+    e1 = make_polynomial("euler", 1, "so2")
+    with pytest.raises(ValueError):
+        fiber_integral(ut.chart, lambda ch: phi_p_form(ch, e1), np.zeros(2), ut.fiber, (24, 99))
+    circle = lambda p: np.array([np.cos(p[0]), np.sin(p[0])])
+    with pytest.raises(ValueError):
+        winding_degree(circle, 1, (24, 99))
+    with pytest.raises(ValueError):
+        winding_degree(lambda p: _s3_angles(p), 3, (8, 8))
 
 
 def test_winding_degree_ambiguity_raises():
