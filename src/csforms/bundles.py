@@ -91,9 +91,7 @@ def expm_tangent(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
 
 def ad_coords_matrix(algebra: MatrixLieAlgebra, h: np.ndarray) -> np.ndarray:
     """Coordinate matrix of X -> h^-1 X h in the stored basis."""
-    hinv = h.conj().T
-    cols = [algebra.coords(hinv @ b @ h) for b in algebra.basis()]
-    return np.array(cols).T
+    return algebra.coords(h.conj().T @ np.array(algebra.basis()) @ h).T
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,13 @@ class BundleChart:
 
 
 class _ChartContext:
-    """Per-point evaluation cache: group element, potential, curvature."""
+    """Per-point evaluation cache: group element, potential, curvature.
+
+    The stacked methods (omegas, phis, curvs, tables) take a list of m
+    tangents and compute each value once: one expm_tangent per tangent off
+    t = 0, every pair table in one product.  The single-value methods are
+    views of them.
+    """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
         self.chart = chart
@@ -155,34 +159,60 @@ class _ChartContext:
             self._exp_neg = e.conj().T
         self.ginv = self.g.conj().T
 
-    def split_base_fiber(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(base parts (m, n), fiber parts (m, dim g)) of m tangents."""
+        v = np.asarray(vs, dtype=float)
         n = self.chart.base_dim
-        if len(v) == n:
-            return v, np.zeros(self.chart.algebra.dim)
-        return v[:n], v[n:]
+        if v.shape[1] == n:
+            return v, np.zeros((len(v), self.chart.algebra.dim))
+        return v[:, :n], v[:, n:]
 
-    def maurer_cartan(self, vt: np.ndarray) -> np.ndarray:
-        dm = self.chart.algebra.from_coords(vt)
+    def maurer_cartan(self, vts: np.ndarray) -> np.ndarray:
+        """g^-1 dg on a stack (m, dim g) of fiber coordinate tangents."""
+        dms = self.chart.algebra.from_coords(vts)
         if self.t_is_zero:
-            return dm
-        return self._exp_neg @ expm_tangent(self._m, dm)
+            return dms
+        return self._exp_neg @ np.array([expm_tangent(self._m, dm) for dm in dms])
 
-    def omega(self, v: np.ndarray) -> np.ndarray:
-        vx, vt = self.split_base_fiber(v)
-        aval = np.einsum("a,aij->ij", vx, self.A)
+    def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
+        """w on each of m tangents, (m, N, N)."""
+        vx, vt = self._base_fiber(vs)
+        aval = np.einsum("ma,aij->mij", vx, self.A)
         return self.ginv @ aval @ self.g + self.maurer_cartan(vt)
 
-    def curv(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        vx, _ = self.split_base_fiber(v)
-        wx, _ = self.split_base_fiber(w)
-        fval = np.einsum("a,b,abij->ij", vx, wx, self.F)
+    def phis(self, vs: Sequence[np.ndarray]) -> np.ndarray:
+        w = self.omegas(vs)
+        return w if self.chart.split is None else self.chart.split.project_p(w)
+
+    def curvs(self, vs: Sequence[np.ndarray]) -> np.ndarray:
+        """Omega on each pair of m tangents, (m, m, N, N)."""
+        vx, _ = self._base_fiber(vs)
+        fval = np.einsum("ia,jb,abxy->ijxy", vx, vx, self.F)
         return self.ginv @ fval @ self.g
 
-    def phi(self, v: np.ndarray) -> np.ndarray:
-        w = self.omega(v)
+    def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(phi, 2[phi, phi], Psi, Omega) on m tangents.
+
+        phi[i] is the value on tangent i, the others [i, j] on the pair (i, j);
+        Psi = pr_h(Omega - [phi, phi]) is zero without a split.
+        """
+        phi = self.phis(vs)
+        om = self.curvs(vs)
+        comm = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
         if self.chart.split is None:
-            return w
-        return self.chart.split.project_p(w)
+            psi = np.zeros_like(om)
+        else:
+            psi = self.chart.split.project_h(om - comm)
+        return phi, 2 * comm, psi, om
+
+    def omega(self, v: np.ndarray) -> np.ndarray:
+        return self.omegas([v])[0]
+
+    def curv(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.curvs([v, w])[0, 1]
+
+    def phi(self, v: np.ndarray) -> np.ndarray:
+        return self.phis([v])[0]
 
     def psi(self, v: np.ndarray) -> np.ndarray:
         w = self.omega(v)
@@ -191,12 +221,12 @@ class _ChartContext:
         return self.chart.split.project_h(w)
 
     def psi_curv(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.chart.split is None:
-            m = self.chart.algebra.n
-            dt = complex if self.chart.algebra.is_complex else float
-            return np.zeros((m, m), dtype=dt)
-        pv, pw = self.phi(v), self.phi(w)
-        return self.chart.split.project_h(self.curv(v, w) - (pv @ pw - pw @ pv))
+        return self.tables([v, w])[2][0, 1]
+
+
+def _entries(table: np.ndarray) -> Callable[..., np.ndarray]:
+    """Index callable (i_1..i_p) -> table[i_1, .., i_p] for eval_on_forms_indexed."""
+    return lambda *idx: table[idx]
 
 
 # --- pointwise operations -----------------------------------------------------
@@ -232,11 +262,8 @@ def vertical_tangent(chart: BundleChart, point: np.ndarray, value: np.ndarray) -
     if ctx.t_is_zero:
         vt = target
     else:
-        cols = []
-        for b in alg.basis():
-            e = alg.coords(b)
-            cols.append(alg.coords(ctx.maurer_cartan(e)))
-        vt = np.linalg.solve(np.array(cols).T, target)
+        cols = alg.coords(ctx.maurer_cartan(np.eye(alg.dim)))
+        vt = np.linalg.solve(cols.T, target)
     return np.concatenate([np.zeros(chart.base_dim), vt])
 
 
@@ -266,22 +293,14 @@ def psi_form(chart: BundleChart) -> FormField:
     return FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).psi(tg[0]), algebra=chart.algebra)
 
 
-def psi_curvature_form(chart: BundleChart) -> FormField:
-    return FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).psi_curv(tg[0], tg[1]), algebra=chart.algebra)
-
-
 def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega") -> FormField:
     """The 2k-form P(Omega^k) (source="omega") or P(Psi^k) (source="psi")."""
     k = P.degree
 
     def ev(pt, tangents):
         ctx = chart.ctx(pt)
-        pair = ctx.curv if source == "omega" else ctx.psi_curv
-
-        def f(i, j):
-            return pair(tangents[i], tangents[j])
-
-        return eval_on_forms_indexed(P, [(f, 2)] * k, 2 * k)
+        table = ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2]
+        return eval_on_forms_indexed(P, [(_entries(table), 2)] * k, 2 * k)
 
     return FormField(chart.dim, 2 * k, ev)
 
@@ -305,26 +324,12 @@ def phi_p_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
     coeff = {(i, j): float(phi_coefficient(k, i, j)) for i in range(k) for j in range(k - i)}
 
     def ev(pt, tangents):
-        ctx = chart.ctx(pt)
-        pv = [ctx.phi(v) for v in tangents]
-
-        def p1(i):
-            return pv[i]
-
-        def pp(i, j):
-            return 2 * (pv[i] @ pv[j] - pv[j] @ pv[i])
-
-        def ps(i, j):
-            return ctx.psi_curv(tangents[i], tangents[j])
-
-        def om(i, j):
-            return ctx.curv(tangents[i], tangents[j])
-
+        phi, pp, ps, om = (_entries(t) for t in chart.ctx(pt).tables(tangents))
         total = 0.0
         for (i, j), a in coeff.items():
             if chart.split is None and j > 0:
                 continue
-            args = [(p1, 1)] + [(pp, 2)] * i + [(ps, 2)] * j + [(om, 2)] * (k - 1 - i - j)
+            args = [(phi, 1)] + [(pp, 2)] * i + [(ps, 2)] * j + [(om, 2)] * (k - 1 - i - j)
             total += a * eval_on_forms_indexed(P, args, 2 * k - 1)
         return total
 
@@ -474,14 +479,8 @@ def fiber_integral(
         if form.degree != p:
             raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
         pt = ch.point(base_point)
-        ginv = g.conj().T
-        tangents = []
-        for i in range(p):
-            e = np.zeros(p)
-            e[i] = 1.0
-            dl = (lift(s + fd_step * e) - lift(s - fd_step * e)) / (2 * fd_step)
-            vt = alg.coords(ginv @ dl)
-            tangents.append(np.concatenate([zero_base, vt]))
+        dls = [(lift(s + fd_step * e) - lift(s - fd_step * e)) / (2 * fd_step) for e in np.eye(p)]
+        tangents = [np.concatenate([zero_base, vt]) for vt in alg.coords(g.conj().T @ np.array(dls))]
         total += weight * form(pt, tangents)
     return fiber.orientation * total
 
@@ -522,13 +521,9 @@ def section_pullback_form(
         ch = chart.at(g)
         form = phi_p_form(ch, P)
         pt = ch.point(x)
-        ginv = g.conj().T
-        lifted = []
-        for v in tangents:
-            dg = (section.value(x + fd_step * v) - section.value(x - fd_step * v)) / (2 * fd_step)
-            vt = alg.coords(ginv @ dg)
-            lifted.append(np.concatenate([v, vt]))
-        return form(pt, lifted)
+        dgs = [(section.value(x + fd_step * v) - section.value(x - fd_step * v)) / (2 * fd_step) for v in tangents]
+        vts = alg.coords(g.conj().T @ np.array(dgs))
+        return form(pt, [np.concatenate([v, vt]) for v, vt in zip(tangents, vts)])
 
     return FormField(chart.base_dim, 2 * P.degree - 1, ev)
 

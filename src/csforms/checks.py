@@ -425,16 +425,8 @@ def _bare_integrand(P) -> Callable[[BundleChart], FormField]:
 
     def form_at(ch: BundleChart) -> FormField:
         def ev(pt, tangents):
-            ctx = ch.ctx(pt)
-            pv = [ctx.phi(v) for v in tangents]
-
-            def f1(i):
-                return pv[i]
-
-            def f2(i, j):
-                return 2 * (pv[i] @ pv[j] - pv[j] @ pv[i])
-
-            return eval_on_forms_indexed(P, [(f1, 1), (f2, 2)], 3)
+            phi, pp, _, _ = ch.ctx(pt).tables(tangents)
+            return eval_on_forms_indexed(P, [(lambda i: phi[i], 1), (lambda i, j: pp[i, j], 2)], 3)
 
         return FormField(ch.dim, 3, ev)
 

@@ -27,13 +27,14 @@ from .zoo import PrecisionError, bundle_names
 SCHEMA_VERSION = 1
 
 
-def _positive(kind):
-    """argparse type: a finite number of the given kind that is > 0."""
+def _positive(kind, zero_ok: bool = False):
+    """argparse type: a finite number of the given kind that is > 0 (>= 0 with zero_ok)."""
+    bound = ">= 0" if zero_ok else "> 0"
 
     def parse(text: str):
         v = kind(text)
-        if not (0 < v < float("inf")):
-            raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf")):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
         return v
 
     parse.__name__ = kind.__name__
@@ -45,7 +46,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", action="store_true", help="emit the report as CSV rows")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
     p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    p.add_argument("--tol", type=float, default=None, help="override the default tolerance")
+    p.add_argument("--tol", type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)")
     p.add_argument("--fd-step", type=_positive(float), default=1e-4, help="finite-difference step (> 0)")
     p.add_argument("--quad-order", type=_positive(int), default=None, help="override quadrature order (>= 1)")
     p.add_argument("--points", type=_positive(int), default=100, help="random points per sweep (>= 1)")
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiber-norm", help="fiber integrals of the transgression forms")
     p.add_argument("--bundle", type=str, default=None, help=f"restrict to one of {list(checks.FIBER_NORM_BUNDLES)}")
-    p.add_argument("--k", type=int, default=None, help="also report the exact antidiagonal constant")
+    p.add_argument("--k", type=_positive(int), default=None, help="also report the exact antidiagonal constant (>= 1)")
     _add_common(p)
 
     p = sub.add_parser("pontryagin-split", help="P1 splitting and sum rule on the 4-sphere frames")
@@ -170,7 +171,7 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         recs = checks.fiber_norm_checks(
             quad_order_1d=args.quad_order or 24, quad_order_3d=args.quad_order or 10, bundle=args.bundle
         )
-        if args.k:
+        if args.k is not None:
             fc = rationals.fiber_constant(args.k)
             cfg["fiber_constant"] = {"k": args.k, "num": fc.numerator, "den": fc.denominator}
     elif cmd == "pontryagin-split":
@@ -234,6 +235,9 @@ def _to_text(report: dict, elapsed: float) -> str:
             f"[{status}] {r['name']}: computed={r['computed']:.6g} expected={r['expected']:.6g} "
             f"tol={r['tolerance']:.3g}  ({r['anchor']})"
         )
+    fc = report["config"].get("fiber_constant")
+    if fc:
+        lines.append(f"fiber constant at k={fc['k']}: {fc['num']}/{fc['den']}")
     s = report["summary"]
     lines.append(f"{s['passed']}/{s['total']} checks passed, wall time {elapsed:.2f}s")
     return "\n".join(lines)

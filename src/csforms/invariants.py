@@ -1,10 +1,9 @@
-"""Ad-invariant polynomials, polarization, and evaluation on form values.
+"""Ad-invariant polynomials, their multilinear forms, and evaluation on forms.
 
-A degree-k invariant polynomial is used as a symmetric multilinear functional
-on g^k, obtained from the homogeneous evaluator by inclusion-exclusion
-polarization.  Applied to Lie-algebra-valued alternating tensors of degrees
-p_1..p_k it produces a scalar (p_1+...+p_k)-form through the shuffle
-convention
+A degree-k invariant polynomial carries two evaluators: the homogeneous one,
+P(X), and its symmetric multilinear form on g^k, with which it is applied to
+Lie-algebra-valued alternating tensors of degrees p_1..p_k.  That gives a
+scalar (p_1+...+p_k)-form through the shuffle convention
 
     P(a_1,...,a_k)(X_1..X_p) =
         (1/(p_1! ... p_k!)) sum_{s in S_p} sgn(s) P(a_1(X_s..), ..., a_k(X_s..)),
@@ -20,6 +19,12 @@ shipped normalizations are fixed here once:
     pontryagin_1 P1(X)  = -tr(X^2) / (8 pi^2)        on so(n)
     trace_power  t_k(X) = Re tr(X^k)
 
+Each multilinear form is evaluated directly, not by polarizing the
+homogeneous one: the Pfaffian summed over perfect matchings with the k
+arguments spread over the k pairs in every order, the mixed discriminant
+(1/j!) sum_{s in S_j} sgn(s) prod_{cycles c of s} tr(prod_{i in c} X_i) for
+c_j, and symmetrized traces for P1 and t_k.
+
 The chern sign is pinned by c_1(i theta) = theta/(2 pi) and by c_j on
 diagonal u(1)^n elements equalling elementary symmetric functions of
 (theta_m / 2 pi); the curvature sign of the shipped degree-one line bundle is
@@ -29,7 +34,8 @@ chosen to match, giving integral 1 over the base sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial, pi
 from typing import Callable, Sequence
 
@@ -47,7 +53,7 @@ __all__ = [
 
 
 def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
-    """Pfaffian of a real skew-symmetric matrix by first-row expansion.
+    """Pfaffian of a real skew-symmetric matrix as a sum over perfect matchings.
 
     Intended for the small matrices appearing here (n <= 8).  Odd dimension
     gives 0, the empty matrix gives 1.
@@ -55,37 +61,120 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x + x.T)) > tol * scale:
+    _check_skew(x[None], tol)
+    rows, cols, signs = _matchings(x.shape[0])
+    return float(signs @ np.prod(x[rows, cols], axis=1))
+
+
+def _check_skew(xs: np.ndarray, tol: float = 1e-10) -> None:
+    """Raise unless the stack xs (m, n, n) is skew within tol, relative to its
+    largest entry when that is above 1."""
+    scale = max(1.0, np.abs(xs).max(initial=0.0))
+    if np.abs(xs + xs.transpose(0, 2, 1)).max(initial=0.0) > tol * scale:
         raise ValueError("matrix is not skew-symmetric within tolerance")
-    return _pf(x)
 
 
-def _pf(x: np.ndarray) -> float:
-    n = x.shape[0]
-    if n == 0:
-        return 1.0
-    if n % 2 == 1:
-        return 0.0
-    if n == 2:
-        return float(x[0, 1])
+@lru_cache(maxsize=None)
+def _matchings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perfect matchings of range(n) as (rows, cols, signs).
+
+    rows[m], cols[m] list the pairs (a < b) of matching m, ordered by a;
+    signs[m] is the parity of the permutation a_1 b_1 a_2 b_2 ..., so that
+    Pf(X) = sum_m signs[m] prod_i X[rows[m, i], cols[m, i]].  Odd n has none.
+    """
+
+    def rec(rest: tuple[int, ...]):
+        if not rest:
+            yield 1, ()
+            return
+        first = rest[0]
+        for pos, j in enumerate(rest[1:]):
+            remaining = rest[1 : pos + 1] + rest[pos + 2 :]
+            for s, tail in rec(remaining):
+                yield (-1) ** pos * s, ((first, j),) + tail
+
+    found = list(rec(tuple(range(n)))) if n % 2 == 0 else []
+    pairs = np.array([m for _, m in found], dtype=int).reshape(len(found), n // 2, 2)
+    return pairs[..., 0], pairs[..., 1], np.array([s for s, _ in found], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _spread_matchings(k: int) -> tuple[np.ndarray, ...]:
+    """(slots, rows, cols, signs): every matching of range(2k) with its k pairs
+    given to the k arguments in every order, for the polarized Pfaffian
+    (1/k!) sum signs[r] prod_i X_{slots[r, i]}[rows[r, i], cols[r, i]]."""
+    rows, cols, signs = _matchings(2 * k)
+    orders = np.array(list(permutations(range(k))), dtype=int).reshape(-1, k)
+    slots = np.tile(orders, (len(signs), 1))
+    return (
+        slots,
+        np.repeat(rows, len(orders), axis=0),
+        np.repeat(cols, len(orders), axis=0),
+        np.repeat(signs, len(orders)) / factorial(k),
+    )
+
+
+def _polarized_pfaffian(args: Sequence[np.ndarray]) -> float:
+    xs = np.asarray(args, dtype=float)
+    _check_skew(xs)
+    slots, rows, cols, signs = _spread_matchings(len(xs))
+    return float(signs @ np.prod(xs[slots, rows, cols], axis=1))
+
+
+@lru_cache(maxsize=None)
+def _cycle_table(j: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(sgn(s), cycles of s) for every s in S_j, each cycle from its least index."""
+    table = []
+    for s in permutations(range(j)):
+        seen: set[int] = set()
+        cycles = []
+        for i in range(j):
+            cyc = []
+            while i not in seen:
+                seen.add(i)
+                cyc.append(i)
+                i = s[i]
+            if cyc:
+                cycles.append(tuple(cyc))
+        table.append((-1 if (j - len(cycles)) & 1 else 1, tuple(cycles)))
+    return tuple(table)
+
+
+def _trace_of_product(args: Sequence[np.ndarray], order: Sequence[int]) -> complex:
+    m = args[order[0]]
+    for i in order[1:]:
+        m = m @ args[i]
+    return np.trace(m)
+
+
+def _mixed_discriminant(args: Sequence[np.ndarray]) -> complex:
+    """Polarized sum of principal j-minors, j = len(args)."""
     total = 0.0
-    rest = list(range(1, n))
-    for col_pos, j in enumerate(rest):
-        keep = [i for i in rest if i != j]
-        sub = x[np.ix_(keep, keep)]
-        total += (-1) ** col_pos * x[0, j] * _pf(sub)
-    return total
+    for sign, cycles in _cycle_table(len(args)):
+        total = total + sign * np.prod([_trace_of_product(args, c) for c in cycles])
+    return total / factorial(len(args))
+
+
+def _symmetrized_trace(args: Sequence[np.ndarray]) -> float:
+    """(1/k!) sum over orders of Re tr(X_s1 ... X_sk); rotations that keep
+    the trace are summed once, the first argument fixed in front."""
+    k = len(args)
+    total = 0.0
+    for rest in permutations(range(1, k)):
+        total += float(np.real(_trace_of_product(args, (0,) + rest)))
+    return total / factorial(k - 1)
 
 
 @dataclass(frozen=True)
 class InvariantPolynomial:
-    """Named homogeneous invariant polynomial with its degree and algebra tag."""
+    """Named invariant polynomial: degree, algebra tag, the homogeneous
+    evaluator ``value`` and its symmetric multilinear form ``multilinear``."""
 
     name: str
     degree: int
     algebra_tag: str
     value: Callable[[np.ndarray], float]
+    multilinear: Callable[[Sequence[np.ndarray]], float]
 
     def __call__(self, x: np.ndarray) -> float:
         return self.value(x)
@@ -114,23 +203,33 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
     if name == "euler":
         if alg.name != "so" or alg.n != 2 * k:
             raise ValueError(f"euler of degree {k} needs so({2 * k}), got {alg.tag}")
+        norm = (2 * pi) ** k
 
         def ev_euler(x: np.ndarray) -> float:
-            return pfaffian(x) / (2 * pi) ** k
+            return pfaffian(x) / norm
 
-        return InvariantPolynomial("euler", k, alg.tag, ev_euler)
+        def ml_euler(args: Sequence[np.ndarray]) -> float:
+            return _polarized_pfaffian(args) / norm
+
+        return InvariantPolynomial("euler", k, alg.tag, ev_euler, ml_euler)
 
     if name == "chern_j":
         if alg.name not in ("u", "su") or k > alg.n:
             raise ValueError(f"chern_{k} needs u(n) with n >= {k}, got {alg.tag}")
+        norm = (-1j / (2 * pi)) ** k
 
-        def ev_chern(x: np.ndarray) -> float:
-            v = (-1j / (2 * pi)) ** k * _principal_minor_sum(np.asarray(x, complex), k)
+        def real_chern(v: complex) -> float:
             if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
                 raise ValueError(f"chern_{k} value unexpectedly complex: {v}")
             return float(v.real)
 
-        return InvariantPolynomial(f"chern_{k}", k, alg.tag, ev_chern)
+        def ev_chern(x: np.ndarray) -> float:
+            return real_chern(norm * _principal_minor_sum(np.asarray(x, complex), k))
+
+        def ml_chern(args: Sequence[np.ndarray]) -> float:
+            return real_chern(complex(norm * _mixed_discriminant(args)))
+
+        return InvariantPolynomial(f"chern_{k}", k, alg.tag, ev_chern, ml_chern)
 
     if name == "pontryagin_1":
         if alg.name != "so" or k != 2:
@@ -139,43 +238,39 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
         def ev_p1(x: np.ndarray) -> float:
             return float(-np.real(np.trace(x @ x))) / (8 * pi**2)
 
-        return InvariantPolynomial("pontryagin_1", 2, alg.tag, ev_p1)
+        def ml_p1(args: Sequence[np.ndarray]) -> float:
+            x, y = args
+            return float(-(x * y.T).sum().real) / (8 * pi**2)
+
+        return InvariantPolynomial("pontryagin_1", 2, alg.tag, ev_p1, ml_p1)
 
     if name.startswith("trace_power"):
         def ev_tp(x: np.ndarray) -> float:
             return float(np.real(np.trace(np.linalg.matrix_power(x, k))))
 
-        return InvariantPolynomial(f"trace_power_{k}", k, alg.tag, ev_tp)
+        return InvariantPolynomial(f"trace_power_{k}", k, alg.tag, ev_tp, _symmetrized_trace)
 
     raise ValueError(f"unknown polynomial {name!r}")
 
 
 def polarize_eval(P: InvariantPolynomial, args: Sequence[np.ndarray]) -> float:
-    """Symmetric multilinear functional of P on k matrices.
+    """The symmetric multilinear form of P on k matrices.
 
-    Inclusion-exclusion over non-empty subsets (2^k - 1 homogeneous
-    evaluations); agrees with P on the diagonal.
+    Agrees with P on the diagonal; evaluated directly by P.multilinear (see
+    the module docstring), one call per argument tuple.
     """
-    k = P.degree
-    if len(args) != k:
-        raise ValueError(f"{P.name} takes {k} arguments, got {len(args)}")
-    total = 0.0
-    for mask in range(1, 1 << k):
-        m = None
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                bits += 1
-                m = args[i] if m is None else m + args[i]
-        total += (-1) ** (k - bits) * P.value(m)
-    return total / factorial(k)
+    if len(args) != P.degree:
+        raise ValueError(f"{P.name} takes {P.degree} arguments, got {len(args)}")
+    return P.multilinear(args)
 
 
-def _shuffles(degs: Sequence[int]):
-    """Signed shuffles of range(sum(degs)) into increasing blocks.
+@lru_cache(maxsize=None)
+def _shuffles(degs: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Signed shuffles of range(sum(degs)) into increasing blocks, cached per
+    degree tuple.
 
-    Yields (sign, blocks) with len(blocks[i]) == degs[i]; sign is the parity
-    of the permutation that lists the blocks one after another.  On
+    Returns (sign, blocks) pairs with len(blocks[i]) == degs[i]; sign is the
+    parity of the permutation that lists the blocks one after another.  On
     alternating arguments the weight-1/(p_1!...p_k!) sum over S_n collapses
     to the weight-1 sum over these shuffles.
     """
@@ -193,7 +288,7 @@ def _shuffles(degs: Sequence[int]):
             for s, tail in rec(remaining, degs[1:]):
                 yield sign * s, (block,) + tail
 
-    yield from rec(tuple(range(sum(degs))), tuple(degs))
+    return tuple(rec(tuple(range(sum(degs))), degs))
 
 
 def eval_on_forms_indexed(
@@ -207,7 +302,7 @@ def eval_on_forms_indexed(
     alternating p-tensor on tangents number i_1..i_p.  Every f is called on
     increasing index tuples only, once per shuffle that uses it.
     """
-    degs = [p for _, p in args]
+    degs = tuple(p for _, p in args)
     if sum(degs) != n_tangents:
         raise ValueError(f"form degrees sum to {sum(degs)}, got {n_tangents} tangents")
     total = 0.0

@@ -11,7 +11,7 @@ orthogonal complement of a subalgebra under an invariant form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import expm
 
@@ -54,6 +54,10 @@ class MatrixLieAlgebra:
     name: str  # "so" | "u" | "su"
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"matrix size must be >= 0, got {self.name}({self.n})")
+
     @property
     def tag(self) -> str:
         return f"{self.name}({self.n})"
@@ -93,24 +97,21 @@ class MatrixLieAlgebra:
         return tuple(out)
 
     @lru_cache(maxsize=None)
-    def _gram_inv(self) -> np.ndarray:
-        B = self.basis()
-        G = np.array([[inner_raw(x, y) for y in B] for x in B])
-        return np.linalg.inv(G)
+    def _frame(self) -> "_StackedBasis":
+        return _StackedBasis(self.basis(), self.n, self.dtype)
+
+    @property
+    def dtype(self) -> type:
+        return complex if self.is_complex else float
 
     def coords(self, m: np.ndarray) -> np.ndarray:
-        """Real coefficients of m in the stored basis (least-squares exact
-        for members of the algebra)."""
-        B = self.basis()
-        rhs = np.array([inner_raw(m, b) for b in B])
-        return self._gram_inv() @ rhs
+        """Real coefficients of m in the stored basis (exact for members of
+        the algebra); m may be a stack (..., n, n)."""
+        return self._frame().coords(m)
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
-        B = self.basis()
-        m = np.zeros_like(B[0])
-        for ci, bi in zip(c, B):
-            m = m + ci * bi
-        return m
+        """sum_i c_i B_i; c may be a stack (..., dim)."""
+        return self._frame().combine(c)
 
     def contains(self, m: np.ndarray, tol: float = 1e-10) -> bool:
         if m.shape != (self.n, self.n):
@@ -123,8 +124,7 @@ class MatrixLieAlgebra:
         return bool(herm < tol and abs(np.trace(m)) < tol)
 
     def identity(self) -> np.ndarray:
-        dt = complex if self.is_complex else float
-        return np.eye(self.n, dtype=dt)
+        return np.eye(self.n, dtype=self.dtype)
 
 
 def so(n: int) -> MatrixLieAlgebra:
@@ -140,7 +140,8 @@ def su(n: int) -> MatrixLieAlgebra:
 
 
 def algebra_from_tag(tag: str) -> MatrixLieAlgebra:
-    """Parse tags like "so4", "so(4)", "u2", "su2"."""
+    """Parse tags like "so4", "so(4)", "u2", "su2"; a size below 0 raises
+    ValueError, size 0 (and so(1)) gives the zero algebra."""
     s = tag.lower().replace("(", "").replace(")", "").strip()
     for name in ("so", "su", "u"):
         if s.startswith(name):
@@ -151,6 +152,26 @@ def algebra_from_tag(tag: str) -> MatrixLieAlgebra:
 def inner_raw(x: np.ndarray, y: np.ndarray) -> float:
     """<X, Y> = -Re tr(XY)."""
     return float(-np.real(np.trace(x @ y)))
+
+
+class _StackedBasis:
+    """A basis of n x n matrices stacked for products: coordinates and linear
+    combinations of a matrix, or of a stack of them, in one product each."""
+
+    def __init__(self, basis, n: int, dtype):
+        self.n = n
+        self.flat = np.array(basis, dtype=dtype).reshape(len(basis), n * n)
+        # <X, B_b> = -Re tr(X B_b) = Re(X.ravel() @ pair)[b]
+        pair = -np.array([b.T for b in basis], dtype=dtype).reshape(len(basis), n * n).T
+        self.dual = pair @ np.linalg.inv(np.real(self.flat @ pair))
+
+    def coords(self, m: np.ndarray) -> np.ndarray:
+        m = np.asarray(m)
+        return np.real(m.reshape(m.shape[:-2] + (self.n * self.n,)) @ self.dual)
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        c = np.asarray(c, dtype=float)
+        return (c @ self.flat).reshape(c.shape[:-1] + (self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -202,9 +223,10 @@ def _orthonormalize(vecs: list[np.ndarray]) -> list[np.ndarray]:
 class ReductiveSplit:
     """Orthogonal decomposition g = h + p with h a subalgebra.
 
-    project_h / project_p act on raw matrices.  Orthogonality under the
-    invariant form gives [h, p] subset p automatically; [p, p] subset h only
-    in the symmetric cases (e.g. so(n)/so(n-1)).
+    project_h / project_p act on raw matrices or stacks of them, as products
+    with the stacked orthonormal basis (cached per split).  Orthogonality
+    under the invariant form gives [h, p] subset p automatically; [p, p]
+    subset h only in the symmetric cases (e.g. so(n)/so(n-1)).
     """
 
     algebra: MatrixLieAlgebra
@@ -212,19 +234,19 @@ class ReductiveSplit:
     p_basis: tuple[np.ndarray, ...]
     label: str = ""
 
-    def _proj(self, m: np.ndarray, basis: tuple[np.ndarray, ...]) -> np.ndarray:
-        out = np.zeros_like(m, dtype=basis[0].dtype) if basis else np.zeros_like(m)
-        for b in basis:
-            out = out + inner_raw(m, b) * b
-        return out
+    @cached_property
+    def _h_frame(self) -> _StackedBasis:
+        return _StackedBasis(self.h_basis, self.algebra.n, self.algebra.dtype)
+
+    @cached_property
+    def _p_frame(self) -> _StackedBasis:
+        return _StackedBasis(self.p_basis, self.algebra.n, self.algebra.dtype)
 
     def project_h(self, m: np.ndarray) -> np.ndarray:
-        if not self.h_basis:
-            return np.zeros_like(m)
-        return self._proj(m, self.h_basis)
+        return self._h_frame.combine(self._h_frame.coords(m))
 
     def project_p(self, m: np.ndarray) -> np.ndarray:
-        return self._proj(m, self.p_basis)
+        return self._p_frame.combine(self._p_frame.coords(m))
 
     @property
     def dim_h(self) -> int:

@@ -595,11 +595,15 @@ def quaternionic_section_degrees(
     index the obstruction formula counts.  Returns (a1, a2).
     """
 
+    # both degrees evaluate the same nodes and stencil points: split each once
+    pairs: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
     def section_map(which: int):
         def f(params: np.ndarray) -> np.ndarray:
-            yhat = _s3_angles(params)
-            a, b = so4_to_quaternion_pair(south_transition_frame(yhat))
-            return a if which == 1 else b
+            key = params.tobytes()
+            if key not in pairs:
+                pairs[key] = so4_to_quaternion_pair(south_transition_frame(_s3_angles(params)))
+            return pairs[key][which - 1]
 
         return f
 

@@ -269,3 +269,23 @@ def test_char_form_psi_requires_nothing_when_trivial():
     f = char_form(b.chart, e1, "psi")
     pt = b.chart.point(np.zeros(2))
     assert f(pt, [rng.standard_normal(3), rng.standard_normal(3)]) == 0.0
+
+
+def test_phi_p_form_computes_each_phi_once(monkeypatch):
+    # off t = 0: one expm for the group element, one expm_tangent per tangent
+    import csforms.bundles as bundles
+
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(bundles, "expm", counted)
+    b = get_bundle("frame_s4:b1")
+    P = b.polynomial()
+    pt = b.chart.point(rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.3, 0.3, b.chart.algebra.dim))
+    tangents = [rng.standard_normal(b.chart.dim) for _ in range(2 * P.degree - 1)]
+    value = phi_p_form(b.chart, P)(pt, tangents)
+    assert np.isfinite(value) and value != 0.0
+    assert 0 < len(calls) <= 1 + len(tangents)

@@ -116,6 +116,13 @@ def test_fiber_norm_all_pass(capsys):
         ["gauss-bonnet", "--bundle", "ut_s2"],
         ["gauss-bonnet", "--chain", "full_sphere"],
         ["chern-number", "--bundle", "hopf_u1"],
+        ["coeffs", "--k", "2", "--tol", "nan"],
+        ["coeffs", "--k", "2", "--tol", "-1"],
+        ["coeffs", "--k", "2", "--tol", "inf"],
+        ["fiber-norm", "--bundle", "ut_s2", "--k", "0"],
+        ["fiber-norm", "--bundle", "ut_s2", "--k", "-2"],
+        ["algebra", "--dump", "u-3"],
+        ["algebra", "--dump", "so-1"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -133,3 +140,16 @@ def test_fiber_norm_bundle_selects_records(capsys):
     assert code == 0
     names = [r["name"] for r in json.loads(out)["records"]]
     assert names == ["fiber_norm_circle", "fiber_lift_independence_circle", "fiber_constant_identity"]
+
+
+def test_fiber_norm_text_reports_fiber_constant(capsys):
+    code, out = run(capsys, "fiber-norm", "--bundle", "ut_s2", "--k", "3", "--quad-order", "6")
+    assert code == 0
+    assert "fiber constant at k=3: 3/20" in out
+
+
+@pytest.mark.parametrize("tag", ["so1", "u0"])
+def test_zero_dimensional_algebra_dump(capsys, tag):
+    code, out = run(capsys, "algebra", "--dump", tag, "--json")
+    assert code == 0
+    assert json.loads(out)["config"]["payload"] == {"dim": 0, "basis": []}

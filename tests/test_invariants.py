@@ -22,8 +22,8 @@ rng = np.random.default_rng(5)
 
 
 def pfaffian_matching_oracle(x: np.ndarray) -> float:
-    """Sum over perfect matchings with crossing signs (independent of the
-    first-row expansion used by the library)."""
+    """Recursive first-row expansion (independent of the precomputed
+    matching table the library sums over)."""
     n = x.shape[0]
     if n % 2:
         return 0.0
@@ -124,6 +124,51 @@ def test_polarization_permutation_invariance_chern2():
     xs = [random_element(u(2), rng) for _ in range(2)]
     vals = {round(polarize_eval(P, [xs[i] for i in p]), 12) for p in permutations(range(2))}
     assert len(vals) == 1
+
+
+def inclusion_exclusion(P, args):
+    """Polarization of the homogeneous P over non-empty subsets (2^k - 1
+    evaluations): the reference for P.multilinear."""
+    k = P.degree
+    total = 0.0
+    for mask in range(1, 1 << k):
+        chosen = [a for i, a in enumerate(args) if mask >> i & 1]
+        total += (-1) ** (k - len(chosen)) * P.value(sum(chosen[1:], chosen[0]))
+    return total / factorial(k)
+
+
+@pytest.mark.parametrize(
+    "pname,k,tag",
+    [
+        ("euler", 1, "so2"),
+        ("euler", 2, "so4"),
+        ("pontryagin_1", 2, "so4"),
+        ("chern_j", 1, "u3"),
+        ("chern_j", 2, "u3"),
+        ("chern_j", 3, "u3"),
+        ("trace_power_2", 2, "so4"),
+        ("trace_power_3", 3, "u3"),
+    ],
+)
+def test_multilinear_matches_inclusion_exclusion(pname, k, tag):
+    P = make_polynomial(pname, k, tag)
+    alg = so(int(tag[2:])) if tag.startswith("so") else u(3)
+    for _ in range(10):
+        args = [random_element(alg, rng) for _ in range(k)]
+        expected = inclusion_exclusion(P, args)
+        for order in permutations(range(k)):
+            got = polarize_eval(P, [args[i] for i in order])
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_multilinear_keeps_argument_checks():
+    x = random_element(so(4), rng)
+    with pytest.raises(ValueError, match="skew"):
+        polarize_eval(make_polynomial("euler", 2, "so4"), [x, np.eye(4)])
+    with pytest.raises(ValueError, match="complex"):
+        polarize_eval(make_polynomial("chern_j", 1, "u1"), [np.array([[1.0 + 0j]])])
+    with pytest.raises(ValueError, match="takes 2 arguments"):
+        polarize_eval(make_polynomial("pontryagin_1", 2, "so4"), [x])
 
 
 def test_infinitesimal_ad_invariance():
