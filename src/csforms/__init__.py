@@ -16,12 +16,8 @@ from .rationals import (
     verify_linear_relations,
 )
 from .liealg import (
-    LieAlgebraElement,
     MatrixLieAlgebra,
-    QuaternionicStructures,
     ReductiveSplit,
-    bracket,
-    quaternionic_frame_structures,
     so,
     so4_ideal_split,
     standard_split,
@@ -37,28 +33,22 @@ from .invariants import (
     polarize_eval,
 )
 from .calculus import (
-    ChartMap,
     FormField,
     ParametrizedChain,
     bracket_wedge,
     exterior_derivative,
     integrate,
-    pullback,
     wedge,
 )
 from .bundles import (
     BundleChart,
     FiberModel,
     Section,
-    connection_on_total_space,
-    curvature_on_total_space,
-    decompose,
     covariant_derivative_residual,
     fiber_integral,
     heterotic_residual,
     obstruction_identity_check,
     phi_p_form,
-    psi_curvature,
     tp_form,
 )
 from .zoo import (

@@ -44,7 +44,7 @@ from scipy.linalg import expm
 
 from .calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
-from .liealg import LieAlgebraElement, MatrixLieAlgebra, ReductiveSplit
+from .liealg import MatrixLieAlgebra, ReductiveSplit
 from .rationals import phi_coefficient
 
 __all__ = [
@@ -54,15 +54,9 @@ __all__ = [
     "ChainSpec",
     "ObstructionReport",
     "expm_tangent",
-    "connection_on_total_space",
-    "curvature_on_total_space",
-    "decompose",
-    "psi_curvature",
     "covariant_derivative_residual",
     "omega_form",
     "curvature_form",
-    "phi_form",
-    "psi_form",
     "char_form",
     "tp_form",
     "phi_p_form",
@@ -220,9 +214,6 @@ class _ChartContext:
             return np.zeros_like(w)
         return self.chart.split.project_h(w)
 
-    def psi_curv(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.tables([v, w])[2][0, 1]
-
 
 def _entries(table: np.ndarray) -> Callable[..., np.ndarray]:
     """Index callable (i_1..i_p) -> table[i_1, .., i_p] for eval_on_forms_indexed."""
@@ -230,29 +221,6 @@ def _entries(table: np.ndarray) -> Callable[..., np.ndarray]:
 
 
 # --- pointwise operations -----------------------------------------------------
-
-def connection_on_total_space(chart: BundleChart, point: np.ndarray, tangent: np.ndarray) -> LieAlgebraElement:
-    return LieAlgebraElement(chart.algebra, chart.ctx(point).omega(np.asarray(tangent, float)))
-
-
-def curvature_on_total_space(chart: BundleChart, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> LieAlgebraElement:
-    return LieAlgebraElement(chart.algebra, chart.ctx(point).curv(np.asarray(X, float), np.asarray(Y, float)))
-
-
-def decompose(chart: BundleChart, point: np.ndarray, tangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi value, psi value) at the point; requires a configured split."""
-    if chart.split is None:
-        raise ValueError("chart has no reductive split configured")
-    ctx = chart.ctx(point)
-    v = np.asarray(tangent, float)
-    return ctx.phi(v), ctx.psi(v)
-
-
-def psi_curvature(chart: BundleChart, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if chart.split is None:
-        raise ValueError("chart has no reductive split configured")
-    return chart.ctx(point).psi_curv(np.asarray(X, float), np.asarray(Y, float))
-
 
 def vertical_tangent(chart: BundleChart, point: np.ndarray, value: np.ndarray) -> np.ndarray:
     """Coordinate tangent whose Maurer-Cartan value is the given algebra element."""
@@ -283,14 +251,6 @@ def omega_form(chart: BundleChart) -> FormField:
 
 def curvature_form(chart: BundleChart) -> FormField:
     return FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curv(tg[0], tg[1]), algebra=chart.algebra)
-
-
-def phi_form(chart: BundleChart) -> FormField:
-    return FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).phi(tg[0]), algebra=chart.algebra)
-
-
-def psi_form(chart: BundleChart) -> FormField:
-    return FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).psi(tg[0]), algebra=chart.algebra)
 
 
 def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega") -> FormField:

@@ -11,11 +11,15 @@ finite differencing is confined to the verification side of each identity.
 Integration is Gauss-Legendre product quadrature over interval-box parameter
 domains (spheres are parametrized by angle boxes with measure-zero seams);
 gauss_product is the one rule, shared with the fiber and degree integrals.
+integrate pulls a form back through a chain's map and tangent frame; there
+is no separate pullback of forms.  A chain is oriented by its
+parametrization alone, and each boundary piece carries the sign induced on it
+in the (chain, sign) pairs of ParametrizedChain.boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,10 +33,8 @@ __all__ = [
     "wedge",
     "bracket_wedge",
     "exterior_derivative",
-    "pullback",
     "integrate",
     "gauss_product",
-    "ChartMap",
 ]
 
 DEFAULT_FD_STEP = 1e-4
@@ -99,14 +101,10 @@ def bracket_wedge(a: FormField, b: FormField) -> FormField:
     return _shuffle_product(a, b, lambda x, y: x @ y - y @ x, a.algebra)
 
 
-def exterior_derivative(
-    form: FormField, fd_step: float = DEFAULT_FD_STEP, richardson: bool = False
-) -> FormField:
+def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> FormField:
     """d(form) via central differences along constant tangent extensions.
 
     d a (X_0..X_p) = sum_i (-1)^i D_{X_i} [x -> a_x(X_0..^X_i..X_p)].
-    With richardson=True two step sizes (h, h/2) are combined, trading two
-    extra evaluations per direction for two more orders of accuracy.
     """
     p = form.degree
 
@@ -114,57 +112,12 @@ def exterior_derivative(
         total = None
         for i, xi in enumerate(tangents):
             rest = tangents[:i] + tangents[i + 1 :]
-
-            def f(s: float, xi=xi, rest=rest):
-                return form(pt + s * xi, rest)
-
-            d = _central(f, fd_step, richardson)
+            d = (form(pt + fd_step * xi, rest) - form(pt - fd_step * xi, rest)) / (2 * fd_step)
             term = (-1) ** i * d
             total = term if total is None else total + term
         return total
 
     return FormField(form.dim, p + 1, ev, algebra=form.algebra)
-
-
-def _central(f: Callable[[float], object], h: float, richardson: bool):
-    d1 = (f(h) - f(-h)) / (2 * h)
-    if not richardson:
-        return d1
-    d2 = (f(h / 2) - f(-h / 2)) / h
-    return (4 * d2 - d1) / 3
-
-
-@dataclass(frozen=True)
-class ChartMap:
-    """Smooth map between chart domains with an optional analytic tangent map."""
-
-    source_dim: int
-    target_dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None  # (target_dim, source_dim)
-    fd_step: float = 1e-6
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-
-    def tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x)) @ v
-        h = self.fd_step
-        return (self(x + h * v) - self(x - h * v)) / (2 * h)
-
-
-def pullback(form: FormField, f: ChartMap) -> FormField:
-    """(f* a)(x; X..) = a(f(x); df X..)."""
-    if f.target_dim != form.dim:
-        raise ValueError(
-            f"map lands in dimension {f.target_dim}, form lives in {form.dim}"
-        )
-
-    def ev(pt, tangents):
-        return form(f(pt), [f.tangent(pt, v) for v in tangents])
-
-    return FormField(f.source_dim, form.degree, ev, algebra=form.algebra)
 
 
 @dataclass(frozen=True)
@@ -176,7 +129,6 @@ class ParametrizedChain:
     mapping: Callable[[np.ndarray], np.ndarray]
     chart_dim: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None  # (chart_dim, p)
-    orientation: int = 1
     # boundary pieces as (chain, sign) with the sign induced by this chain
     boundary: tuple[tuple["ParametrizedChain", int], ...] = ()
 
@@ -197,9 +149,6 @@ class ParametrizedChain:
             e[i] = 1.0
             out.append((self.point(params + fd_step * e) - self.point(params - fd_step * e)) / (2 * fd_step))
         return out
-
-    def reversed(self) -> "ParametrizedChain":
-        return replace(self, orientation=-self.orientation, name=self.name + ":rev")
 
 
 def gauss_product(
@@ -236,4 +185,4 @@ def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Seque
     total = 0.0
     for params, weight in zip(*gauss_product(chain.intervals, quad_order)):
         total += weight * form(chain.point(params), chain.tangent_frame(params))
-    return chain.orientation * total
+    return total

@@ -74,7 +74,12 @@ def _rec(name: str, anchor: str, computed: float, expected: float, tol: float, *
 
 
 def _chart_points(bundle: NamedBundle, rng: np.random.Generator, count: int):
-    """Random total-space points: base coordinates plus a Haar-ish reference."""
+    """Random total-space points: base coordinates plus a Haar-ish reference.
+
+    A sweep over no points would pass vacuously, so count must be >= 1.
+    """
+    if count < 1:
+        raise ValueError(f"a sweep needs at least one point, got {count}")
     ch = bundle.chart
     for _ in range(count):
         g0 = random_group_element(ch.algebra, rng, 0.7)
@@ -609,20 +614,18 @@ def suite_all(
     seed: int = 0,
     points: int = 100,
     fd_step: float = 1e-4,
-    quick: bool = False,
 ) -> list[CheckRecord]:
     """Every acceptance criterion, in order."""
-    pts = 20 if quick else points
     records: list[CheckRecord] = []
     records += coefficient_checks(12)
     records += fiber_norm_checks()
     for name in ("hopf_u1", "ut_s2", "frame_s4", "frame_s4:b1", "frame_s4:b2"):
-        records += heterotic_sweep(name, points=pts, seed=seed, fd_step=fd_step)
-    records += vanishing_sweep(points=pts, seed=seed)
+        records += heterotic_sweep(name, points=points, seed=seed, fd_step=fd_step)
+    records += vanishing_sweep(points=points, seed=seed)
     records += gauss_bonnet_checks()
     records += chern_number_checks()
-    records += pontryagin_checks(points=pts, seed=seed, fd_step=fd_step)
-    records += closedness_checks(points=max(5, pts // 5), seed=seed, fd_step=fd_step)
+    records += pontryagin_checks(points=points, seed=seed, fd_step=fd_step)
+    records += closedness_checks(points=max(5, points // 5), seed=seed, fd_step=fd_step)
     records += degree_checks()
     records += calculus_identity_checks(seed=seed, fd_step=fd_step)
     return records

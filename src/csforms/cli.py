@@ -6,8 +6,13 @@ deterministic functions of the configuration: the JSON and CSV encodings
 contain no timestamps, and repeated runs with one seed are byte-identical.
 Wall time is printed only in the human-readable text format.
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
-3 a numerically ambiguous integer computation (degree rounding).
+Each subcommand takes the output flags (--json or --csv, and --out) and only
+the tuning flags it reads (seed, points, finite-difference step, quadrature
+order, tolerance); any other flag is a usage error.
+
+Exit codes: 0 all checks passed, 1 at least one failed or a numerical failure
+(ArithmeticError), 2 usage error, 3 a numerically ambiguous integer
+computation (degree rounding).
 """
 
 from __future__ import annotations
@@ -41,15 +46,26 @@ def _positive(kind, zero_ok: bool = False):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
-    p.add_argument("--csv", action="store_true", help="emit the report as CSV rows")
+_TUNING = {
+    "seed": dict(type=int, default=0, help="seed for random sweeps"),
+    "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
+    "fd-step": dict(type=_positive(float), default=1e-4, help="finite-difference step (> 0)"),
+    "quad-order": dict(type=_positive(int), default=None, help="override quadrature order (>= 1)"),
+    "tol": dict(type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)"),
+}
+
+_SWEEP = ("seed", "points", "fd-step", "tol")
+_QUADRATURE = ("quad-order", "tol")
+
+
+def _add_flags(p: argparse.ArgumentParser, *tuning: str) -> None:
+    """The output flags, then the named entries of _TUNING."""
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
+    fmt.add_argument("--csv", action="store_true", help="emit the report as CSV rows")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
-    p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    p.add_argument("--tol", type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)")
-    p.add_argument("--fd-step", type=_positive(float), default=1e-4, help="finite-difference step (> 0)")
-    p.add_argument("--quad-order", type=_positive(int), default=None, help="override quadrature order (>= 1)")
-    p.add_argument("--points", type=_positive(int), default=100, help="random points per sweep (>= 1)")
+    for name in tuning:
+        p.add_argument(f"--{name}", **_TUNING[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,46 +78,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="exact coefficient tables and residuals")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_flags(p, "tol")
 
     p = sub.add_parser("algebra", help="dump a matrix Lie algebra basis")
     p.add_argument("--dump", type=str, required=True, metavar="TAG")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("identities", help="calculus and invariance property suite")
-    _add_common(p)
+    _add_flags(p, "seed", "fd-step", "tol")
 
     p = sub.add_parser("heterotic-check", help="d PhiP = P(Omega) - P(Psi) residual sweep")
     p.add_argument("--bundle", type=str, required=True, help=f"one of {bundle_names()}")
     p.add_argument("--poly", type=str, default=None, help="euler | c1 | c2 | p1 (default per bundle)")
-    _add_common(p)
+    _add_flags(p, *_SWEEP)
 
     p = sub.add_parser("gauss-bonnet", help="Euler-form integrals and cap identities")
-    _add_common(p)
+    _add_flags(p, *_QUADRATURE)
 
     p = sub.add_parser("chern-number", help="c_1 integral of the degree-one line bundle")
-    _add_common(p)
+    _add_flags(p, *_QUADRATURE)
 
     p = sub.add_parser("fiber-norm", help="fiber integrals of the transgression forms")
     p.add_argument("--bundle", type=str, default=None, help=f"restrict to one of {list(checks.FIBER_NORM_BUNDLES)}")
     p.add_argument("--k", type=_positive(int), default=None, help="also report the exact antidiagonal constant (>= 1)")
-    _add_common(p)
+    _add_flags(p, *_QUADRATURE)
 
     p = sub.add_parser("pontryagin-split", help="P1 splitting and sum rule on the 4-sphere frames")
-    _add_common(p)
+    _add_flags(p, *_SWEEP)
 
     p = sub.add_parser("obstruction", help="chain integral = index sum + boundary term")
     p.add_argument("--bundle", type=str, default="ut_s2")
     p.add_argument("--chain", type=str, default="cap:pi/3")
     p.add_argument("--section", type=str, default="height_gradient")
-    _add_common(p)
+    _add_flags(p, *_QUADRATURE)
 
     p = sub.add_parser("degree", help="winding degrees of the quaternionic sections")
-    _add_common(p)
+    _add_flags(p, "tol")
 
     p = sub.add_parser("suite-all", help="run every acceptance check in order")
-    p.add_argument("--quick", action="store_true", help="reduced point counts")
-    _add_common(p)
+    _add_flags(p, *_SWEEP)
 
     return ap
 
@@ -126,9 +141,13 @@ def _coeffs_payload(k: int) -> dict:
 
 def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], dict]:
     cmd = args.command
-    cfg: dict = {"command": cmd, "seed": args.seed, "fd_step": args.fd_step, "points": args.points}
+    cfg: dict = {"command": cmd}
+    for key in ("seed", "fd_step", "points"):
+        if key in args:
+            cfg[key] = getattr(args, key)
     if getattr(args, "quad_order", None):
         cfg["quad_order"] = args.quad_order
+    tol = getattr(args, "tol", None)
     recs: list[checks.CheckRecord]
 
     if cmd == "coeffs":
@@ -157,7 +176,7 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
             points=args.points,
             seed=args.seed,
             fd_step=args.fd_step,
-            tol=args.tol if args.tol is not None else 1e-4,
+            tol=tol if tol is not None else 1e-4,
         )
     elif cmd == "gauss-bonnet":
         order4 = (args.quad_order,) * 4 if args.quad_order else (8, 8, 8, 8)
@@ -183,25 +202,24 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
             args.chain,
             args.section,
             quad_order=args.quad_order or 24,
-            tol=args.tol if args.tol is not None else 1e-4,
+            tol=tol if tol is not None else 1e-4,
         )
     elif cmd == "degree":
         recs = checks.degree_checks()
     elif cmd == "suite-all":
-        cfg["quick"] = bool(args.quick)
-        recs = checks.suite_all(seed=args.seed, points=args.points, fd_step=args.fd_step, quick=args.quick)
+        recs = checks.suite_all(seed=args.seed, points=args.points, fd_step=args.fd_step)
     else:  # pragma: no cover
         raise ValueError(f"unhandled command {cmd}")
 
-    if args.tol is not None and cmd not in ("heterotic-check", "obstruction"):
+    if tol is not None and cmd not in ("heterotic-check", "obstruction"):
         recs = [
             checks.CheckRecord(
-                r.name, r.anchor, r.computed, r.expected, args.tol,
-                abs(r.computed - r.expected) <= args.tol, r.extra,
+                r.name, r.anchor, r.computed, r.expected, tol,
+                abs(r.computed - r.expected) <= tol, r.extra,
             )
             for r in recs
         ]
-        cfg["tol_override"] = args.tol
+        cfg["tol_override"] = tol
     return recs, cfg
 
 
@@ -252,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"numerical ambiguity: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,7 +220,7 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
 
         def real_chern(v: complex) -> float:
             if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
-                raise ValueError(f"chern_{k} value unexpectedly complex: {v}")
+                raise ArithmeticError(f"chern_{k} value unexpectedly complex: {v}")
             return float(v.real)
 
         def ev_chern(x: np.ndarray) -> float:

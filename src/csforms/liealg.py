@@ -17,18 +17,13 @@ from scipy.linalg import expm
 
 __all__ = [
     "MatrixLieAlgebra",
-    "LieAlgebraElement",
     "ReductiveSplit",
-    "QuaternionicStructures",
     "so",
     "u",
     "su",
     "algebra_from_tag",
-    "bracket",
     "standard_split",
     "so4_ideal_split",
-    "quaternionic_frame_structures",
-    "inner",
     "random_element",
     "random_group_element",
 ]
@@ -174,39 +169,6 @@ class _StackedBasis:
         return (c @ self.flat).reshape(c.shape[:-1] + (self.n, self.n))
 
 
-@dataclass(frozen=True)
-class LieAlgebraElement:
-    algebra: MatrixLieAlgebra
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.algebra.contains(self.matrix):
-            raise ValueError(f"matrix is not in {self.algebra.tag} within tolerance")
-
-    def __add__(self, other: "LieAlgebraElement") -> "LieAlgebraElement":
-        _same(self, other)
-        return LieAlgebraElement(self.algebra, self.matrix + other.matrix)
-
-    def __rmul__(self, c: float) -> "LieAlgebraElement":
-        return LieAlgebraElement(self.algebra, c * self.matrix)
-
-
-def _same(x: LieAlgebraElement, y: LieAlgebraElement) -> None:
-    if x.algebra != y.algebra:
-        raise ValueError(f"algebra mismatch: {x.algebra.tag} vs {y.algebra.tag}")
-
-
-def bracket(x: LieAlgebraElement, y: LieAlgebraElement) -> LieAlgebraElement:
-    """Matrix commutator XY - YX; stays in the common algebra."""
-    _same(x, y)
-    return LieAlgebraElement(x.algebra, x.matrix @ y.matrix - y.matrix @ x.matrix)
-
-
-def inner(x: LieAlgebraElement, y: LieAlgebraElement) -> float:
-    _same(x, y)
-    return inner_raw(x.matrix, y.matrix)
-
-
 def _orthonormalize(vecs: list[np.ndarray]) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     for v in vecs:
@@ -333,9 +295,10 @@ def so4_ideal_split() -> tuple[ReductiveSplit, ReductiveSplit]:
 
     Returns (split1, split2) with h1 = p2 = anti-self-dual ideal and
     p1 = h2 = self-dual ideal.  h1 is the Lie algebra of the subgroup fixing
-    the left-multiplication complex structure I (see
-    quaternionic_frame_structures); the labeling test in the suite verifies
-    that identification rather than assuming it.
+    the complex structure I (I e1 = e2, I e3 = e4: left multiplication by i)
+    and h2 that of the subgroup fixing K (K e1 = e3, K e2 = e4: right
+    multiplication by j); tests/test_liealg.py::test_ideal_labels_match_structures
+    verifies that identification rather than assuming it.
     """
     g = so(4)
     asd = _orthonormalize(_anti_self_dual_basis())
@@ -343,43 +306,6 @@ def so4_ideal_split() -> tuple[ReductiveSplit, ReductiveSplit]:
     s1 = ReductiveSplit(g, tuple(asd), tuple(sd), "so(4): h1 = anti-self-dual")
     s2 = ReductiveSplit(g, tuple(sd), tuple(asd), "so(4): h2 = self-dual")
     return s1, s2
-
-
-@dataclass(frozen=True)
-class QuaternionicStructures:
-    """The orthogonal structure tensors attached to an oriented 4-frame.
-
-    I and K are the skew complex structures defined on the frame (f1..f4) by
-    I f1 = f2, I f3 = f4 and K f1 = f3, K f2 = f4; J is the composite K I.
-    With these defining tables I and K commute, so J = K I = I K is a
-    symmetric involution (J^2 = +1), not a third complex structure; I and K
-    generate the two complementary su(2) ideals, which is what the associated
-    bundles B1, B2 are built from.
-    """
-
-    I: np.ndarray
-    K: np.ndarray
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.K @ self.I
-
-
-def quaternionic_frame_structures(frame: np.ndarray) -> QuaternionicStructures:
-    """Build I, K for an oriented orthonormal frame given as matrix columns."""
-    f = np.asarray(frame, dtype=float)
-    if f.shape != (4, 4):
-        raise ValueError("frame must be 4 columns in R^4")
-    if np.max(np.abs(f.T @ f - np.eye(4))) > 1e-10:
-        raise ValueError("frame is not orthonormal")
-    if np.linalg.det(f) < 0:
-        raise ValueError("frame is not positively oriented")
-    i0 = np.zeros((4, 4))
-    k0 = np.zeros((4, 4))
-    # columns are images of the standard basis
-    i0[:, 0], i0[:, 1], i0[:, 2], i0[:, 3] = [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]
-    k0[:, 0], k0[:, 1], k0[:, 2], k0[:, 3] = [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]
-    return QuaternionicStructures(I=f @ i0 @ f.T, K=f @ k0 @ f.T)
 
 
 # --- quaternion helpers (R^4 identified with H via e1..e4 = 1,i,j,k) --------
@@ -402,12 +328,20 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def left_mult_matrix(q: np.ndarray) -> np.ndarray:
-    return np.column_stack([quat_mul(q, e) for e in np.eye(4)])
+    """Matrix of x -> q x."""
+    a, b, c, d = q
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+
+
+def _right_mult_matrix(q: np.ndarray) -> np.ndarray:
+    """Matrix of x -> x q."""
+    a, b, c, d = q
+    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
 
 
 def rot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of x -> a x conj(b) for unit quaternions a, b (an SO(4) element)."""
-    return np.column_stack([quat_mul(quat_mul(a, e), quat_conj(b)) for e in np.eye(4)])
+    return left_mult_matrix(a) @ _right_mult_matrix(quat_conj(b))
 
 
 def _quat_from_rot3(R: np.ndarray) -> np.ndarray:

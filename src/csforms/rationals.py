@@ -92,9 +92,6 @@ class CoefficientTable:
             return Fraction(0)
         return self.entries[(i, j)]
 
-    def in_domain(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
-
 
 def build_table_by_recursion(k: int) -> CoefficientTable:
     """Fill the A_ij table from A_00 = 1 using the two defining recursions.

@@ -60,7 +60,6 @@ __all__ = [
     "bundle_names",
     "winding_degree",
     "quaternionic_section_degrees",
-    "transport_frame_along_ray",
     "south_transition_frame",
 ]
 
@@ -405,8 +404,9 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
         )
 
     chart = BundleChart(4, alg, _s4_potential, _s4_curvature, split=split, name=f"frame_s4:{variant}")
-    # parallel transport along meridians is trivial in the conformal gauge, so
-    # the quaternionic sections are the constant identity coset in this chart
+    # the conformal-gauge potential vanishes on radial directions (A_x(x) = 0),
+    # so parallel transport along meridians is trivial and the quaternionic
+    # sections are the constant identity coset in this chart
     sections = {
         "sigma1": Section("sigma1", lambda x: np.eye(4), ()),
         "sigma2": Section("sigma2", lambda x: np.eye(4), ()),
@@ -511,7 +511,7 @@ def get_bundle(name: str) -> NamedBundle:
     raise ValueError(f"unknown bundle {name!r}; known: {bundle_names()}")
 
 
-# --- degrees and transport ----------------------------------------------------
+# --- degrees -------------------------------------------------------------------
 
 _SPHERE_VOLUMES = {1: 2 * pi, 3: 2 * pi**2}
 
@@ -611,35 +611,3 @@ def quaternionic_section_degrees(
     a2 = winding_degree(section_map(2), 3, quad_order, target_volume=pi**2, align_signs=True)
     return a1, a2
 
-
-def transport_frame_along_ray(
-    chart: BundleChart,
-    direction: np.ndarray,
-    r_max: float = 8.0,
-    steps: int = 400,
-) -> np.ndarray:
-    """Parallel-transport the identity frame outward along a chart ray.
-
-    Integrates g' = -A(x'(t)) g with fixed-step RK4.  For the round-sphere
-    charts shipped here the potential vanishes along rays through the origin,
-    so the result should be the identity to integrator accuracy; the general
-    integrator is kept for cross-checking that fact numerically.
-    """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    dt_ = r_max / steps
-    g = chart.algebra.identity()
-
-    def rhs(r: float, gm: np.ndarray) -> np.ndarray:
-        a = np.einsum("a,aij->ij", direction, np.asarray(chart.potential(r * direction)))
-        return -a @ gm
-
-    r = 0.0
-    for _ in range(steps):
-        k1 = rhs(r, g)
-        k2 = rhs(r + dt_ / 2, g + dt_ / 2 * k1)
-        k3 = rhs(r + dt_ / 2, g + dt_ / 2 * k2)
-        k4 = rhs(r + dt_, g + dt_ * k3)
-        g = g + dt_ / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        r += dt_
-    return g

@@ -8,22 +8,17 @@ from csforms.bundles import (
     ad_coords_matrix,
     char_form,
     connection_curvature_fd_residual,
-    connection_on_total_space,
     covariant_derivative_residual,
-    curvature_on_total_space,
-    decompose,
     expm_tangent,
     heterotic_residual,
     phi_p_form,
     potential_curvature_residual,
-    psi_curvature,
-    psi_form,
     psi_horizontal_part,
     tp_form,
     transgression_residual,
     vertical_tangent,
 )
-from csforms.calculus import exterior_derivative
+from csforms.calculus import FormField, exterior_derivative
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, so
 from csforms.zoo import flat_bundle, get_bundle
@@ -43,8 +38,8 @@ def test_connection_reproduces_fiber_velocity_at_identity():
     b = get_bundle("ut_s2")
     pt = b.chart.point(np.array([0.4, -0.2]))
     xi = np.array([0.0, 0.0, 0.7])  # pure fiber velocity in exp coordinates
-    val = connection_on_total_space(b.chart, pt, xi)
-    assert np.allclose(val.matrix, b.chart.algebra.from_coords([0.7]))
+    val = b.chart.ctx(pt).omega(xi)
+    assert np.allclose(val, b.chart.algebra.from_coords([0.7]))
 
 
 def test_flat_connection_is_maurer_cartan():
@@ -53,11 +48,12 @@ def test_flat_connection_is_maurer_cartan():
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, 3))
     v = rng.standard_normal(5)
-    w = connection_on_total_space(ch, pt, v)
+    ctx = ch.ctx(pt)
+    w = ctx.omega(v)
     # base part of the tangent contributes nothing when A = 0
     v2 = v.copy()
     v2[:2] = 0.0
-    assert np.allclose(w.matrix, connection_on_total_space(ch, pt, v2).matrix)
+    assert np.allclose(w, ctx.omega(v2))
 
 
 def test_connection_equivariance():
@@ -72,8 +68,8 @@ def test_connection_equivariance():
         pt = ch1.point(x)
         v = rng.standard_normal(10)
         v2 = np.concatenate([v[:4], adm @ v[4:]])
-        w1 = connection_on_total_space(ch1, pt, v).matrix
-        w2 = connection_on_total_space(ch2, ch2.point(x), v2).matrix
+        w1 = ch1.ctx(pt).omega(v)
+        w2 = ch2.ctx(ch2.point(x)).omega(v2)
         hinv = h.conj().T
         assert np.max(np.abs(w2 - hinv @ w1 @ h)) < 1e-8
 
@@ -85,8 +81,8 @@ def test_curvature_kills_verticals_and_matches_fd():
     pt = ch.point(rng.uniform(-1, 1, 4))
     vert = vertical_tangent(ch, pt, random_element(b.chart.algebra, rng))
     x = rng.standard_normal(10)
-    om = curvature_on_total_space(ch, pt, vert, x)
-    assert np.max(np.abs(om.matrix)) < 1e-12
+    om = ch.ctx(pt).curv(vert, x)
+    assert np.max(np.abs(om)) < 1e-12
     assert connection_curvature_fd_residual(ch, pt, x, rng.standard_normal(10)) < 1e-5
 
 
@@ -102,13 +98,6 @@ def test_potential_curvature_cross_check(name):
     assert worst < 1e-6
 
 
-def test_decompose_requires_split():
-    b = get_bundle("hopf_u1")
-    pt = b.chart.point(np.array([0.2, 0.1]))
-    with pytest.raises(ValueError):
-        decompose(b.chart, pt, np.zeros(3))
-
-
 def test_decompose_trivial_subgroup():
     # explicit trivial-H split: psi = 0 and phi is the whole connection
     from csforms.liealg import standard_split
@@ -118,9 +107,10 @@ def test_decompose_trivial_subgroup():
     chart = replace(b.chart, split=standard_split("u1", "u0"))
     pt = chart.point(np.array([0.2, 0.1]), np.array([0.4]))
     v = rng.standard_normal(3)
-    phi, psi = decompose(chart, pt, v)
+    ctx = chart.ctx(pt)
+    phi, psi = ctx.phi(v), ctx.psi(v)
     assert np.max(np.abs(psi)) == 0.0
-    assert np.allclose(phi, connection_on_total_space(chart, pt, v).matrix)
+    assert np.allclose(phi, ctx.omega(v))
 
 
 def test_decompose_h_equals_g():
@@ -129,7 +119,7 @@ def test_decompose_h_equals_g():
     assert b.chart.split.dim_p == 0
     pt = b.chart.point(np.zeros(2), rng.uniform(-0.2, 0.2, 4))
     v = rng.standard_normal(6)
-    phi, psi = decompose(b.chart, pt, v)
+    phi = b.chart.ctx(pt).phi(v)
     assert np.max(np.abs(phi)) < 1e-12
 
 
@@ -141,10 +131,11 @@ def test_decompose_lands_in_subspaces():
     pt = ch.point(rng.uniform(-1, 1, 4))
     for _ in range(5):
         v = rng.standard_normal(10)
-        phi, psi = decompose(ch, pt, v)
+        ctx = ch.ctx(pt)
+        phi, psi = ctx.phi(v), ctx.psi(v)
         assert np.max(np.abs(s.project_h(phi))) < 1e-12
         assert np.max(np.abs(s.project_p(psi))) < 1e-12
-        w = connection_on_total_space(ch, pt, v).matrix
+        w = ctx.omega(v)
         assert np.max(np.abs(phi + psi - w)) < 1e-12
 
 
@@ -156,10 +147,11 @@ def test_psi_curvature_fd_cross_check():
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 4))
     X, Y = rng.standard_normal(10), rng.standard_normal(10)
-    dpsi = exterior_derivative(psi_form(ch), 1e-4)(pt, [X, Y])
+    psi = FormField(ch.dim, 1, lambda p, tg: ch.ctx(p).psi(tg[0]), algebra=ch.algebra)
+    dpsi = exterior_derivative(psi, 1e-4)(pt, [X, Y])
     ctx = ch.ctx(pt)
     fd_val = dpsi + (ctx.psi(X) @ ctx.psi(Y) - ctx.psi(Y) @ ctx.psi(X))
-    analytic = psi_curvature(ch, pt, X, Y)
+    analytic = ctx.tables([X, Y])[2][0, 1]
     assert np.max(np.abs(fd_val - analytic)) < 1e-5
     # the bracket term it corrects for is genuinely nonzero here
     wrong_sign = ch.split.project_h(ctx.curv(X, Y) + (ctx.phi(X) @ ctx.phi(Y) - ctx.phi(Y) @ ctx.phi(X)))
@@ -173,14 +165,14 @@ def test_psi_curvature_ideal_split_is_curvature_projection():
     pt = ch.point(rng.uniform(-1, 1, 4))
     X, Y = rng.standard_normal(10), rng.standard_normal(10)
     ctx = ch.ctx(pt)
-    assert np.max(np.abs(ctx.psi_curv(X, Y) - ch.split.project_h(ctx.curv(X, Y)))) < 1e-12
+    assert np.max(np.abs(ctx.tables([X, Y])[2][0, 1] - ch.split.project_h(ctx.curv(X, Y)))) < 1e-12
 
 
 def test_psi_trivial_cases():
     hopf = get_bundle("hopf_u1")
     pt = hopf.chart.point(np.array([0.3, -0.5]), np.array([0.2]))
     ctx = hopf.chart.ctx(pt)
-    assert np.max(np.abs(ctx.psi_curv(rng.standard_normal(3), rng.standard_normal(3)))) == 0.0
+    assert np.max(np.abs(ctx.tables([rng.standard_normal(3), rng.standard_normal(3)])[2][0, 1])) == 0.0
 
 
 def test_covariant_derivative_identity():
@@ -205,7 +197,7 @@ def test_tp_form_k1_is_p_of_omega():
     form = tp_form(b.chart, c1)
     pt = b.chart.point(np.array([0.4, 0.3]), np.array([0.5]))
     v = rng.standard_normal(3)
-    w = connection_on_total_space(b.chart, pt, v).matrix
+    w = b.chart.ctx(pt).omega(v)
     assert form(pt, [v]) == pytest.approx(c1(w))
 
 

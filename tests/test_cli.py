@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from csforms.cli import main
+from csforms import checks
+from csforms.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -123,6 +124,17 @@ def test_fiber_norm_all_pass(capsys):
         ["fiber-norm", "--bundle", "ut_s2", "--k", "-2"],
         ["algebra", "--dump", "u-3"],
         ["algebra", "--dump", "so-1"],
+        # flags a subcommand does not read
+        ["degree", "--quad-order", "4"],
+        ["identities", "--points", "3"],
+        ["identities", "--quad-order", "2"],
+        ["pontryagin-split", "--quad-order", "3"],
+        ["chern-number", "--fd-step", "0.1"],
+        ["algebra", "--dump", "so4", "--tol", "1"],
+        ["coeffs", "--k", "2", "--seed", "3"],
+        ["gauss-bonnet", "--points", "5"],
+        ["suite-all", "--quick"],
+        ["chern-number", "--json", "--csv"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -153,3 +165,47 @@ def test_zero_dimensional_algebra_dump(capsys, tag):
     code, out = run(capsys, "algebra", "--dump", tag, "--json")
     assert code == 0
     assert json.loads(out)["config"]["payload"] == {"dim": 0, "basis": []}
+
+
+OUTPUT_FLAGS = {"-h", "--help", "--json", "--csv", "--out"}
+SWEEP_FLAGS = {"--seed", "--points", "--fd-step", "--tol"}
+QUADRATURE_FLAGS = {"--quad-order", "--tol"}
+HONORED_FLAGS = {
+    "coeffs": {"--k", "--tol"},
+    "algebra": {"--dump"},
+    "identities": {"--seed", "--fd-step", "--tol"},
+    "heterotic-check": {"--bundle", "--poly"} | SWEEP_FLAGS,
+    "pontryagin-split": SWEEP_FLAGS,
+    "suite-all": SWEEP_FLAGS,
+    "gauss-bonnet": QUADRATURE_FLAGS,
+    "chern-number": QUADRATURE_FLAGS,
+    "fiber-norm": {"--bundle", "--k"} | QUADRATURE_FLAGS,
+    "obstruction": {"--bundle", "--chain", "--section"} | QUADRATURE_FLAGS,
+    "degree": {"--tol"},
+}
+
+
+def test_subcommand_flags():
+    # a new flag must be read by its subcommand and added here
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(HONORED_FLAGS)
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options == OUTPUT_FLAGS | HONORED_FLAGS[name], name
+
+
+def test_config_echoes_only_taken_flags(capsys):
+    code, out = run(capsys, "degree", "--json", "--tol", "0.5")
+    assert code == 0
+    assert json.loads(out)["config"] == {"command": "degree", "tol_override": 0.5}
+
+
+def test_numerical_failure_exits_1(capsys, monkeypatch):
+    def fail(**kwargs):
+        raise ArithmeticError("chern_1 value unexpectedly complex: (1+1j)")
+
+    monkeypatch.setattr(checks, "chern_number_checks", fail)
+    code = main(["chern-number"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
