@@ -1,0 +1,57 @@
+"""Exponential of skew-Hermitian matrices and its Maurer-Cartan derivative.
+
+Every matrix csforms exponentiates lies in so(n), u(n) or su(n), so it is
+skew-Hermitian: i X is Hermitian, and one eigh(i X) = U diag(lam) U^H gives
+
+    exp(X)                  = U diag(e^(-i lam)) U^H
+    exp(-X) dexp_X[dX]      = U (G o U^H dX U) U^H,
+    G_jk = int_0^1 e^(-s (mu_j - mu_k)) ds,   mu = -i lam,
+
+where o is the entrywise product (Daleckii-Krein; Higham, Functions of
+Matrices, SIAM 2008, ch. 3).  With d = lam_j - lam_k the integral is
+e^(i d/2) sin(d/2)/(d/2), which np.sinc evaluates without a case split at
+equal eigenvalues (repeated pairs are the rule on so(4)).
+
+This leaf module belongs to none of the package's layers (rationals, liealg,
+invariants, calculus, bundles, zoo), so a per-layer profiler that counts the
+expm bound in bundles sees it as a callee outside every layer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["expm", "expm_maurer_cartan"]
+
+_SKEW_TOL = 1e-10
+
+
+def _eigh_skew(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, U) with i x = U diag(lam) U^H; ValueError unless x is skew-Hermitian.
+
+    The test compares Frobenius norms, |x + x^H|^2 <= tol^2 (1 + |x|^2).
+    """
+    herm = x + x.conj().T
+    if np.vdot(herm, herm).real > _SKEW_TOL**2 * (1.0 + np.vdot(x, x).real):
+        raise ValueError("matrix is not skew-Hermitian")
+    return np.linalg.eigh(1j * x)
+
+
+def expm(x: np.ndarray) -> np.ndarray:
+    """exp(x) for a skew-Hermitian matrix x; real output for real input."""
+    lam, u = _eigh_skew(x)
+    out = (u * np.exp(-1j * lam)) @ u.conj().T
+    return out if np.iscomplexobj(x) else out.real
+
+
+def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray) -> np.ndarray:
+    """exp(-x) dexp_x[dx] for a stack dxs (m, n, n) of directions at x.
+
+    This is g^-1 dg along g = exp(x + s dx) at s = 0; real for real input.
+    """
+    lam, u = _eigh_skew(x)
+    d = lam[:, None] - lam[None, :]
+    weights = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
+    uh = u.conj().T
+    out = u @ (weights * (uh @ dxs @ u)) @ uh
+    return out if np.iscomplexobj(x) or np.iscomplexobj(dxs) else out.real

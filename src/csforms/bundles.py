@@ -9,10 +9,12 @@ g0 exp(sum_a t_a E_a).  In these coordinates the connection and curvature are
     w(v)      = Ad_{g^-1} A(v_x) + g^-1 dg (v_t)
     Omega(v,w)= Ad_{g^-1} F(v_x, w_x)
 
-with the Maurer-Cartan term evaluated exactly through the block-matrix
-Frechet derivative of expm.  Keeping g0 movable lets every caller work at
-t = 0, where the fiber coordinates are the algebra coordinates themselves and
-no matrix logarithm is ever needed.
+with the Maurer-Cartan term evaluated exactly: g^-1 dg on the fiber tangents
+of a point is exp(-X) dexp_X[dX], which csforms._expm computes for all of
+them from one eigendecomposition of the skew-Hermitian X.  Keeping g0
+movable lets every caller work at t = 0, where the fiber coordinates are the
+algebra coordinates themselves and no exponential or matrix logarithm is
+needed.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -40,8 +42,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm, expm_maurer_cartan
 from .calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
 from .liealg import MatrixLieAlgebra, ReductiveSplit
@@ -53,7 +55,6 @@ __all__ = [
     "Section",
     "ChainSpec",
     "ObstructionReport",
-    "expm_tangent",
     "covariant_derivative_residual",
     "omega_form",
     "curvature_form",
@@ -70,17 +71,6 @@ __all__ = [
     "connection_curvature_fd_residual",
     "potential_curvature_residual",
 ]
-
-
-def expm_tangent(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
-    """Directional derivative of expm at m in direction dm (block identity)."""
-    n = m.shape[0]
-    dtype = complex if (np.iscomplexobj(m) or np.iscomplexobj(dm)) else float
-    blk = np.zeros((2 * n, 2 * n), dtype=dtype)
-    blk[:n, :n] = m
-    blk[n:, n:] = m
-    blk[:n, n:] = dm
-    return expm(blk)[:n, n:]
 
 
 def ad_coords_matrix(algebra: MatrixLieAlgebra, h: np.ndarray) -> np.ndarray:
@@ -122,10 +112,11 @@ class BundleChart:
 class _ChartContext:
     """Per-point evaluation cache: group element, potential, curvature.
 
-    The stacked methods (omegas, phis, curvs, tables) take a list of m
-    tangents and compute each value once: one expm_tangent per tangent off
-    t = 0, every pair table in one product.  The single-value methods are
-    views of them.
+    Off t = 0 the group element takes one expm, and the Maurer-Cartan
+    values of all fiber tangents one expm_maurer_cartan.  The stacked
+    methods (omegas, phis, curvs, tables) take a list of m tangents and
+    compute each value once, every pair table in one product.  The
+    single-value methods are views of them.
     """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
@@ -144,13 +135,10 @@ class _ChartContext:
         g0 = chart.reference()
         if self.t_is_zero:
             self._m = None
-            self._exp_neg = None
             self.g = g0
         else:
             self._m = chart.algebra.from_coords(self.t)
-            e = expm(self._m)
-            self.g = g0 @ e
-            self._exp_neg = e.conj().T
+            self.g = g0 @ expm(self._m)
         self.ginv = self.g.conj().T
 
     def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +154,7 @@ class _ChartContext:
         dms = self.chart.algebra.from_coords(vts)
         if self.t_is_zero:
             return dms
-        return self._exp_neg @ np.array([expm_tangent(self._m, dm) for dm in dms])
+        return expm_maurer_cartan(self._m, dms)
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """w on each of m tangents, (m, N, N)."""

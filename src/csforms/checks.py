@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import rationals
+from ._expm import expm
 from .bundles import (
     BundleChart,
     char_form,
@@ -316,13 +316,16 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
 def _polynomial_for(bundle: NamedBundle, poly: str | None):
     if poly is None:
         return bundle.polynomial()
-    name, k = {
+    names = {
         "euler1": ("euler", 1),
         "euler": ("euler", bundle.chart.algebra.n // 2),
         "c1": ("chern_j", 1),
         "c2": ("chern_j", 2),
         "p1": ("pontryagin_1", 2),
-    }.get(poly, (poly, bundle.chart.algebra.n // 2))
+    }
+    if poly not in names:
+        raise ValueError(f"unknown polynomial {poly!r}; known: {', '.join(names)}")
+    name, k = names[poly]
     return make_polynomial(name, k, bundle.chart.algebra.tag)
 
 
@@ -337,6 +340,11 @@ def heterotic_sweep(
     rng = np.random.default_rng(seed)
     bundle = get_bundle(bundle_name)
     P = _polynomial_for(bundle, poly)
+    if 2 * P.degree > bundle.chart.dim:
+        # a 2k-form on a total space of lower dimension vanishes identically
+        raise ValueError(
+            f"{P.name} is a {2 * P.degree}-form; {bundle_name} has a {bundle.chart.dim}-dimensional total space"
+        )
     worst = 0.0
     for chg, pt in _chart_points(bundle, rng, points):
         tg = [rng.standard_normal(chg.dim) for _ in range(2 * P.degree)]

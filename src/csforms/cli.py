@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heterotic-check", help="d PhiP = P(Omega) - P(Psi) residual sweep")
     p.add_argument("--bundle", type=str, required=True, help=f"one of {bundle_names()}")
-    p.add_argument("--poly", type=str, default=None, help="euler | c1 | c2 | p1 (default per bundle)")
+    p.add_argument("--poly", type=str, default=None, help="euler1 | euler | c1 | c2 | p1 (default per bundle)")
     _add_flags(p, *_SWEEP)
 
     p = sub.add_parser("gauss-bonnet", help="Euler-form integrals and cap identities")

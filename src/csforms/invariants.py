@@ -193,8 +193,8 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
     """Construct one of the shipped invariant polynomials.
 
     name is one of "euler", "chern_j" (degree j passed as k), "pontryagin_1"
-    (k must be 2), "trace_power_k" (any k >= 1).  Compatibility between name,
-    degree and algebra is checked.
+    (k must be 2), "trace_power_<k>" (any k >= 1, the suffix equal to k).
+    Compatibility between name, degree and algebra is checked.
     """
     from .liealg import algebra_from_tag
 
@@ -245,6 +245,9 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
         return InvariantPolynomial("pontryagin_1", 2, alg.tag, ev_p1, ml_p1)
 
     if name.startswith("trace_power"):
+        if name != f"trace_power_{k}":
+            raise ValueError(f"{name!r} does not name the degree-{k} trace power trace_power_{k}")
+
         def ev_tp(x: np.ndarray) -> float:
             return float(np.real(np.trace(np.linalg.matrix_power(x, k))))
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import numpy as np
-from scipy.linalg import expm
+
+from ._expm import expm
 
 __all__ = [
     "MatrixLieAlgebra",
@@ -107,16 +108,6 @@ class MatrixLieAlgebra:
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """sum_i c_i B_i; c may be a stack (..., dim)."""
         return self._frame().combine(c)
-
-    def contains(self, m: np.ndarray, tol: float = 1e-10) -> bool:
-        if m.shape != (self.n, self.n):
-            return False
-        if self.name == "so":
-            return bool(np.max(np.abs(m + m.T)) < tol) and not np.iscomplexobj(m)
-        herm = np.max(np.abs(m + m.conj().T))
-        if self.name == "u":
-            return bool(herm < tol)
-        return bool(herm < tol and abs(np.trace(m)) < tol)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.n, dtype=self.dtype)

@@ -33,7 +33,6 @@ from math import cos, pi, sin, tan
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
 from .calculus import ParametrizedChain, gauss_product
@@ -193,6 +192,12 @@ def hopf_u1() -> NamedBundle:
 _E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _rot2(a: float) -> np.ndarray:
+    """exp(a * _E12), the plane rotation."""
+    c, s = cos(a), sin(a)
+    return np.array([[c, s], [-s, c]])
+
+
 def _ut_s2_section(field: Callable[[np.ndarray], np.ndarray], zeros: tuple[Zero, ...], name: str) -> Section:
     def value(x):
         v = field(x)
@@ -224,8 +229,8 @@ def unit_tangent_s2() -> NamedBundle:
     fiber = FiberModel(
         name="so2_fiber",
         intervals=((0.0, 2 * pi),),
-        lift=lambda s: expm(s[0] * _E12),
-        lift_alt=lambda s: expm((s[0] + 0.25 * np.sin(2 * s[0])) * _E12),
+        lift=lambda s: _rot2(s[0]),
+        lift_alt=lambda s: _rot2(s[0] + 0.25 * np.sin(2 * s[0])),
     )
     sections = {
         "height_gradient": _ut_s2_section(
@@ -308,7 +313,16 @@ def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 _GS_REF_1 = np.eye(4)[:, 1:]  # (e2, e3, e4)
-_GS_REF_2 = expm(0.4 * (np.eye(4)[:, [1, 2, 3, 0]] - np.eye(4)[:, [1, 2, 3, 0]].T))[:, 1:]
+
+
+def _ideal_exp(angle: float, unit: np.ndarray) -> np.ndarray:
+    """exp(angle * unit) for a unit element of one su(2) ideal of so(4).
+
+    The elements of an orthonormal ideal basis square to -I/4 and
+    anticommute, so a unit element squares to -I/4 too, and the series sums
+    to cos(angle/2) I + 2 sin(angle/2) unit.
+    """
+    return cos(0.5 * angle) * _I4 + 2.0 * sin(0.5 * angle) * unit
 
 
 def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray]:
@@ -316,8 +330,7 @@ def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarr
     def lift(params: np.ndarray) -> np.ndarray:
         rho, al, be = params
         n_hat = np.array([sin(al) * cos(be), sin(al) * sin(be), cos(al)])
-        m = rho * (n_hat[0] * basis[0] + n_hat[1] * basis[1] + n_hat[2] * basis[2])
-        return expm(m)
+        return _ideal_exp(rho, n_hat[0] * basis[0] + n_hat[1] * basis[1] + n_hat[2] * basis[2])
 
     return lift
 
@@ -399,7 +412,7 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
             name=fiber.name,
             intervals=fiber.intervals,
             lift=base_lift,
-            lift_alt=lambda s: base_lift(s) @ expm(0.7 * np.sin(s[0] + s[2]) * h_elt),
+            lift_alt=lambda s: base_lift(s) @ _ideal_exp(0.7 * np.sin(s[0] + s[2]), h_elt),
             orientation=fiber.orientation,
         )
 

@@ -135,6 +135,9 @@ def test_fiber_norm_all_pass(capsys):
         ["gauss-bonnet", "--points", "5"],
         ["suite-all", "--quick"],
         ["chern-number", "--json", "--csv"],
+        # a 4-form on the 3-dimensional ut_s2 total space; an undocumented name
+        ["heterotic-check", "--bundle", "ut_s2", "--poly", "p1"],
+        ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

@@ -1,0 +1,102 @@
+"""The numpy exponential of skew-Hermitian matrices against scipy as reference."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import expm as scipy_expm
+from scipy.linalg import expm_frechet
+
+from csforms._expm import expm, expm_maurer_cartan
+from csforms.liealg import algebra_from_tag, random_element, so, so4_ideal_split, u
+
+ALGEBRAS = ("so2", "so4", "so6", "u1", "u2", "su2", "u3")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _repeated_eigenvalue_cases():
+    # an so(4) ideal element squares to a multiple of I: two double eigenvalues
+    ideal = 2.3 * so4_ideal_split()[0].p_basis[0]
+    # i t I in u(2): one eigenvalue of multiplicity 2
+    scalar = 1.7j * np.eye(2, dtype=complex)
+    rng = np.random.default_rng(5)
+    return [
+        (ideal, np.array([random_element(so(4), rng) for _ in range(3)])),
+        (scalar, np.array([random_element(u(2), rng) for _ in range(3)])),
+    ]
+
+
+def _cases():
+    rng = np.random.default_rng(17)
+    out = []
+    for tag in ALGEBRAS:
+        alg = algebra_from_tag(tag)
+        for scale in (0.0, 0.7, 3.0):
+            for _ in range(4):
+                x = random_element(alg, rng, scale)
+                dxs = np.array([random_element(alg, rng) for _ in range(alg.dim)])
+                out.append((x, dxs))
+    return out + _repeated_eigenvalue_cases()
+
+
+@pytest.mark.parametrize("x,dxs", _cases())
+def test_matches_scipy(x, dxs):
+    assert np.max(np.abs(expm(x) - scipy_expm(x))) < 1e-13
+    assert np.iscomplexobj(expm(x)) == np.iscomplexobj(x)
+    ref = np.array([scipy_expm(-x) @ expm_frechet(x, dx, compute_expm=False) for dx in dxs])
+    mc = expm_maurer_cartan(x, dxs)
+    assert np.max(np.abs(mc - ref)) < 1e-12
+    assert np.iscomplexobj(mc) == np.iscomplexobj(ref)
+
+
+def test_rejects_non_skew_hermitian():
+    sym = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        expm(sym)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        expm_maurer_cartan(sym, sym[None])
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        expm(np.eye(2, dtype=complex))
+
+
+_NO_SCIPY = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import numpy as np
+import csforms, csforms.cli
+from csforms.bundles import heterotic_residual
+from csforms.liealg import random_group_element
+from csforms.zoo import get_bundle
+
+b = get_bundle("frame_s4:b1")
+P = b.polynomial()
+rng = np.random.default_rng(0)
+chart = b.chart.at(random_group_element(b.chart.algebra, rng, 0.7))
+point = chart.point(rng.uniform(-1, 1, 4))
+r = heterotic_residual(chart, P, point, [rng.standard_normal(chart.dim) for _ in range(4)])
+assert r < 1e-4, r
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+print("ok")
+"""
+
+
+def test_package_runs_without_scipy():
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

@@ -108,6 +108,8 @@ def test_make_polynomial_compatibility_errors():
         make_polynomial("chern_j", 3, "u2")
     with pytest.raises(ValueError):
         make_polynomial("pontryagin_1", 3, "so4")
+    with pytest.raises(ValueError):
+        make_polynomial("trace_power_2", 1, "so2")
 
 
 def test_polarization_diagonal_and_symmetry():

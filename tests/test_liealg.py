@@ -22,13 +22,25 @@ from csforms.liealg import (
 rng = np.random.default_rng(11)
 
 
+def contains(alg, m, tol=1e-10):
+    """Membership of a raw matrix in so(n), u(n) or su(n)."""
+    if m.shape != (alg.n, alg.n):
+        return False
+    if alg.name == "so":
+        return bool(np.max(np.abs(m + m.T)) < tol) and not np.iscomplexobj(m)
+    herm = np.max(np.abs(m + m.conj().T))
+    if alg.name == "u":
+        return bool(herm < tol)
+    return bool(herm < tol and abs(np.trace(m)) < tol)
+
+
 def test_bracket_basics():
     e12 = skew_pair(3, 0, 1)
     e23 = skew_pair(3, 1, 2)
     assert np.allclose(e12 @ e12 - e12 @ e12, 0.0)
     # [e12, e23] is proportional to e13 and stays in so(3)
     out = e12 @ e23 - e23 @ e12
-    assert so(3).contains(out)
+    assert contains(so(3), out)
     assert abs(out[0, 2]) > 0.5 and abs(out[0, 1]) < 1e-14 and abs(out[1, 2]) < 1e-14
 
 
@@ -50,9 +62,9 @@ def test_basis_dimensions():
 
 
 def test_algebra_membership():
-    assert so(3).contains(skew_pair(3, 0, 2))
-    assert u(2).contains(1j * np.eye(2))
-    assert not su(2).contains(1j * np.eye(2))
+    assert contains(so(3), skew_pair(3, 0, 2))
+    assert contains(u(2), 1j * np.eye(2))
+    assert not contains(su(2), 1j * np.eye(2))
 
 
 @pytest.mark.parametrize(
