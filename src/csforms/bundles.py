@@ -16,6 +16,15 @@ movable lets every caller work at t = 0, where the fiber coordinates are the
 algebra coordinates themselves and no exponential or matrix logarithm is
 needed.
 
+Every callable here broadcasts over leading batch axes, as the forms of
+csforms.calculus do: a potential maps base points (..., n) to (..., n, m, m),
+a curvature field to (..., n, n, m, m), a fiber lift parameters (..., p) and
+a section base points (..., n) to group elements (..., m, m), and the
+reference g0 may itself be a stack (..., m, m).  The quadrature drivers
+evaluate all of their nodes in one call; a single point keeps its plain
+shape, so a chart evaluated only pointwise (heterotic residuals) may accept
+(n,) alone.
+
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
 g; psi is then the induced connection of the H-bundle over the associated
@@ -80,12 +89,16 @@ def ad_coords_matrix(algebra: MatrixLieAlgebra, h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BundleChart:
-    """Trivialized patch of a principal bundle with analytic potential."""
+    """Trivialized patch of a principal bundle with analytic potential.
+
+    g0 is the reference group element (m, m), or a stack (..., m, m) of
+    them that broadcasts against the points a context is made at.
+    """
 
     base_dim: int
     algebra: MatrixLieAlgebra
-    potential: Callable[[np.ndarray], np.ndarray]  # x -> (n, m, m)
-    curvature_field: Callable[[np.ndarray], np.ndarray]  # x -> (n, n, m, m)
+    potential: Callable[[np.ndarray], np.ndarray]  # x (..., n) -> (..., n, m, m)
+    curvature_field: Callable[[np.ndarray], np.ndarray]  # x (..., n) -> (..., n, n, m, m)
     split: ReductiveSplit | None = None
     g0: np.ndarray | None = None
     name: str = ""
@@ -102,32 +115,38 @@ class BundleChart:
         return self.algebra.identity() if self.g0 is None else self.g0
 
     def point(self, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-        t = np.zeros(self.algebra.dim) if t is None else np.asarray(t, dtype=float)
-        return np.concatenate([np.asarray(x, dtype=float), t])
+        """Chart point (..., n + dim g) of base points x (..., n); t = 0 by default."""
+        x = np.asarray(x, dtype=float)
+        t = np.zeros(x.shape[:-1] + (self.algebra.dim,)) if t is None else np.asarray(t, dtype=float)
+        return np.concatenate([x, t], axis=-1)
 
     def ctx(self, point: np.ndarray) -> "_ChartContext":
         return _ChartContext(self, np.asarray(point, dtype=float))
 
 
 class _ChartContext:
-    """Per-point evaluation cache: group element, potential, curvature.
+    """Evaluation cache at a point or a stack of points (..., d): group
+    element, potential, curvature.
 
-    Off t = 0 the group element takes one expm, and the Maurer-Cartan
-    values of all fiber tangents one expm_maurer_cartan.  The stacked
-    methods (omegas, phis, curvs, tables) take a list of m tangents and
-    compute each value once, every pair table in one product.  The
-    single-value methods are views of them.
+    A point of length base_dim is a base point with t = 0 implied.  Off
+    t = 0 the group elements take one expm, and the Maurer-Cartan values of
+    all fiber tangents one expm_maurer_cartan, each on the whole stack.  The
+    stacked methods (omegas, phis, curvs, tables) take a list of m tangents
+    (..., d) and compute each value once, every pair table in one product.
+    The tangent indices come first: phi is (m, ..., N, N) and a pair table
+    (m, m, ..., N, N).  The single-value methods are views of them.
     """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
         self.chart = chart
         n = chart.base_dim
-        self.x = point[:n]
-        self.t = point[n:]
-        if len(point) == n:
+        self.x = point[..., :n]
+        if point.shape[-1] == n:
             # basic-form evaluation directly over the base: t = 0 implied
-            self.t = np.zeros(chart.algebra.dim)
-        elif len(self.t) != chart.algebra.dim:
+            self.t = np.zeros(point.shape[:-1] + (chart.algebra.dim,))
+        elif point.shape[-1] == n + chart.algebra.dim:
+            self.t = point[..., n:]
+        else:
             raise ValueError("point has wrong total-space dimension")
         self.A = np.asarray(chart.potential(self.x))
         self.F = np.asarray(chart.curvature_field(self.x))
@@ -139,27 +158,28 @@ class _ChartContext:
         else:
             self._m = chart.algebra.from_coords(self.t)
             self.g = g0 @ expm(self._m)
-        self.ginv = self.g.conj().T
+        self.ginv = self.g.conj().swapaxes(-1, -2)
 
     def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(base parts (m, n), fiber parts (m, dim g)) of m tangents."""
+        """(base parts (m, ..., n), fiber parts (m, ..., dim g)) of m tangents
+        of one shape (..., d)."""
         v = np.asarray(vs, dtype=float)
         n = self.chart.base_dim
-        if v.shape[1] == n:
-            return v, np.zeros((len(v), self.chart.algebra.dim))
-        return v[:, :n], v[:, n:]
+        if v.shape[-1] == n:
+            return v, np.zeros(v.shape[:-1] + (self.chart.algebra.dim,))
+        return v[..., :n], v[..., n:]
 
     def maurer_cartan(self, vts: np.ndarray) -> np.ndarray:
-        """g^-1 dg on a stack (m, dim g) of fiber coordinate tangents."""
+        """g^-1 dg on a stack (m, ..., dim g) of fiber coordinate tangents."""
         dms = self.chart.algebra.from_coords(vts)
         if self.t_is_zero:
             return dms
         return expm_maurer_cartan(self._m, dms)
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
-        """w on each of m tangents, (m, N, N)."""
+        """w on each of m tangents, (m, ..., N, N)."""
         vx, vt = self._base_fiber(vs)
-        aval = np.einsum("ma,aij->mij", vx, self.A)
+        aval = np.einsum("m...a,...aij->m...ij", vx, self.A)
         return self.ginv @ aval @ self.g + self.maurer_cartan(vt)
 
     def phis(self, vs: Sequence[np.ndarray]) -> np.ndarray:
@@ -167,9 +187,9 @@ class _ChartContext:
         return w if self.chart.split is None else self.chart.split.project_p(w)
 
     def curvs(self, vs: Sequence[np.ndarray]) -> np.ndarray:
-        """Omega on each pair of m tangents, (m, m, N, N)."""
+        """Omega on each pair of m tangents, (m, m, ..., N, N)."""
         vx, _ = self._base_fiber(vs)
-        fval = np.einsum("ia,jb,abxy->ijxy", vx, vx, self.F)
+        fval = np.einsum("i...a,j...b,...abxy->ij...xy", vx, vx, self.F)
         return self.ginv @ fval @ self.g
 
     def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -385,9 +405,10 @@ def potential_curvature_residual(
 class FiberModel:
     """Parametrization of the fiber G/H with a lift into the group.
 
-    ``lift`` maps fiber parameters to a group element whose coset is the fiber
-    point; ``lift_alt`` is a second, differently-constructed lift used to test
-    that basic forms integrate identically along either.
+    ``lift`` maps fiber parameters (..., p) to group elements (..., m, m)
+    whose cosets are the fiber points; ``lift_alt`` is a second,
+    differently-constructed lift used to test that basic forms integrate
+    identically along either.
     """
 
     name: str
@@ -408,29 +429,27 @@ def fiber_integral(
 ) -> float:
     """Integrate a (dim fiber)-form over the fiber above a base point.
 
-    The form is rebuilt per quadrature node with the chart re-centered at the
-    lifted group element, so evaluation always happens at t = 0 where fiber
-    coordinates equal algebra coordinates.
+    The form is built once, on the chart re-centered at the stack of lifted
+    group elements (N, m, m) of the N quadrature nodes, and evaluated on all
+    nodes in one call, at t = 0 where fiber coordinates equal algebra
+    coordinates.
     """
     lift = fiber.lift_alt if use_alt_lift else fiber.lift
     if lift is None:
         raise ValueError(f"fiber {fiber.name} has no alternate lift")
     p = len(fiber.intervals)
-    base_point = np.asarray(base_point, dtype=float)
-    alg = chart.algebra
-    total = 0.0
-    zero_base = np.zeros(chart.base_dim)
-    for s, weight in zip(*gauss_product(fiber.intervals, quad_order)):
-        g = lift(s)
-        ch = chart.at(g)
-        form = form_at(ch)
-        if form.degree != p:
-            raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
-        pt = ch.point(base_point)
-        dls = [(lift(s + fd_step * e) - lift(s - fd_step * e)) / (2 * fd_step) for e in np.eye(p)]
-        tangents = [np.concatenate([zero_base, vt]) for vt in alg.coords(g.conj().T @ np.array(dls))]
-        total += weight * form(pt, tangents)
-    return fiber.orientation * total
+    nodes, weights = gauss_product(fiber.intervals, quad_order)
+    g = lift(nodes)
+    ch = chart.at(g)
+    form = form_at(ch)
+    if form.degree != p:
+        raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
+    base = np.broadcast_to(np.asarray(base_point, dtype=float), (len(nodes), chart.base_dim))
+    # the fiber tangent along each parameter axis: g^-1 dg in algebra coordinates
+    ginv = g.conj().swapaxes(-1, -2)
+    dls = [(lift(nodes + fd_step * e) - lift(nodes - fd_step * e)) / (2 * fd_step) for e in np.eye(p)]
+    tangents = [ch.point(np.zeros_like(base), chart.algebra.coords(ginv @ dl)) for dl in dls]
+    return fiber.orientation * float(weights @ form(ch.point(base), tangents))
 
 
 @dataclass(frozen=True)
@@ -445,9 +464,10 @@ class Zero:
 class Section:
     """Section of the associated bundle in the chart trivialization.
 
-    ``value`` maps a base point to the group element representing the section
-    (its H-coset is the actual bundle point).  Zeros record names and indices;
-    winding cross-checks live with the bundle catalogs.
+    ``value`` maps base points (..., n) to the group elements (..., m, m)
+    representing the section (their H-cosets are the actual bundle points).
+    Zeros record names and indices; winding cross-checks live with the
+    bundle catalogs.
     """
 
     name: str
@@ -461,17 +481,20 @@ def section_pullback_form(
     section: Section,
     fd_step: float = 1e-6,
 ) -> FormField:
-    """s*(PhiP) as a (2k-1)-form on the base chart."""
+    """s*(PhiP) as a (2k-1)-form on the base chart; on a stack of points
+    the chart is re-centered at the stack of section values."""
     alg = chart.algebra
 
     def ev(x, tangents):
         g = section.value(x)
         ch = chart.at(g)
         form = phi_p_form(ch, P)
-        pt = ch.point(x)
-        dgs = [(section.value(x + fd_step * v) - section.value(x - fd_step * v)) / (2 * fd_step) for v in tangents]
-        vts = alg.coords(g.conj().T @ np.array(dgs))
-        return form(pt, [np.concatenate([v, vt]) for v, vt in zip(tangents, vts)])
+        ginv = g.conj().swapaxes(-1, -2)
+        lifted = []
+        for v in tangents:
+            dg = (section.value(x + fd_step * v) - section.value(x - fd_step * v)) / (2 * fd_step)
+            lifted.append(ch.point(v, alg.coords(ginv @ dg)))
+        return form(ch.point(x), lifted)
 
     return FormField(chart.base_dim, 2 * P.degree - 1, ev)
 

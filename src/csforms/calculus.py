@@ -2,24 +2,32 @@
 
 Forms are evaluation callbacks, not symbolic expressions: a FormField of
 degree p on a d-dimensional chart is a function (point, p tangent vectors) ->
-value, where the value is a scalar or a Lie-algebra matrix.  The exterior
-derivative is taken by central finite differences of coefficient functions
-along constant extensions of the given tangents; curvature and the other
-ingredients of the bundle identities are supplied analytically elsewhere, so
-finite differencing is confined to the verification side of each identity.
+value, where the value is a scalar or a Lie-algebra matrix.  Every callback
+broadcasts over leading batch axes: a point is (..., d), each tangent is
+(..., d), and the value is (...) for a scalar form or (..., m, m) for a
+Lie-valued one.  A single point keeps its plain (d,) shape, so a callback
+that is only ever evaluated pointwise may ignore the batch axes.  The
+exterior derivative is taken by central finite differences of coefficient
+functions along constant extensions of the given tangents, one call of the
+form per stencil point; curvature and the other ingredients of the bundle
+identities are supplied analytically elsewhere, so finite differencing is
+confined to the verification side of each identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
 domains (spheres are parametrized by angle boxes with measure-zero seams);
-gauss_product is the one rule, shared with the fiber and degree integrals.
-integrate pulls a form back through a chain's map and tangent frame; there
-is no separate pullback of forms.  A chain is oriented by its
-parametrization alone, and each boundary piece carries the sign induced on it
-in the (chain, sign) pairs of ParametrizedChain.boundary.
+gauss_product is the one rule, shared with the fiber and degree integrals,
+and each of them evaluates its integrand on all nodes in one call.
+integrate pulls a form back through a chain's map and tangent frame, both of
+which take the (N, p) stack of nodes; there is no separate pullback of
+forms.  A chain is oriented by its parametrization alone, and each boundary
+piece carries the sign induced on it in the (chain, sign) pairs of
+ParametrizedChain.boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +50,11 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class FormField:
-    """Alternating p-form on a d-dimensional chart, scalar or Lie-valued."""
+    """Alternating p-form on a d-dimensional chart, scalar or Lie-valued.
+
+    The evaluator maps a point (..., d) and p tangents (..., d) to the value
+    (...) or (..., m, m), as in the module docstring.
+    """
 
     dim: int
     degree: int
@@ -122,13 +134,17 @@ def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> Fo
 
 @dataclass(frozen=True)
 class ParametrizedChain:
-    """Oriented chain given by one smooth parametrization over an interval box."""
+    """Oriented chain given by one smooth parametrization over an interval box.
+
+    mapping takes parameters (..., p) to chart points (..., chart_dim) and
+    jacobian to (..., chart_dim, p).
+    """
 
     name: str
     intervals: tuple[tuple[float, float], ...]
     mapping: Callable[[np.ndarray], np.ndarray]
     chart_dim: int
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None  # (chart_dim, p)
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     # boundary pieces as (chain, sign) with the sign induced by this chain
     boundary: tuple[tuple["ParametrizedChain", int], ...] = ()
 
@@ -142,13 +158,19 @@ class ParametrizedChain:
     def tangent_frame(self, params: np.ndarray, fd_step: float = 1e-6) -> list[np.ndarray]:
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian(np.asarray(params, dtype=float)))
-            return [jac[:, i] for i in range(self.param_dim)]
-        out = []
-        for i in range(self.param_dim):
-            e = np.zeros(self.param_dim)
-            e[i] = 1.0
-            out.append((self.point(params + fd_step * e) - self.point(params - fd_step * e)) / (2 * fd_step))
-        return out
+            return [jac[..., i] for i in range(self.param_dim)]
+        return [
+            (self.point(params + fd_step * e) - self.point(params - fd_step * e)) / (2 * fd_step)
+            for e in np.eye(self.param_dim)
+        ]
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_product(
@@ -167,7 +189,7 @@ def gauss_product(
         raise ValueError(f"quadrature orders must be >= 1, got {orders}")
     xs, ws = [], []
     for o, (lo, hi) in zip(orders, intervals):
-        x, w = np.polynomial.legendre.leggauss(int(o))
+        x, w = _legendre_rule(int(o))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         xs.append(mid + half * x)
         ws.append(half * w)
@@ -177,12 +199,11 @@ def gauss_product(
 
 
 def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Sequence[int]) -> float:
-    """Gauss-Legendre product quadrature of the pulled-back density."""
+    """Gauss-Legendre product quadrature of the pulled-back density, with the
+    form evaluated on all nodes in one call."""
     if chain.param_dim != form.degree:
         raise ValueError(
             f"chain parameter dimension {chain.param_dim} != form degree {form.degree}"
         )
-    total = 0.0
-    for params, weight in zip(*gauss_product(chain.intervals, quad_order)):
-        total += weight * form(chain.point(params), chain.tangent_frame(params))
-    return total
+    nodes, weights = gauss_product(chain.intervals, quad_order)
+    return float(weights @ form(chain.point(nodes), chain.tangent_frame(nodes)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,21 +130,25 @@ def coefficient_checks(k_max: int = 12) -> list[CheckRecord]:
 # --- calculus and invariance property suite ------------------------------------
 
 def _random_polynomial_form(dim: int, degree: int, rng: np.random.Generator) -> FormField:
-    """Scalar form with random quadratic coefficient functions."""
+    """Scalar form with random quadratic coefficient functions, evaluated on
+    stacks of points as every integrated form is."""
     n_terms = 4
     coefs = rng.standard_normal((n_terms, dim))
     quad = rng.standard_normal((n_terms, dim)) * 0.5
     dirs = rng.standard_normal((n_terms, degree, dim))
 
     def ev(pt, tangents):
-        total = 0.0
-        for m in range(n_terms):
-            c = coefs[m] @ pt + quad[m] @ (pt * pt)
-            vol = np.linalg.det(np.array([[dirs[m, a] @ tangents[b] for b in range(degree)] for a in range(degree)]))
-            total += c * vol
-        return total
+        c = pt @ coefs.T + (pt * pt) @ quad.T
+        # entries dirs[m, a] . tangents[b] of each term's (degree, degree) matrix
+        vol = np.linalg.det(np.einsum("mad,...bd->...mab", dirs, np.stack(tangents, axis=-2)))
+        return np.sum(c * vol, axis=-1)
 
     return FormField(dim, degree, ev)
+
+
+def _affine_edge(start: np.ndarray, direction: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The segment s -> start + s * direction at parameters s (..., 1)."""
+    return start + s[..., :1] * direction
 
 
 def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[CheckRecord]:
@@ -195,15 +200,12 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
         )
         area = integrate(exterior_derivative(form, fd_step), square, 24)
         edge_total = 0.0
-        edges = [
-            (lambda s: np.array([s[0], 0.0]), +1),
-            (lambda s: np.array([1.0, s[0]]), +1),
-            (lambda s: np.array([s[0], 1.0]), -1),
-            (lambda s: np.array([0.0, s[0]]), -1),
-        ]
-        for mp, sign in edges:
-            edge = ParametrizedChain("edge", ((0.0, 1.0),), mp, 2)
-            edge_total += sign * integrate(form, edge, 24)
+        # edges as (start, direction, sign): s -> start + s * direction
+        edges = [((0.0, 0.0), (1.0, 0.0), +1), ((1.0, 0.0), (0.0, 1.0), +1),
+                 ((0.0, 1.0), (1.0, 0.0), -1), ((0.0, 0.0), (0.0, 1.0), -1)]
+        for start, direction, sign in edges:
+            mp = partial(_affine_edge, np.array(start), np.array(direction))
+            edge_total += sign * integrate(form, ParametrizedChain("edge", ((0.0, 1.0),), mp, 2), 24)
         worst = max(worst, abs(area - edge_total))
     records.append(_rec("stokes_square", "Stokes on the unit square", worst, 0.0, 1e-6))
 

@@ -181,7 +181,10 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
     elif cmd == "gauss-bonnet":
         order4 = (args.quad_order,) * 4 if args.quad_order else (8, 8, 8, 8)
         order2 = args.quad_order if args.quad_order else 24
-        recs = checks.gauss_bonnet_checks(quad_order_2d=order2, quad_order_4d=order4)
+        # the boundary circles keep the default 24:48 ratio to the chain order
+        recs = checks.gauss_bonnet_checks(
+            quad_order_2d=order2, quad_order_4d=order4, boundary_quad_order=2 * order2
+        )
     elif cmd == "chern-number":
         recs = checks.chern_number_checks(quad_order=args.quad_order or 24)
     elif cmd == "fiber-norm":
@@ -197,11 +200,13 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         recs = checks.pontryagin_checks(points=args.points, seed=args.seed, fd_step=args.fd_step)
     elif cmd == "obstruction":
         cfg["bundle"], cfg["chain"], cfg["section"] = args.bundle, args.chain, args.section
+        order = args.quad_order or 24
         recs = checks.obstruction_checks(
             args.bundle,
             args.chain,
             args.section,
-            quad_order=args.quad_order or 24,
+            quad_order=order,
+            boundary_quad_order=2 * order,
             tol=tol if tol is not None else 1e-4,
         )
     elif cmd == "degree":

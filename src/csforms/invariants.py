@@ -23,7 +23,10 @@ Each multilinear form is evaluated directly, not by polarizing the
 homogeneous one: the Pfaffian summed over perfect matchings with the k
 arguments spread over the k pairs in every order, the mixed discriminant
 (1/j!) sum_{s in S_j} sgn(s) prod_{cycles c of s} tr(prod_{i in c} X_i) for
-c_j, and symmetrized traces for P1 and t_k.
+c_j, and symmetrized traces for P1 and t_k.  It broadcasts over leading
+batch axes: k arguments (..., n, n) give a value (...), so one call serves a
+whole stack of quadrature nodes; a single set of (n, n) matrices gives a
+scalar.
 
 The chern sign is pinned by c_1(i theta) = theta/(2 pi) and by c_j on
 diagonal u(1)^n elements equalling elementary symmetric functions of
@@ -67,10 +70,13 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
 
 
 def _check_skew(xs: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise unless the stack xs (m, n, n) is skew within tol, relative to its
-    largest entry when that is above 1."""
-    scale = max(1.0, np.abs(xs).max(initial=0.0))
-    if np.abs(xs + xs.transpose(0, 2, 1)).max(initial=0.0) > tol * scale:
+    """Raise unless every matrix of the stack xs (..., n, n) is skew within
+    tol, relative to its own largest entry when that is above 1."""
+    asym = np.abs(xs + xs.swapaxes(-1, -2))
+    if asym.max(initial=0.0) <= tol:
+        return  # within tol of every matrix's bound
+    scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), initial=0.0))
+    if np.any(asym.max(axis=(-2, -1)) > tol * scale):
         raise ValueError("matrix is not skew-symmetric within tolerance")
 
 
@@ -114,11 +120,14 @@ def _spread_matchings(k: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _polarized_pfaffian(args: Sequence[np.ndarray]) -> float:
-    xs = np.asarray(args, dtype=float)
+def _polarized_pfaffian(args: Sequence[np.ndarray]) -> float | np.ndarray:
+    xs = np.asarray(args, dtype=float)  # k arguments of one shape (..., n, n)
     _check_skew(xs)
-    slots, rows, cols, signs = _spread_matchings(len(xs))
-    return float(signs @ np.prod(xs[slots, rows, cols], axis=1))
+    k, n = len(xs), xs.shape[-1]
+    slots, rows, cols, signs = _spread_matchings(k)
+    # one batch axis B; the gather is (R, k, B), one row per spread matching
+    flat = xs.reshape(k, -1, n, n)
+    return (signs @ np.prod(flat[slots, :, rows, cols], axis=1)).reshape(xs.shape[1:-2])
 
 
 @lru_cache(maxsize=None)
@@ -140,41 +149,45 @@ def _cycle_table(j: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     return tuple(table)
 
 
-def _trace_of_product(args: Sequence[np.ndarray], order: Sequence[int]) -> complex:
+def _trace_of_product(args: Sequence[np.ndarray], order: Sequence[int]) -> np.ndarray:
     m = args[order[0]]
     for i in order[1:]:
         m = m @ args[i]
-    return np.trace(m)
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _mixed_discriminant(args: Sequence[np.ndarray]) -> complex:
+def _mixed_discriminant(args: Sequence[np.ndarray]) -> np.ndarray:
     """Polarized sum of principal j-minors, j = len(args)."""
     total = 0.0
     for sign, cycles in _cycle_table(len(args)):
-        total = total + sign * np.prod([_trace_of_product(args, c) for c in cycles])
+        term = sign
+        for c in cycles:
+            term = term * _trace_of_product(args, c)
+        total = total + term
     return total / factorial(len(args))
 
 
-def _symmetrized_trace(args: Sequence[np.ndarray]) -> float:
+def _symmetrized_trace(args: Sequence[np.ndarray]) -> np.ndarray:
     """(1/k!) sum over orders of Re tr(X_s1 ... X_sk); rotations that keep
     the trace are summed once, the first argument fixed in front."""
     k = len(args)
     total = 0.0
     for rest in permutations(range(1, k)):
-        total += float(np.real(_trace_of_product(args, (0,) + rest)))
+        total = total + np.real(_trace_of_product(args, (0,) + rest))
     return total / factorial(k - 1)
 
 
 @dataclass(frozen=True)
 class InvariantPolynomial:
     """Named invariant polynomial: degree, algebra tag, the homogeneous
-    evaluator ``value`` and its symmetric multilinear form ``multilinear``."""
+    evaluator ``value`` on one matrix and its symmetric multilinear form
+    ``multilinear``, which maps k arguments (..., n, n) to (...)."""
 
     name: str
     degree: int
     algebra_tag: str
     value: Callable[[np.ndarray], float]
-    multilinear: Callable[[Sequence[np.ndarray]], float]
+    multilinear: Callable[[Sequence[np.ndarray]], float | np.ndarray]
 
     def __call__(self, x: np.ndarray) -> float:
         return self.value(x)
@@ -208,7 +221,7 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
         def ev_euler(x: np.ndarray) -> float:
             return pfaffian(x) / norm
 
-        def ml_euler(args: Sequence[np.ndarray]) -> float:
+        def ml_euler(args: Sequence[np.ndarray]) -> float | np.ndarray:
             return _polarized_pfaffian(args) / norm
 
         return InvariantPolynomial("euler", k, alg.tag, ev_euler, ml_euler)
@@ -218,16 +231,20 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
             raise ValueError(f"chern_{k} needs u(n) with n >= {k}, got {alg.tag}")
         norm = (-1j / (2 * pi)) ** k
 
-        def real_chern(v: complex) -> float:
-            if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
-                raise ArithmeticError(f"chern_{k} value unexpectedly complex: {v}")
-            return float(v.real)
+        def real_chern(v) -> float | np.ndarray:
+            """Real part of v (...), checked value by value."""
+            v = np.asarray(v, dtype=complex)
+            if np.any(v.imag):
+                bad = np.abs(v.imag) > 1e-8 * np.maximum(1.0, np.abs(v.real))
+                if np.any(bad):
+                    raise ArithmeticError(f"chern_{k} value unexpectedly complex: {v[bad].flat[0]}")
+            return v.real[()]
 
         def ev_chern(x: np.ndarray) -> float:
-            return real_chern(norm * _principal_minor_sum(np.asarray(x, complex), k))
+            return float(real_chern(norm * _principal_minor_sum(np.asarray(x, complex), k)))
 
-        def ml_chern(args: Sequence[np.ndarray]) -> float:
-            return real_chern(complex(norm * _mixed_discriminant(args)))
+        def ml_chern(args: Sequence[np.ndarray]) -> float | np.ndarray:
+            return real_chern(norm * _mixed_discriminant(args))
 
         return InvariantPolynomial(f"chern_{k}", k, alg.tag, ev_chern, ml_chern)
 
@@ -238,9 +255,9 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
         def ev_p1(x: np.ndarray) -> float:
             return float(-np.real(np.trace(x @ x))) / (8 * pi**2)
 
-        def ml_p1(args: Sequence[np.ndarray]) -> float:
+        def ml_p1(args: Sequence[np.ndarray]) -> float | np.ndarray:
             x, y = args
-            return float(-(x * y.T).sum().real) / (8 * pi**2)
+            return -np.einsum("...ij,...ji->...", x, y).real / (8 * pi**2)
 
         return InvariantPolynomial("pontryagin_1", 2, alg.tag, ev_p1, ml_p1)
 
@@ -256,8 +273,9 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
     raise ValueError(f"unknown polynomial {name!r}")
 
 
-def polarize_eval(P: InvariantPolynomial, args: Sequence[np.ndarray]) -> float:
-    """The symmetric multilinear form of P on k matrices.
+def polarize_eval(P: InvariantPolynomial, args: Sequence[np.ndarray]) -> float | np.ndarray:
+    """The symmetric multilinear form of P on k matrices (or k stacks
+    (..., n, n), giving (...)).
 
     Agrees with P on the diagonal; evaluated directly by P.multilinear (see
     the module docstring), one call per argument tuple.
@@ -298,12 +316,13 @@ def eval_on_forms_indexed(
     P: InvariantPolynomial,
     args: Sequence[tuple[Callable[..., np.ndarray], int]],
     n_tangents: int,
-) -> float:
+) -> float | np.ndarray:
     """Shuffle-alternating evaluation with index-based argument callables.
 
     Each entry of ``args`` is (f, p) where f(i_1..i_p) returns the value of an
-    alternating p-tensor on tangents number i_1..i_p.  Every f is called on
-    increasing index tuples only, once per shuffle that uses it.
+    alternating p-tensor on tangents number i_1..i_p, a matrix or a stack
+    (..., n, n) of them; the result is then a scalar or (...).  Every f is
+    called on increasing index tuples only, once per shuffle that uses it.
     """
     degs = tuple(p for _, p in args)
     if sum(degs) != n_tangents:

@@ -314,20 +314,26 @@ def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q) * _CONJ
+
+
+# _LEFT[k] and _RIGHT[k]: the matrices of x -> e_k x and x -> x e_k
+_LEFT = np.array([[quat_mul(e, x) for x in np.eye(4)] for e in np.eye(4)]).transpose(0, 2, 1)
+_RIGHT = np.array([[quat_mul(x, e) for x in np.eye(4)] for e in np.eye(4)]).transpose(0, 2, 1)
 
 
 def left_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of x -> q x."""
-    a, b, c, d = q
-    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+    """Matrix of x -> q x; q may be a stack (..., 4), giving (..., 4, 4)."""
+    return np.tensordot(q, _LEFT, axes=(-1, 0))
 
 
 def _right_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x q."""
-    a, b, c, d = q
-    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+    """Matrix of x -> x q, stacked as left_mult_matrix."""
+    return np.tensordot(q, _RIGHT, axes=(-1, 0))
 
 
 def rot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,34 +341,25 @@ def rot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return left_mult_matrix(a) @ _right_mult_matrix(quat_conj(b))
 
 
-def _quat_from_rot3(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (up to sign) for a 3x3 rotation, Shepperd's method."""
-    t = np.trace(R)
-    q = np.empty(4)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2
-        q[0] = 0.25 * s
-        q[1] = (R[2, 1] - R[1, 2]) / s
-        q[2] = (R[0, 2] - R[2, 0]) / s
-        q[3] = (R[1, 0] - R[0, 1]) / s
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2
-        q[1 + i] = 0.25 * s
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    return q / np.linalg.norm(q)
+# rot4(e_k, e_l): an orthogonal basis of the 4x4 matrices, each of norm^2 4
+_ROT4_BASIS = np.array([[rot4(a, b) for b in np.eye(4)] for a in np.eye(4)])
 
 
 def so4_to_quaternion_pair(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split R in SO(4) as x -> a x conj(b); the pair is defined up to (-a,-b)."""
-    q0 = R[:, 0]  # image of 1
-    S = left_mult_matrix(quat_conj(q0)) @ R  # fixes 1, rotates span(i,j,k)
-    b = _quat_from_rot3(S[1:, 1:])
-    a = quat_mul(q0, b)
-    if np.max(np.abs(rot4(a, b) - R)) > 1e-8:
+    """Split R in SO(4) as x -> a x conj(b); the pair is defined up to (-a,-b).
+
+    rot4 is bilinear in (a, b), so the coefficients of R in the basis
+    rot4(e_k, e_l) form the rank-one matrix M = a b^T; a is its largest
+    column, normalized, and b = M^T a.  R may be a stack (..., 4, 4), split
+    in one pass and checked matrix by matrix.
+    """
+    R = np.asarray(R, dtype=float)
+    M = np.einsum("klij,...ij->...kl", _ROT4_BASIS, R) / 4.0
+    col = np.argmax(np.sum(M * M, axis=-2), axis=-1)
+    a = np.take_along_axis(M, col[..., None, None], axis=-1)[..., 0]
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = np.einsum("...kl,...k->...l", M, a)
+    if np.any(np.max(np.abs(rot4(a, b) - R), axis=(-2, -1)) > 1e-8):
         raise ValueError("matrix is not in SO(4) within tolerance")
     return a, b
 

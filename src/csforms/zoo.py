@@ -21,6 +21,10 @@ Shipped bundles:
     twisted_u2   generic-curvature U(2) chart over R^2 used for the
                  determinant-bundle and odd-sphere-bundle vanishing checks
 
+Every chart potential and curvature, chain map and Jacobian, fiber lift and
+section value here broadcasts over leading batch axes (see csforms.bundles),
+so the quadrature drivers evaluate them on all nodes at once.
+
 Orientation conventions are fixed once here: base chains are oriented so the
 Euler integrals are positive, and fiber parametrizations are oriented so the
 assembled transgression forms have fiber integral +1.
@@ -29,7 +33,7 @@ assembled transgression forms have fiber integral +1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin, tan
+from math import pi
 from typing import Callable
 
 import numpy as np
@@ -69,16 +73,14 @@ class PrecisionError(Exception):
 
 @dataclass(frozen=True)
 class NamedBundle:
-    """A chart with its catalog of sections, chains, and expected constants."""
+    """A chart with its catalog of sections and chains, and its default polynomial."""
 
     name: str
     chart: BundleChart
     fiber: FiberModel | None = None
     sections: dict[str, Section] = field(default_factory=dict)
     chains: dict[str, ChainSpec] = field(default_factory=dict)
-    expected: dict[str, float] = field(default_factory=dict)
     default_poly: tuple[str, int] | None = None
-    south_fields: dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
     def polynomial(self) -> InvariantPolynomial:
         if self.default_poly is None:
@@ -89,30 +91,47 @@ class NamedBundle:
 
 # --- S^2 chart helpers --------------------------------------------------------
 
+_E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the pattern of a curvature on a 2-dimensional base: F_01 = -F_10, F_00 = F_11 = 0
+_PAIR2 = _E12[:, :, None, None]
+_UT_CURV_SHAPE = _PAIR2 * _E12
+# (-x_1, x_0) = x[..., ::-1] * _SWAP_SIGNS, the rotational field u dv - v du
+_SWAP_SIGNS = np.array([-1.0, 1.0])
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of base points (..., n)."""
+    return (x * x).sum(axis=-1)
+
+
+def _matrix(rows) -> np.ndarray:
+    """Nested rows of equally shaped arrays (...) as one array (..., r, c)."""
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def _sphere2_map(params: np.ndarray) -> np.ndarray:
-    th, ph = params
-    r = tan(0.5 * th)
-    return np.array([r * cos(ph), r * sin(ph)])
+    th, ph = params[..., 0], params[..., 1]
+    r = np.tan(0.5 * th)
+    return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
+
 
 def _sphere2_jac(params: np.ndarray) -> np.ndarray:
-    th, ph = params
-    r = tan(0.5 * th)
-    dr = 0.5 / cos(0.5 * th) ** 2
-    return np.array(
-        [[dr * cos(ph), -r * sin(ph)], [dr * sin(ph), r * cos(ph)]]
-    )
+    th, ph = params[..., 0], params[..., 1]
+    r = np.tan(0.5 * th)
+    dr = 0.5 / np.cos(0.5 * th) ** 2
+    return _matrix([[dr * np.cos(ph), -r * np.sin(ph)], [dr * np.sin(ph), r * np.cos(ph)]])
 
 
 def _circle_chain(theta0: float) -> ParametrizedChain:
-    r = tan(0.5 * theta0)
+    r = np.tan(0.5 * theta0)
 
     def mp(params):
-        (ph,) = params
-        return np.array([r * cos(ph), r * sin(ph)])
+        ph = params[..., 0]
+        return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
 
     def jac(params):
-        (ph,) = params
-        return np.array([[-r * sin(ph)], [r * cos(ph)]])
+        ph = params[..., 0]
+        return _matrix([[-r * np.sin(ph)], [r * np.cos(ph)]])
 
     return ParametrizedChain(
         name=f"circle:{theta0:.6f}",
@@ -158,52 +177,44 @@ def hopf_u1() -> NamedBundle:
     alg = u(1)
 
     def potential(x):
-        d = 1.0 + x @ x
+        d = 1.0 + _sq(x)
         # A = i (u dv - v du) / (1 + r^2)
-        return np.array([[[-1j * x[1] / d]], [[1j * x[0] / d]]])
+        return 1j * (x[..., ::-1] * _SWAP_SIGNS / d[..., None])[..., None, None]
 
     def curvature(x):
-        d = 1.0 + x @ x
-        f = 2j / d**2
-        out = np.zeros((2, 2, 1, 1), dtype=complex)
-        out[0, 1, 0, 0] = f
-        out[1, 0, 0, 0] = -f
-        return out
+        f = 2.0 / (1.0 + _sq(x)) ** 2
+        return f[..., None, None, None, None] * (1j * _PAIR2)
 
     chart = BundleChart(2, alg, potential, curvature, split=None, name="hopf_u1")
     fiber = FiberModel(
         name="u1_fiber",
         intervals=((0.0, 2 * pi),),
-        lift=lambda s: np.array([[np.exp(1j * s[0])]]),
-        lift_alt=lambda s: np.array([[np.exp(1j * (s[0] + 0.3 * np.sin(s[0])))]]),
+        lift=lambda s: np.exp(1j * s[..., 0])[..., None, None],
+        lift_alt=lambda s: np.exp(1j * (s[..., 0] + 0.3 * np.sin(s[..., 0])))[..., None, None],
     )
     return NamedBundle(
         name="hopf_u1",
         chart=chart,
         fiber=fiber,
         chains=_sphere2_chains(),
-        expected={"c1": 1.0},
         default_poly=("chern_j", 1),
     )
 
 
 # --- unit tangent bundle of S^2 ----------------------------------------------
 
-_E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _rot2(a: float) -> np.ndarray:
-    """exp(a * _E12), the plane rotation."""
-    c, s = cos(a), sin(a)
-    return np.array([[c, s], [-s, c]])
+def _rot2(a: np.ndarray) -> np.ndarray:
+    """exp(a * _E12), the plane rotation, for angles a (...)."""
+    c, s = np.cos(a), np.sin(a)
+    return _matrix([[c, s], [-s, c]])
 
 
 def _ut_s2_section(field: Callable[[np.ndarray], np.ndarray], zeros: tuple[Zero, ...], name: str) -> Section:
     def value(x):
         v = field(x)
-        v = v / np.linalg.norm(v)
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
         # frame columns (v, Jv) in the conformal orthonormal gauge
-        return np.array([[v[0], -v[1]], [v[1], v[0]]])
+        return _matrix([[v[..., 0], -v[..., 1]], [v[..., 1], v[..., 0]]])
 
     return Section(name=name, value=value, zeros=zeros)
 
@@ -214,35 +225,30 @@ def unit_tangent_s2() -> NamedBundle:
     alg = so(2)
 
     def potential(x):
-        d = 1.0 + x @ x
+        d = 1.0 + _sq(x)
         # spin connection of lam^2 (du^2 + dv^2):  w12 = 2(u dv - v du)/(1+r^2)
-        return np.array([-2.0 * x[1] / d * _E12, 2.0 * x[0] / d * _E12])
+        return (2.0 * x[..., ::-1] * _SWAP_SIGNS / d[..., None])[..., None, None] * _E12
 
     def curvature(x):
-        lam2 = (2.0 / (1.0 + x @ x)) ** 2
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 1] = lam2 * _E12
-        out[1, 0] = -lam2 * _E12
-        return out
+        lam2 = (2.0 / (1.0 + _sq(x))) ** 2
+        return lam2[..., None, None, None, None] * _UT_CURV_SHAPE
 
     chart = BundleChart(2, alg, potential, curvature, split=None, name="ut_s2")
     fiber = FiberModel(
         name="so2_fiber",
         intervals=((0.0, 2 * pi),),
-        lift=lambda s: _rot2(s[0]),
-        lift_alt=lambda s: _rot2(s[0] + 0.25 * np.sin(2 * s[0])),
+        lift=lambda s: _rot2(s[..., 0]),
+        lift_alt=lambda s: _rot2(s[..., 0] + 0.25 * np.sin(2 * s[..., 0])),
     )
     sections = {
         "height_gradient": _ut_s2_section(
             lambda x: -x, (Zero("north", 1), Zero("south", 1)), "height_gradient"
         ),
         "rotational": _ut_s2_section(
-            lambda x: np.array([-x[1], x[0]]), (Zero("north", 1), Zero("south", 1)), "rotational"
+            lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+            (Zero("north", 1), Zero("south", 1)),
+            "rotational",
         ),
-    }
-    south_fields = {
-        "height_gradient": lambda w: w / np.linalg.norm(w),
-        "rotational": lambda w: np.array([w[1], -w[0]]) / np.linalg.norm(w),
     }
     return NamedBundle(
         name="ut_s2",
@@ -250,9 +256,7 @@ def unit_tangent_s2() -> NamedBundle:
         fiber=fiber,
         sections=sections,
         chains=_sphere2_chains(),
-        expected={"euler_characteristic": 2.0},
         default_poly=("euler", 1),
-        south_fields=south_fields,
     )
 
 
@@ -264,21 +268,22 @@ _S4_CURV_SHAPE = np.einsum("ac,bd->abcd", _I4, _I4) - np.einsum("bc,ad->abcd", _
 
 def _s4_potential(x: np.ndarray) -> np.ndarray:
     # A_a[b,c] = mu (x_c d_ab - x_b d_ac), the conformal-gauge spin connection
-    mu = -2.0 / (1.0 + x @ x)
-    return mu * (np.einsum("ab,c->abc", _I4, x) - np.einsum("ac,b->abc", _I4, x))
+    mu = -2.0 / (1.0 + _sq(x))
+    return mu[..., None, None, None] * (
+        np.einsum("ab,...c->...abc", _I4, x) - np.einsum("ac,...b->...abc", _I4, x)
+    )
 
 
 def _s4_curvature(x: np.ndarray) -> np.ndarray:
     # constant-curvature F_ab = lam^2 (E_ab - E_ba)
-    lam2 = (2.0 / (1.0 + x @ x)) ** 2
-    return lam2 * _S4_CURV_SHAPE
+    lam2 = (2.0 / (1.0 + _sq(x))) ** 2
+    return lam2[..., None, None, None, None] * _S4_CURV_SHAPE
 
 
 def _s3_angles(psis: np.ndarray) -> np.ndarray:
-    p1, p2, p3 = psis
-    return np.array(
-        [cos(p1), sin(p1) * cos(p2), sin(p1) * sin(p2) * cos(p3), sin(p1) * sin(p2) * sin(p3)]
-    )
+    p1, p2, p3 = psis[..., 0], psis[..., 1], psis[..., 2]
+    s1, s12 = np.sin(p1), np.sin(p1) * np.sin(p2)
+    return np.stack([np.cos(p1), s1 * np.cos(p2), s12 * np.cos(p3), s12 * np.sin(p3)], axis=-1)
 
 
 def _quat_lift(psis: np.ndarray) -> np.ndarray:
@@ -295,19 +300,25 @@ def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def lift(psis: np.ndarray) -> np.ndarray:
         v = _s3_angles(psis)
-        cols = [v]
+        # columns not yet filled are zero and drop out of the projections;
+        # a reference vector of norm below 1e-12 after them is skipped at
+        # that node alone
+        cols = np.zeros(v.shape[:-1] + (4, 4))
+        cols[..., 0] = v
+        filled = np.ones(v.shape[:-1], dtype=int)
         for r in reference.T:
-            w = r.astype(float).copy()
-            for q in cols:
-                w = w - (w @ q) * q
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-12:
-                continue
-            cols.append(w / nrm)
-        g = np.column_stack(cols[:4])
-        if np.linalg.det(g) < 0:
-            g[:, 3] = -g[:, 3]
-        return g
+            w = np.broadcast_to(r.astype(float), v.shape)
+            for j in range(4):
+                q = cols[..., j]
+                w = w - np.sum(w * q, axis=-1, keepdims=True) * q
+            nrm = np.linalg.norm(w, axis=-1)
+            keep = (nrm >= 1e-12) & (filled < 4)
+            slot = np.minimum(filled, 3)[..., None, None] == np.arange(4)
+            cols = np.where(keep[..., None, None] & slot, (w / np.where(keep, nrm, 1.0)[..., None])[..., None], cols)
+            filled = filled + keep
+        flip = np.where(np.linalg.det(cols) < 0, -1.0, 1.0)
+        cols[..., 3] *= flip[..., None]
+        return cols
 
     return lift
 
@@ -315,41 +326,43 @@ def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 _GS_REF_1 = np.eye(4)[:, 1:]  # (e2, e3, e4)
 
 
-def _ideal_exp(angle: float, unit: np.ndarray) -> np.ndarray:
-    """exp(angle * unit) for a unit element of one su(2) ideal of so(4).
+def _ideal_exp(angle: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """exp(angle * unit) for angles (...) and unit elements (..., 4, 4) of
+    one su(2) ideal of so(4).
 
     The elements of an orthonormal ideal basis square to -I/4 and
     anticommute, so a unit element squares to -I/4 too, and the series sums
     to cos(angle/2) I + 2 sin(angle/2) unit.
     """
-    return cos(0.5 * angle) * _I4 + 2.0 * sin(0.5 * angle) * unit
+    half = 0.5 * np.asarray(angle)[..., None, None]
+    return np.cos(half) * _I4 + 2.0 * np.sin(half) * unit
 
 
 def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray]:
     # axis-angle ball chart of an su(2) subgroup modulo +-1, covered once
     def lift(params: np.ndarray) -> np.ndarray:
-        rho, al, be = params
-        n_hat = np.array([sin(al) * cos(be), sin(al) * sin(be), cos(al)])
-        return _ideal_exp(rho, n_hat[0] * basis[0] + n_hat[1] * basis[1] + n_hat[2] * basis[2])
+        rho, al, be = params[..., 0], params[..., 1], params[..., 2]
+        n_hat = np.stack([np.sin(al) * np.cos(be), np.sin(al) * np.sin(be), np.cos(al)], axis=-1)
+        return _ideal_exp(rho, np.tensordot(n_hat, np.array(basis), axes=(-1, 0)))
 
     return lift
 
 
 def _s4_full_chain() -> ChainSpec:
     def mp(params):
-        th = params[0]
-        return tan(0.5 * th) * _s3_angles(params[1:])
+        return np.tan(0.5 * params[..., :1]) * _s3_angles(params[..., 1:])
 
     def jac(params):
-        th = params[0]
-        p1, p2, p3 = params[1:]
-        r = tan(0.5 * th)
-        dr = 0.5 / cos(0.5 * th) ** 2
-        v = _s3_angles(params[1:])
-        dv1 = np.array([-sin(p1), cos(p1) * cos(p2), cos(p1) * sin(p2) * cos(p3), cos(p1) * sin(p2) * sin(p3)])
-        dv2 = np.array([0.0, -sin(p1) * sin(p2), sin(p1) * cos(p2) * cos(p3), sin(p1) * cos(p2) * sin(p3)])
-        dv3 = np.array([0.0, 0.0, -sin(p1) * sin(p2) * sin(p3), sin(p1) * sin(p2) * cos(p3)])
-        return np.column_stack([dr * v, r * dv1, r * dv2, r * dv3])
+        th, p1, p2, p3 = (params[..., i] for i in range(4))
+        r = np.tan(0.5 * th)
+        dr = 0.5 / np.cos(0.5 * th) ** 2
+        s1, c1, s2, c2, s3, c3 = np.sin(p1), np.cos(p1), np.sin(p2), np.cos(p2), np.sin(p3), np.cos(p3)
+        zero = np.zeros_like(th)
+        v = _s3_angles(params[..., 1:])
+        dv1 = np.stack([-s1, c1 * c2, c1 * s2 * c3, c1 * s2 * s3], axis=-1)
+        dv2 = np.stack([zero, -s1 * s2, s1 * c2 * c3, s1 * c2 * s3], axis=-1)
+        dv3 = np.stack([zero, zero, -s1 * s2 * s3, s1 * s2 * c3], axis=-1)
+        return np.stack([dr[..., None] * v, r[..., None] * dv1, r[..., None] * dv2, r[..., None] * dv3], axis=-1)
 
     chain = ParametrizedChain(
         name="full_sphere",
@@ -412,7 +425,7 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
             name=fiber.name,
             intervals=fiber.intervals,
             lift=base_lift,
-            lift_alt=lambda s: base_lift(s) @ _ideal_exp(0.7 * np.sin(s[0] + s[2]), h_elt),
+            lift_alt=lambda s: base_lift(s) @ _ideal_exp(0.7 * np.sin(s[..., 0] + s[..., 2]), h_elt),
             orientation=fiber.orientation,
         )
 
@@ -420,17 +433,16 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
     # the conformal-gauge potential vanishes on radial directions (A_x(x) = 0),
     # so parallel transport along meridians is trivial and the quaternionic
     # sections are the constant identity coset in this chart
-    sections = {
-        "sigma1": Section("sigma1", lambda x: np.eye(4), ()),
-        "sigma2": Section("sigma2", lambda x: np.eye(4), ()),
-    }
+    def identity(x):
+        return np.broadcast_to(_I4, np.shape(x)[:-1] + (4, 4))
+
+    sections = {"sigma1": Section("sigma1", identity, ()), "sigma2": Section("sigma2", identity, ())}
     return NamedBundle(
         name=f"frame_s4:{variant}" if variant != "sphere" else "frame_s4",
         chart=chart,
         fiber=fiber,
         sections=sections,
         chains={"full_sphere": _s4_full_chain()},
-        expected={"euler_characteristic": 2.0, "p1": 0.0},
         default_poly=poly,
     )
 
@@ -444,10 +456,10 @@ def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
     dt = complex if alg.is_complex else float
 
     def potential(x):
-        return np.zeros((n, m, m), dtype=dt)
+        return np.zeros(np.shape(x)[:-1] + (n, m, m), dtype=dt)
 
     def curvature(x):
-        return np.zeros((n, n, m, m), dtype=dt)
+        return np.zeros(np.shape(x)[:-1] + (n, n, m, m), dtype=dt)
 
     split = standard_split(gtag, hsub) if hsub else None
     chart = BundleChart(n, alg, potential, curvature, split=split, name=f"flat:{gtag}:{n}")
@@ -469,14 +481,11 @@ def twisted_u2(hsub: str = "su2") -> NamedBundle:
     alg = u(2)
 
     def potential(x):
-        return np.array([x[1] * _M2, x[0] * _M1])
+        return np.stack([x[..., 1, None, None] * _M2, x[..., 0, None, None] * _M1], axis=-3)
 
     def curvature(x):
-        f = _M1 - _M2 + x[0] * x[1] * (_M2 @ _M1 - _M1 @ _M2)
-        out = np.zeros((2, 2, 2, 2), dtype=complex)
-        out[0, 1] = f
-        out[1, 0] = -f
-        return out
+        f = _M1 - _M2 + (x[..., 0] * x[..., 1])[..., None, None] * (_M2 @ _M1 - _M1 @ _M2)
+        return _PAIR2 * f[..., None, None, :, :]
 
     split = standard_split("u2", hsub)
     chart = BundleChart(2, alg, potential, curvature, split=split, name=f"twisted_u2:{hsub}")
@@ -529,6 +538,25 @@ def get_bundle(name: str) -> NamedBundle:
 _SPHERE_VOLUMES = {1: 2 * pi, 3: 2 * pi**2}
 
 
+def _volume_pullback_integral(
+    f: Callable[[np.ndarray], np.ndarray], d: int, quad_order, fd_step: float, align_signs: bool
+) -> float:
+    """Integral of f*(volume form of S^d) over the angle box of S^d, with f
+    called once on the stack (2d+1, N, d) of every node and stencil point."""
+    intervals = ((0.0, 2 * pi),) if d == 1 else ((0.0, pi), (0.0, pi), (0.0, 2 * pi))
+    nodes, weights = gauss_product(intervals, quad_order)
+    # stencil rows: the node, then node + h e_i and node - h e_i for each axis
+    steps = np.concatenate([np.zeros((1, d)), fd_step * np.eye(d), -fd_step * np.eye(d)])
+    v = np.asarray(f(nodes + steps[:, None, :]), dtype=float)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    center, vp, vm = v[0], v[1 : d + 1], v[d + 1 :]
+    if align_signs:
+        vp = np.where(np.sum(vp * center, axis=-1, keepdims=True) < 0, -vp, vp)
+        vm = np.where(np.sum(vm * center, axis=-1, keepdims=True) < 0, -vm, vm)
+    cols = np.concatenate([center[None], (vp - vm) / (2 * fd_step)])
+    return float(weights @ np.linalg.det(np.moveaxis(cols, 0, -1)))
+
+
 def winding_degree(
     f: Callable[[np.ndarray], np.ndarray],
     d: int,
@@ -539,11 +567,12 @@ def winding_degree(
 ) -> int:
     """Degree of a map into S^d given on source-sphere angle parameters.
 
-    f maps angle parameters (length d) to a unit vector in R^{d+1}; the degree
-    is the integral of the pulled-back normalized volume form.  For maps whose
-    values are only defined up to overall sign (projective-space lifts), pass
-    align_signs=True: the finite-difference stencil is sign-aligned around
-    each node, which the volume pullback does not feel.
+    f maps angle parameters (..., d) to vectors (..., d+1) and is called
+    once, on the stack of every node and finite-difference stencil point;
+    the degree is the integral of the pulled-back normalized volume form.  For maps whose values are only defined up to overall sign
+    (projective-space lifts), pass align_signs=True: the finite-difference
+    stencil is sign-aligned around each node, which the volume pullback does
+    not feel.
 
     target_volume overrides the normalization (e.g. the volume of RP^3 when f
     lifts a projective-valued map and the covering count is wanted).  Raises
@@ -551,30 +580,8 @@ def winding_degree(
     """
     if d not in (1, 3):
         raise ValueError("winding_degree supports d in {1, 3}")
-    intervals = ((0.0, 2 * pi),) if d == 1 else ((0.0, pi), (0.0, pi), (0.0, 2 * pi))
     vol = target_volume if target_volume is not None else _SPHERE_VOLUMES[d]
-
-    def value(params):
-        v = np.asarray(f(params), dtype=float)
-        return v / np.linalg.norm(v)
-
-    total = 0.0
-    for s, weight in zip(*gauss_product(intervals, quad_order)):
-        center = value(s)
-        cols = [center]
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            vp = value(s + fd_step * e)
-            vm = value(s - fd_step * e)
-            if align_signs:
-                if vp @ center < 0:
-                    vp = -vp
-                if vm @ center < 0:
-                    vm = -vm
-            cols.append((vp - vm) / (2 * fd_step))
-        total += weight * float(np.linalg.det(np.column_stack(cols)))
-    deg = total / vol
+    deg = _volume_pullback_integral(f, d, quad_order, fd_step, align_signs) / vol
     nearest = round(deg)
     if abs(deg - nearest) > 0.1:
         raise PrecisionError(
@@ -591,10 +598,11 @@ def south_transition_frame(yhat: np.ndarray) -> np.ndarray:
 
     The north-chart section is the identity frame; re-expressing it in the
     orientation-compatible south stereographic chart multiplies by the frame
-    transition (I - 2 yhat yhat^T) composed with quaternion conjugation.
+    transition (I - 2 yhat yhat^T) composed with quaternion conjugation;
+    yhat may be a stack (..., 4).
     """
     yhat = np.asarray(yhat, dtype=float)
-    return (np.eye(4) - 2.0 * np.outer(yhat, yhat)) @ _CONJ4
+    return (np.eye(4) - 2.0 * yhat[..., :, None] * yhat[..., None, :]) @ _CONJ4
 
 
 def quaternionic_section_degrees(
@@ -608,7 +616,8 @@ def quaternionic_section_degrees(
     index the obstruction formula counts.  Returns (a1, a2).
     """
 
-    # both degrees evaluate the same nodes and stencil points: split each once
+    # both degrees evaluate the same stack of nodes and stencil points:
+    # split it once
     pairs: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def section_map(which: int):

@@ -1,10 +1,12 @@
-"""The benchmark's per-layer tracer still finds every counter BENCHMARK.json names.
+"""The benchmark's workloads still run, pass their gate and trace whole.
 
 perfbench/tracer.py counts calls at named boundaries of the package (for
 example the expm that bundles binds at module level) and reports a counter
 as absent when its boundary is gone.  A refactor that moves or renames such
 a boundary leaves the traced benchmark result without a metric it declares.
-This test only reads perfbench/ and BENCHMARK.json.
+Each benchmark item also carries its own correctness gate (``check``, the
+error over the acceptance tolerance), which a change must keep passing.
+These tests only read perfbench/ and BENCHMARK.json.
 """
 
 import json
@@ -35,3 +37,18 @@ def test_every_declared_counter_is_available(workload):
     finally:
         t.uninstall()
     assert [name for name in COUNTS if name not in t.available] == []
+
+
+SWEEP_K2_ITEMS = 5
+
+
+@pytest.mark.parametrize(
+    "workload,count", [("quadrature", None), ("sweep_k2", SWEEP_K2_ITEMS)]
+)
+def test_items_pass_their_own_gate(workload, count):
+    items = workloads.BUILDERS[workload](1)[:count]
+    ratios = {item.name: item.check(item.run()) for item in items}
+    assert all(r <= 1.0 for r in ratios.values()), ratios
+    for item in items:
+        if item.rhs is not None:
+            assert item.rhs() >= workloads.NONVACUITY_FLOOR, item.name

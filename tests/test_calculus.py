@@ -115,6 +115,12 @@ def unit_square():
     return ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
 
 
+# integrate evaluates forms and chain maps on the stack of all nodes, so the
+# inputs below index the last axis: points and tangents (..., d), values (...)
+def area_element(tg):
+    return tg[0][..., 0] * tg[1][..., 1] - tg[0][..., 1] * tg[1][..., 0]
+
+
 def test_gauss_product_layout():
     nodes, weights = gauss_product(((0.0, 1.0), (-1.0, 3.0)), (2, 3))
     assert nodes.shape == (6, 2) and weights.shape == (6,)
@@ -127,24 +133,24 @@ def test_gauss_product_layout():
 
 
 def test_integrate_dx_dy_over_square():
-    dxdy = FormField(2, 2, lambda pt, tg: float(tg[0][0] * tg[1][1] - tg[0][1] * tg[1][0]))
+    dxdy = FormField(2, 2, lambda pt, tg: area_element(tg))
     assert integrate(dxdy, unit_square(), 8) == pytest.approx(1.0)
     # the orientation is the parametrization's: swapping the axes flips it
-    swapped = ParametrizedChain("square:swapped", ((0.0, 1.0), (0.0, 1.0)), lambda p: p[::-1].copy(), 2)
+    swapped = ParametrizedChain("square:swapped", ((0.0, 1.0), (0.0, 1.0)), lambda p: p[..., ::-1].copy(), 2)
     assert integrate(dxdy, swapped, 8) == pytest.approx(-1.0)
 
 
 def test_sphere_area_form():
     # round area of the unit sphere through the stereographic chart
     def lam2(x):
-        return (2.0 / (1.0 + x @ x)) ** 2
+        return (2.0 / (1.0 + np.sum(x * x, axis=-1))) ** 2
 
-    area = FormField(2, 2, lambda pt, tg: lam2(pt) * float(tg[0][0] * tg[1][1] - tg[0][1] * tg[1][0]))
+    area = FormField(2, 2, lambda pt, tg: lam2(pt) * area_element(tg))
 
     def mp(p):
-        th, ph = p
+        th, ph = p[..., 0], p[..., 1]
         r = np.tan(th / 2)
-        return np.array([r * np.cos(ph), r * np.sin(ph)])
+        return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
 
     chain = ParametrizedChain("s2", ((0.0, pi), (0.0, 2 * pi)), mp, 2)
     assert integrate(area, chain, 24) / (4 * pi) == pytest.approx(1.0, abs=1e-8)
@@ -155,16 +161,17 @@ def test_stokes_on_square():
         coefs = rng.standard_normal((2, 6))
 
         def ev(pt, tangents, c=coefs):
-            basis = np.array([1.0, pt[0], pt[1], pt[0] * pt[1], np.sin(pt[0]), np.cos(pt[1])])
-            return float((c @ basis) @ tangents[0])
+            x, y = pt[..., 0], pt[..., 1]
+            basis = np.stack([np.ones_like(x), x, y, x * y, np.sin(x), np.cos(y)], axis=-1)
+            return np.sum((basis @ c.T) * tangents[0], axis=-1)
 
         form = FormField(2, 1, ev)
         area = integrate(exterior_derivative(form), unit_square(), 24)
         edges = [
-            (lambda s: np.array([s[0], 0.0]), +1),
-            (lambda s: np.array([1.0, s[0]]), +1),
-            (lambda s: np.array([s[0], 1.0]), -1),
-            (lambda s: np.array([0.0, s[0]]), -1),
+            (lambda s: np.stack([s[..., 0], np.zeros_like(s[..., 0])], axis=-1), +1),
+            (lambda s: np.stack([np.ones_like(s[..., 0]), s[..., 0]], axis=-1), +1),
+            (lambda s: np.stack([s[..., 0], np.ones_like(s[..., 0])], axis=-1), -1),
+            (lambda s: np.stack([np.zeros_like(s[..., 0]), s[..., 0]], axis=-1), -1),
         ]
         boundary = sum(
             sign * integrate(form, ParametrizedChain("e", ((0.0, 1.0),), mp, 2), 24) for mp, sign in edges

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import inspect
 import json
 
 import pytest
@@ -92,6 +93,27 @@ def test_obstruction_cli(capsys):
     code, out = run(capsys, "obstruction", "--bundle", "ut_s2", "--chain", "cap:pi/3", "--section", "rotational")
     assert code == 0
     assert "obstruction" in out
+
+
+@pytest.mark.parametrize("command", ["obstruction", "gauss-bonnet"])
+def test_quad_order_sets_the_boundary_order(capsys, monkeypatch, command):
+    # --quad-order N reaches the boundary circles too, at 2N (24 -> 48 by default)
+    original = checks.obstruction_identity_check
+    signature = inspect.signature(original)
+    seen = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append((bound.arguments["quad_order"], bound.arguments["boundary_quad_order"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "obstruction_identity_check", recording)
+    run(capsys, command, "--quad-order", "4", "--json")
+    assert seen and set(seen) == {(4, 8)}
+    seen.clear()
+    run(capsys, command, "--json")
+    assert seen and set(seen) == {(24, 48)}
 
 
 def test_fiber_norm_all_pass(capsys):

@@ -52,6 +52,31 @@ def test_matches_scipy(x, dxs):
     assert np.iscomplexobj(mc) == np.iscomplexobj(ref)
 
 
+@pytest.mark.parametrize("tag", ["so4", "u2"])
+def test_stacks_match_matrix_by_matrix(tag):
+    alg = algebra_from_tag(tag)
+    rng = np.random.default_rng(23)
+    xs = np.array([random_element(alg, rng, scale) for scale in (0.0, 0.5, 2.0, 3.0)])
+    # directions in front, one stack of matrices per direction
+    dxs = np.array([[random_element(alg, rng) for _ in xs] for _ in range(3)])
+    stacked = expm(xs)
+    mc = expm_maurer_cartan(xs, dxs)
+    assert stacked.shape == xs.shape and mc.shape == dxs.shape
+    for i, x in enumerate(xs):
+        assert np.max(np.abs(stacked[i] - expm(x))) < 1e-14
+        assert np.max(np.abs(mc[:, i] - expm_maurer_cartan(x, dxs[:, i]))) < 1e-14
+
+
+def test_stack_with_one_non_skew_member_raises():
+    rng = np.random.default_rng(29)
+    xs = np.array([random_element(so(3), rng) for _ in range(4)])
+    xs[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        expm(xs)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        expm_maurer_cartan(xs, xs[None])
+
+
 def test_rejects_non_skew_hermitian():
     sym = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="skew-Hermitian"):

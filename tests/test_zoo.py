@@ -172,21 +172,30 @@ def test_obstruction_identity_band_and_full():
     assert rep.index_sum == 2 and rep.boundary_term == 0.0 and rep.residual < 1e-4
 
 
+# winding_degree evaluates its map on the stack of all nodes and stencil
+# points, so the maps below take angle parameters (..., d)
+def unit_circle(t):
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
 def test_section_winding_indices():
-    b = get_bundle("ut_s2")
-    fields_u = {"height_gradient": lambda x: -x, "rotational": lambda x: np.array([-x[1], x[0]])}
+    # each field near its zero at the north pole (chart u) and at the south
+    # pole (chart w)
+    fields_u = {"height_gradient": lambda x: -x, "rotational": lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1)}
+    fields_w = {
+        "height_gradient": lambda w: w / np.linalg.norm(w, axis=-1, keepdims=True),
+        "rotational": lambda w: np.stack([w[..., 1], -w[..., 0]], axis=-1) / np.linalg.norm(w, axis=-1, keepdims=True),
+    }
     for name, zero_index in (("height_gradient", 1), ("rotational", 1)):
-        f_u, f_w = fields_u[name], b.south_fields[name]
-        for f in (f_u, f_w):
+        for f in (fields_u[name], fields_w[name]):
             def circle(params, f=f):
-                t = params[0]
-                return f(0.05 * np.array([np.cos(t), np.sin(t)]))
+                return f(0.05 * unit_circle(params[..., 0]))
             assert winding_degree(circle, 1) == zero_index
 
 
 def test_winding_degree_basics():
-    ident = lambda p: np.array([np.cos(p[0]), np.sin(p[0])])
-    conj = lambda p: np.array([np.cos(p[0]), -np.sin(p[0])])
+    ident = lambda p: unit_circle(p[..., 0])
+    conj = lambda p: unit_circle(-p[..., 0])
     assert winding_degree(ident, 1) == 1
     assert winding_degree(conj, 1) == -1
 
@@ -196,14 +205,15 @@ def test_winding_degree_basics():
 
 
 def test_winding_degree_reparametrization_invariance():
-    f = lambda p: np.array([np.cos(2 * p[0]), np.sin(2 * p[0])])
-    g = lambda p: f(np.array([p[0] + 0.3 * np.sin(p[0])]))
+    f = lambda p: unit_circle(2 * p[..., 0])
+    g = lambda p: f(p + 0.3 * np.sin(p))
     assert winding_degree(f, 1) == winding_degree(g, 1) == 2
 
     from csforms.zoo import _s3_angles
 
     def h(p):
-        q = np.array([p[0] + 0.1 * np.sin(p[0]) * np.sin(p[0] - pi), p[1], p[2]])
+        p0 = p[..., 0]
+        q = np.stack([p0 + 0.1 * np.sin(p0) * np.sin(p0 - pi), p[..., 1], p[..., 2]], axis=-1)
         return _s3_angles(q)
 
     assert winding_degree(h, 3, quad_order=(8, 8, 12)) == 1
@@ -213,14 +223,14 @@ def test_quadrature_order_count_must_match_axes():
     from csforms.zoo import _s3_angles
 
     square = ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
-    dxdy = FormField(2, 2, lambda pt, tg: float(tg[0][0] * tg[1][1] - tg[0][1] * tg[1][0]))
+    dxdy = FormField(2, 2, lambda pt, tg: tg[0][..., 0] * tg[1][..., 1] - tg[0][..., 1] * tg[1][..., 0])
     with pytest.raises(ValueError):
         integrate(dxdy, square, (4, 4, 4))
     ut = get_bundle("ut_s2")
     e1 = make_polynomial("euler", 1, "so2")
     with pytest.raises(ValueError):
         fiber_integral(ut.chart, lambda ch: phi_p_form(ch, e1), np.zeros(2), ut.fiber, (24, 99))
-    circle = lambda p: np.array([np.cos(p[0]), np.sin(p[0])])
+    circle = lambda p: unit_circle(p[..., 0])
     with pytest.raises(ValueError):
         winding_degree(circle, 1, (24, 99))
     with pytest.raises(ValueError):
@@ -229,7 +239,7 @@ def test_quadrature_order_count_must_match_axes():
 
 def test_winding_degree_ambiguity_raises():
     # half-winding cannot round cleanly
-    f = lambda p: np.array([np.cos(p[0] / 2), np.sin(p[0] / 2)])
+    f = lambda p: unit_circle(p[..., 0] / 2)
     with pytest.raises(PrecisionError):
         winding_degree(f, 1)
 
