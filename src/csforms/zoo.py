@@ -2,10 +2,13 @@
 
 All round-sphere charts are stereographic with conformal factor
 lam = 2/(1 + |x|^2); the chart origin is the north pole and the south pole is
-the excluded point at infinity.  Full-sphere chains are parametrized by polar
-angles mapped into the chart, which keeps every pulled-back characteristic
-form smooth on the closed parameter box even though the potential itself
-blows up toward the excluded pole.
+the excluded point at infinity.  One chart serves S^2 and S^4: its spin
+connection and curvature, the hyperspherical angle map of S^(n-1) and its
+Jacobian, and the polar chain builder x = tan(theta/2) angles(psi) take n from
+the last axis of their input.  The polar chains (full sphere, caps about the
+north pole, bands) keep every pulled-back characteristic form smooth on the
+closed parameter box even though the potential itself blows up toward the
+excluded pole; each boundary piece is the sphere at a fixed polar angle.
 
 Shipped bundles:
 
@@ -33,6 +36,7 @@ assembled transgression forms have fiber integral +1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from math import pi
 from typing import Callable
 
@@ -89,15 +93,7 @@ class NamedBundle:
         return make_polynomial(name, k, self.chart.algebra.tag)
 
 
-# --- S^2 chart helpers --------------------------------------------------------
-
-_E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-# the pattern of a curvature on a 2-dimensional base: F_01 = -F_10, F_00 = F_11 = 0
-_PAIR2 = _E12[:, :, None, None]
-_UT_CURV_SHAPE = _PAIR2 * _E12
-# (-x_1, x_0) = x[..., ::-1] * _SWAP_SIGNS, the rotational field u dv - v du
-_SWAP_SIGNS = np.array([-1.0, 1.0])
-
+# --- the round sphere S^n in its stereographic chart -------------------------
 
 def _sq(x: np.ndarray) -> np.ndarray:
     """|x|^2 of base points (..., n)."""
@@ -109,68 +105,125 @@ def _matrix(rows) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def _sphere2_map(params: np.ndarray) -> np.ndarray:
-    th, ph = params[..., 0], params[..., 1]
-    r = np.tan(0.5 * th)
-    return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
+@lru_cache(maxsize=None)
+def _curvature_pattern(n: int) -> np.ndarray:
+    """E_ab - E_ba as an (n, n, n, n) array: [a, b, c, d] = d_ac d_bd - d_bc d_ad."""
+    eye = np.eye(n)
+    pattern = eye[:, None, :, None] * eye[None, :, None, :] - eye[None, :, :, None] * eye[:, None, None, :]
+    pattern.flags.writeable = False
+    return pattern
 
 
-def _sphere2_jac(params: np.ndarray) -> np.ndarray:
-    th, ph = params[..., 0], params[..., 1]
-    r = np.tan(0.5 * th)
-    dr = 0.5 / np.cos(0.5 * th) ** 2
-    return _matrix([[dr * np.cos(ph), -r * np.sin(ph)], [dr * np.sin(ph), r * np.cos(ph)]])
+def _sphere_potential(x: np.ndarray) -> np.ndarray:
+    """Levi-Civita spin connection of the round S^n, n = x.shape[-1], in the
+    conformal orthonormal gauge: A_a[b, c] = mu (x_c d_ab - x_b d_ac) with
+    mu = -2/(1 + |x|^2).  It vanishes on radial directions (A_x(x) = 0)."""
+    mu = -2.0 / (1.0 + _sq(x))
+    # d_ab x_c, then antisymmetrized in (b, c)
+    t = np.eye(x.shape[-1])[:, :, None] * x[..., None, None, :]
+    return mu[..., None, None, None] * (t - np.swapaxes(t, -1, -2))
 
 
-def _circle_chain(theta0: float) -> ParametrizedChain:
-    r = np.tan(0.5 * theta0)
+def _sphere_curvature(x: np.ndarray) -> np.ndarray:
+    """Constant-curvature F_ab = lam^2 (E_ab - E_ba), lam = 2/(1 + |x|^2)."""
+    lam2 = (2.0 / (1.0 + _sq(x))) ** 2
+    return lam2[..., None, None, None, None] * _curvature_pattern(x.shape[-1])
 
-    def mp(params):
-        ph = params[..., 0]
-        return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
 
-    def jac(params):
-        ph = params[..., 0]
-        return _matrix([[-r * np.sin(ph)], [r * np.cos(ph)]])
+def _angle_box(m: int) -> tuple[tuple[float, float], ...]:
+    """Parameter box of _angles on S^m: m - 1 polar angles, then the azimuth."""
+    return ((0.0, pi),) * (m - 1) + ((0.0, 2 * pi),)
 
+
+def _angle_factors(psi: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Per coordinate of _angles, its factors and their psi-derivatives:
+    v_k = sin psi_0 ... sin psi_(k-1) cos psi_k, and v_m = sin psi_0 ... sin psi_(m-1)."""
+    m = psi.shape[-1]
+    c, s = np.cos(psi), np.sin(psi)
+    sines, cosines = [s[..., l] for l in range(m)], [c[..., l] for l in range(m)]
+    factors = []
+    for k in range(m + 1):
+        f, df = sines[:k], cosines[:k]
+        if k < m:
+            f, df = f + [cosines[k]], df + [-sines[k]]
+        factors.append((f, df))
+    return factors
+
+
+def _angles(psi: np.ndarray) -> np.ndarray:
+    """Hyperspherical angles (..., m) -> unit vectors (..., m + 1) of S^m."""
+    return np.stack([reduce(np.multiply, f) for f, _ in _angle_factors(psi)], axis=-1)
+
+
+def _angles_jac(psi: np.ndarray) -> np.ndarray:
+    """Jacobian (..., m + 1, m) of _angles: v_k depends on psi_j for j <= k."""
+    m = psi.shape[-1]
+    zero = np.zeros_like(psi[..., 0])
+    rows = []
+    for f, df in _angle_factors(psi):
+        # d v_k / d psi_j: the j-th factor of v_k differentiated
+        rows.append([reduce(np.multiply, f[:j] + [df[j]] + f[j + 1 :]) if j < len(f) else zero for j in range(m)])
+    return _matrix(rows)
+
+
+def _sphere_at(n: int, theta: float) -> ParametrizedChain:
+    """The (n-1)-sphere at polar angle theta of S^n, in angle parameters."""
+    r = np.tan(0.5 * theta)
     return ParametrizedChain(
-        name=f"circle:{theta0:.6f}",
-        intervals=((0.0, 2 * pi),),
-        mapping=mp,
-        chart_dim=2,
-        jacobian=jac,
+        name=f"sphere:{theta:.6f}",
+        intervals=_angle_box(n - 1),
+        mapping=lambda psi: r * _angles(psi),
+        chart_dim=n,
+        jacobian=lambda psi: r * _angles_jac(psi),
     )
 
 
-def _sphere2_chains() -> dict[str, ChainSpec]:
-    def box(th_lo, th_hi, name, boundary, zeros):
-        return ChainSpec(
-            ParametrizedChain(
-                name=name,
-                intervals=((th_lo, th_hi), (0.0, 2 * pi)),
-                mapping=_sphere2_map,
-                chart_dim=2,
-                jacobian=_sphere2_jac,
-                boundary=boundary,
-            ),
-            zeros_inside=zeros,
-        )
+def _polar_chain(n: int, lo: float, hi: float, name: str) -> ParametrizedChain:
+    """The slab lo <= theta <= hi of S^n, x = tan(theta/2) angles(psi).
 
-    chains: dict[str, ChainSpec] = {}
-    chains["full_sphere"] = box(0.0, pi, "full_sphere", (), ("north", "south"))
-    for label, th0 in (("cap:pi/6", pi / 6), ("cap:pi/3", pi / 3), ("cap:pi/2", pi / 2)):
-        chains[label] = box(0.0, th0, label, ((_circle_chain(th0), +1),), ("north",))
-    chains["band:pi/6:pi/3"] = box(
-        pi / 6,
-        pi / 3,
-        "band:pi/6:pi/3",
-        ((_circle_chain(pi / 3), +1), (_circle_chain(pi / 6), -1)),
-        (),
-    )
-    return chains
+    Its boundary is the sphere at hi with sign +1 and the sphere at lo with
+    sign -1, each only where theta is not a pole."""
+
+    def mapping(params):
+        return np.tan(0.5 * params[..., :1]) * _angles(params[..., 1:])
+
+    def jacobian(params):
+        th, psi = params[..., 0], params[..., 1:]
+        r = np.tan(0.5 * th)
+        dr = 0.5 / np.cos(0.5 * th) ** 2
+        radial = dr[..., None] * _angles(psi)
+        return np.concatenate([radial[..., None], r[..., None, None] * _angles_jac(psi)], axis=-1)
+
+    boundary = tuple((_sphere_at(n, th), sign) for th, sign in ((hi, +1), (lo, -1)) if 0.0 < th < pi)
+    return ParametrizedChain(name, ((lo, hi),) + _angle_box(n - 1), mapping, n, jacobian, boundary)
+
+
+_THETA = {"pi/6": pi / 6, "pi/3": pi / 3, "pi/2": pi / 2}
+
+
+def _polar_chains(
+    n: int, full_zeros: tuple[str, ...], caps: tuple[str, ...] = (), bands: tuple[tuple[str, str], ...] = ()
+) -> dict[str, ChainSpec]:
+    """full_sphere, cap:<theta0> (about the north pole) and band:<theta1>:<theta2>
+    chains of S^n, with polar angles named by the keys of _THETA."""
+    spans = {"full_sphere": (0.0, pi, full_zeros)}
+    spans.update({f"cap:{c}": (0.0, _THETA[c], ("north",)) for c in caps})
+    spans.update({f"band:{a}:{b}": (_THETA[a], _THETA[b], ()) for a, b in bands})
+    return {name: ChainSpec(_polar_chain(n, lo, hi, name), zeros) for name, (lo, hi, zeros) in spans.items()}
+
+
+def _s2_chains() -> dict[str, ChainSpec]:
+    return _polar_chains(2, ("north", "south"), ("pi/6", "pi/3", "pi/2"), (("pi/6", "pi/3"),))
 
 
 # --- Hopf / monopole bundle ---------------------------------------------------
+
+_E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the pattern of a curvature on a 2-dimensional base: F_01 = -F_10, F_00 = F_11 = 0
+_PAIR2 = _E12[:, :, None, None]
+# (-x_1, x_0) = x[..., ::-1] * _SWAP_SIGNS, the rotational field u dv - v du
+_SWAP_SIGNS = np.array([-1.0, 1.0])
+
 
 def hopf_u1() -> NamedBundle:
     """Degree-one U(1) bundle over the round S^2, c_1 anchor."""
@@ -188,7 +241,7 @@ def hopf_u1() -> NamedBundle:
     chart = BundleChart(2, alg, potential, curvature, split=None, name="hopf_u1")
     fiber = FiberModel(
         name="u1_fiber",
-        intervals=((0.0, 2 * pi),),
+        intervals=_angle_box(1),
         lift=lambda s: np.exp(1j * s[..., 0])[..., None, None],
         lift_alt=lambda s: np.exp(1j * (s[..., 0] + 0.3 * np.sin(s[..., 0])))[..., None, None],
     )
@@ -196,7 +249,7 @@ def hopf_u1() -> NamedBundle:
         name="hopf_u1",
         chart=chart,
         fiber=fiber,
-        chains=_sphere2_chains(),
+        chains=_s2_chains(),
         default_poly=("chern_j", 1),
     )
 
@@ -221,22 +274,12 @@ def _ut_s2_section(field: Callable[[np.ndarray], np.ndarray], zeros: tuple[Zero,
 
 def unit_tangent_s2() -> NamedBundle:
     """Oriented orthonormal frame bundle of round S^2 (equals its unit
-    tangent bundle), Levi-Civita potential in the conformal gauge."""
-    alg = so(2)
-
-    def potential(x):
-        d = 1.0 + _sq(x)
-        # spin connection of lam^2 (du^2 + dv^2):  w12 = 2(u dv - v du)/(1+r^2)
-        return (2.0 * x[..., ::-1] * _SWAP_SIGNS / d[..., None])[..., None, None] * _E12
-
-    def curvature(x):
-        lam2 = (2.0 / (1.0 + _sq(x))) ** 2
-        return lam2[..., None, None, None, None] * _UT_CURV_SHAPE
-
-    chart = BundleChart(2, alg, potential, curvature, split=None, name="ut_s2")
+    tangent bundle), Levi-Civita potential in the conformal gauge; at n = 2
+    it is w12 = 2(u dv - v du)/(1+r^2)."""
+    chart = BundleChart(2, so(2), _sphere_potential, _sphere_curvature, split=None, name="ut_s2")
     fiber = FiberModel(
         name="so2_fiber",
-        intervals=((0.0, 2 * pi),),
+        intervals=_angle_box(1),
         lift=lambda s: _rot2(s[..., 0]),
         lift_alt=lambda s: _rot2(s[..., 0] + 0.25 * np.sin(2 * s[..., 0])),
     )
@@ -255,7 +298,7 @@ def unit_tangent_s2() -> NamedBundle:
         chart=chart,
         fiber=fiber,
         sections=sections,
-        chains=_sphere2_chains(),
+        chains=_s2_chains(),
         default_poly=("euler", 1),
     )
 
@@ -263,32 +306,11 @@ def unit_tangent_s2() -> NamedBundle:
 # --- frame bundle of S^4 ------------------------------------------------------
 
 _I4 = np.eye(4)
-_S4_CURV_SHAPE = np.einsum("ac,bd->abcd", _I4, _I4) - np.einsum("bc,ad->abcd", _I4, _I4)
-
-
-def _s4_potential(x: np.ndarray) -> np.ndarray:
-    # A_a[b,c] = mu (x_c d_ab - x_b d_ac), the conformal-gauge spin connection
-    mu = -2.0 / (1.0 + _sq(x))
-    return mu[..., None, None, None] * (
-        np.einsum("ab,...c->...abc", _I4, x) - np.einsum("ac,...b->...abc", _I4, x)
-    )
-
-
-def _s4_curvature(x: np.ndarray) -> np.ndarray:
-    # constant-curvature F_ab = lam^2 (E_ab - E_ba)
-    lam2 = (2.0 / (1.0 + _sq(x))) ** 2
-    return lam2[..., None, None, None, None] * _S4_CURV_SHAPE
-
-
-def _s3_angles(psis: np.ndarray) -> np.ndarray:
-    p1, p2, p3 = psis[..., 0], psis[..., 1], psis[..., 2]
-    s1, s12 = np.sin(p1), np.sin(p1) * np.sin(p2)
-    return np.stack([np.cos(p1), s1 * np.cos(p2), s12 * np.cos(p3), s12 * np.sin(p3)], axis=-1)
 
 
 def _quat_lift(psis: np.ndarray) -> np.ndarray:
     # smooth global lift of the sphere-bundle fiber: left multiplication by v
-    return left_mult_matrix(_s3_angles(psis))
+    return left_mult_matrix(_angles(psis))
 
 
 def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -299,7 +321,7 @@ def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """
 
     def lift(psis: np.ndarray) -> np.ndarray:
-        v = _s3_angles(psis)
+        v = _angles(psis)
         # columns not yet filled are zero and drop out of the projections;
         # a reference vector of norm below 1e-12 after them is skipped at
         # that node alone
@@ -348,90 +370,43 @@ def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarr
     return lift
 
 
-def _s4_full_chain() -> ChainSpec:
-    def mp(params):
-        return np.tan(0.5 * params[..., :1]) * _s3_angles(params[..., 1:])
-
-    def jac(params):
-        th, p1, p2, p3 = (params[..., i] for i in range(4))
-        r = np.tan(0.5 * th)
-        dr = 0.5 / np.cos(0.5 * th) ** 2
-        s1, c1, s2, c2, s3, c3 = np.sin(p1), np.cos(p1), np.sin(p2), np.cos(p2), np.sin(p3), np.cos(p3)
-        zero = np.zeros_like(th)
-        v = _s3_angles(params[..., 1:])
-        dv1 = np.stack([-s1, c1 * c2, c1 * s2 * c3, c1 * s2 * s3], axis=-1)
-        dv2 = np.stack([zero, -s1 * s2, s1 * c2 * c3, s1 * c2 * s3], axis=-1)
-        dv3 = np.stack([zero, zero, -s1 * s2 * s3, s1 * s2 * c3], axis=-1)
-        return np.stack([dr[..., None] * v, r[..., None] * dv1, r[..., None] * dv2, r[..., None] * dv3], axis=-1)
-
-    chain = ParametrizedChain(
-        name="full_sphere",
-        intervals=((0.0, pi), (0.0, pi), (0.0, pi), (0.0, 2 * pi)),
-        mapping=mp,
-        chart_dim=4,
-        jacobian=jac,
-    )
-    return ChainSpec(chain, zeros_inside=("south",))
-
-
 def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
     """Oriented frame bundle of the round S^4 with a chosen associated bundle.
 
-    variant: "sphere" (H = SO(3), unit sphere bundle), "b1" or "b2" (the two
-    RP^3 bundles of the su(2) ideal decomposition), or "none" (no split).
+    variant: "sphere" (H = SO(3), unit sphere bundle), or "b1" or "b2" (the
+    two RP^3 bundles of the su(2) ideal decomposition).
     """
-    alg = so(4)
-    split1, split2 = so4_ideal_split()
     if variant == "sphere":
         split = standard_split("so4", "so3")
         fiber = FiberModel(
             name="s3_fiber",
-            intervals=((0.0, pi), (0.0, pi), (0.0, 2 * pi)),
+            intervals=_angle_box(3),
             lift=_quat_lift,
             lift_alt=_gs_lift(_GS_REF_1),
             orientation=-1,
         )
         poly = ("euler", 2)
-    elif variant == "b1":
-        split = split1
+    elif variant in ("b1", "b2"):
+        split1, split2 = so4_ideal_split()
+        split = split1 if variant == "b1" else split2
+        lift = _ball_lift(split.p_basis)
+        h_elt = split.h_basis[0]
         fiber = FiberModel(
-            name="rp3_b1_fiber",
-            intervals=((0.0, pi), (0.0, pi), (0.0, 2 * pi)),
-            lift=_ball_lift(split1.p_basis),
-            lift_alt=None,
+            name=f"rp3_{variant}_fiber",
+            # the rotation angle, then the box of the axis direction on S^2
+            intervals=((0.0, pi),) + _angle_box(2),
+            lift=lift,
+            # right-translate by a parameter-dependent H element
+            lift_alt=lambda s: lift(s) @ _ideal_exp(0.7 * np.sin(s[..., 0] + s[..., 2]), h_elt),
             orientation=-1,
         )
         poly = ("pontryagin_1", 2)
-    elif variant == "b2":
-        split = split2
-        fiber = FiberModel(
-            name="rp3_b2_fiber",
-            intervals=((0.0, pi), (0.0, pi), (0.0, 2 * pi)),
-            lift=_ball_lift(split2.p_basis),
-            lift_alt=None,
-            orientation=-1,
-        )
-        poly = ("pontryagin_1", 2)
-    elif variant == "none":
-        split, fiber, poly = None, None, ("euler", 2)
     else:
         raise ValueError(f"unknown frame_s4 variant {variant!r}")
 
-    if fiber is not None and fiber.lift_alt is None:
-        # alternate lift: right-translate by a parameter-dependent H element
-        h_elt = split.h_basis[0]
-        base_lift = fiber.lift
-        fiber = FiberModel(
-            name=fiber.name,
-            intervals=fiber.intervals,
-            lift=base_lift,
-            lift_alt=lambda s: base_lift(s) @ _ideal_exp(0.7 * np.sin(s[..., 0] + s[..., 2]), h_elt),
-            orientation=fiber.orientation,
-        )
-
-    chart = BundleChart(4, alg, _s4_potential, _s4_curvature, split=split, name=f"frame_s4:{variant}")
-    # the conformal-gauge potential vanishes on radial directions (A_x(x) = 0),
-    # so parallel transport along meridians is trivial and the quaternionic
+    chart = BundleChart(4, so(4), _sphere_potential, _sphere_curvature, split=split, name=f"frame_s4:{variant}")
+    # the conformal-gauge potential vanishes on radial directions, so
+    # parallel transport along meridians is trivial and the quaternionic
     # sections are the constant identity coset in this chart
     def identity(x):
         return np.broadcast_to(_I4, np.shape(x)[:-1] + (4, 4))
@@ -442,7 +417,7 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
         chart=chart,
         fiber=fiber,
         sections=sections,
-        chains={"full_sphere": _s4_full_chain()},
+        chains=_polar_chains(4, ("south",)),
         default_poly=poly,
     )
 
@@ -543,8 +518,7 @@ def _volume_pullback_integral(
 ) -> float:
     """Integral of f*(volume form of S^d) over the angle box of S^d, with f
     called once on the stack (2d+1, N, d) of every node and stencil point."""
-    intervals = ((0.0, 2 * pi),) if d == 1 else ((0.0, pi), (0.0, pi), (0.0, 2 * pi))
-    nodes, weights = gauss_product(intervals, quad_order)
+    nodes, weights = gauss_product(_angle_box(d), quad_order)
     # stencil rows: the node, then node + h e_i and node - h e_i for each axis
     steps = np.concatenate([np.zeros((1, d)), fd_step * np.eye(d), -fd_step * np.eye(d)])
     v = np.asarray(f(nodes + steps[:, None, :]), dtype=float)
@@ -624,7 +598,7 @@ def quaternionic_section_degrees(
         def f(params: np.ndarray) -> np.ndarray:
             key = params.tobytes()
             if key not in pairs:
-                pairs[key] = so4_to_quaternion_pair(south_transition_frame(_s3_angles(params)))
+                pairs[key] = so4_to_quaternion_pair(south_transition_frame(_angles(params)))
             return pairs[key][which - 1]
 
         return f

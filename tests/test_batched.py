@@ -29,7 +29,7 @@ from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, rot4, so, so4_to_quaternion_pair, u
 from csforms.zoo import (
     _gs_lift,
-    _s3_angles,
+    _angles,
     _volume_pullback_integral,
     get_bundle,
     south_transition_frame,
@@ -134,7 +134,7 @@ def test_obstruction_boundary_term(section):
 
 def test_winding_degree_quaternionic_map():
     def a1(params):
-        return so4_to_quaternion_pair(south_transition_frame(_s3_angles(params)))[0]
+        return so4_to_quaternion_pair(south_transition_frame(_angles(params)))[0]
 
     order, fd_step, d = (6, 6, 4), 1e-5, 3
     intervals = ((0.0, pi), (0.0, pi), (0.0, 2 * pi))

@@ -160,6 +160,8 @@ def test_fiber_norm_all_pass(capsys):
         # a 4-form on the 3-dimensional ut_s2 total space; an undocumented name
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "p1"],
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],
+        # the zero-free quaternionic sections against a chain that expects the south zero
+        ["obstruction", "--bundle", "frame_s4", "--chain", "full_sphere", "--section", "sigma1"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

@@ -14,7 +14,7 @@ from csforms.bundles import (
     potential_curvature_residual,
     tp_form,
 )
-from csforms.calculus import FormField, ParametrizedChain, integrate
+from csforms.calculus import FormField, ParametrizedChain, gauss_product, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_group_element
 from csforms.zoo import (
@@ -47,6 +47,32 @@ def test_every_bundle_passes_curvature_cross_check(name):
         for j in range(i + 1, b.chart.base_dim)
     )
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize(
+    "name,chain", [(name, chain) for name in ("hopf_u1", "ut_s2", "frame_s4") for chain in get_bundle(name).chains]
+)
+def test_chain_jacobian_matches_fd(name, chain):
+    spec = get_bundle(name).chains[chain]
+    h = 1e-6
+    for piece in [spec.chain] + [c for c, _ in spec.chain.boundary]:
+        params, _ = gauss_product(piece.intervals, 3)  # interior nodes
+        jac = piece.jacobian(params)
+        fd = np.stack(
+            [(piece.mapping(params + h * e) - piece.mapping(params - h * e)) / (2 * h) for e in np.eye(piece.param_dim)],
+            axis=-1,
+        )
+        assert jac.shape == fd.shape == (len(params), piece.chart_dim, piece.param_dim)
+        assert np.max(np.abs(jac - fd)) < 1e-7 * max(1.0, np.max(np.abs(jac)))
+
+
+def test_s2_potential_is_closed_form_spin_connection():
+    # the spin connection of lam^2 (du^2 + dv^2): w12 = 2(u dv - v du)/(1+r^2) E12
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, (50, 2))
+    u, v = x[:, 0], x[:, 1]
+    w = 2.0 * np.stack([-v, u], axis=-1) / (1.0 + u**2 + v**2)[:, None]
+    reference = w[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.max(np.abs(get_bundle("ut_s2").chart.potential(x) - reference)) < 1e-15
 
 
 def test_flat_bundle_is_flat_and_closed():
@@ -199,9 +225,9 @@ def test_winding_degree_basics():
     assert winding_degree(ident, 1) == 1
     assert winding_degree(conj, 1) == -1
 
-    from csforms.zoo import _s3_angles
+    from csforms.zoo import _angles
 
-    assert winding_degree(lambda p: _s3_angles(p), 3, quad_order=(8, 8, 12)) == 1
+    assert winding_degree(lambda p: _angles(p), 3, quad_order=(8, 8, 12)) == 1
 
 
 def test_winding_degree_reparametrization_invariance():
@@ -209,18 +235,18 @@ def test_winding_degree_reparametrization_invariance():
     g = lambda p: f(p + 0.3 * np.sin(p))
     assert winding_degree(f, 1) == winding_degree(g, 1) == 2
 
-    from csforms.zoo import _s3_angles
+    from csforms.zoo import _angles
 
     def h(p):
         p0 = p[..., 0]
         q = np.stack([p0 + 0.1 * np.sin(p0) * np.sin(p0 - pi), p[..., 1], p[..., 2]], axis=-1)
-        return _s3_angles(q)
+        return _angles(q)
 
     assert winding_degree(h, 3, quad_order=(8, 8, 12)) == 1
 
 
 def test_quadrature_order_count_must_match_axes():
-    from csforms.zoo import _s3_angles
+    from csforms.zoo import _angles
 
     square = ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
     dxdy = FormField(2, 2, lambda pt, tg: tg[0][..., 0] * tg[1][..., 1] - tg[0][..., 1] * tg[1][..., 0])
@@ -234,7 +260,7 @@ def test_quadrature_order_count_must_match_axes():
     with pytest.raises(ValueError):
         winding_degree(circle, 1, (24, 99))
     with pytest.raises(ValueError):
-        winding_degree(lambda p: _s3_angles(p), 3, (8, 8))
+        winding_degree(lambda p: _angles(p), 3, (8, 8))
 
 
 def test_winding_degree_ambiguity_raises():
