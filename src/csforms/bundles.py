@@ -21,9 +21,12 @@ csforms.calculus do: a potential maps base points (..., n) to (..., n, m, m),
 a curvature field to (..., n, n, m, m), a fiber lift parameters (..., p) and
 a section base points (..., n) to group elements (..., m, m), and the
 reference g0 may itself be a stack (..., m, m).  The quadrature drivers
-evaluate all of their nodes in one call; a single point keeps its plain
-shape, so a chart evaluated only pointwise (heterotic residuals) may accept
-(n,) alone.
+evaluate all of their nodes in one call, and a finite-difference d its
+whole stencil.  The residuals that take d of a chart form (heterotic,
+transgression, covariant-derivative and connection-curvature) evaluate the
+chart's potential and curvature one base point at a time and everything
+else on the stencil stack, so a chart used only by them and at single
+points may accept (n,) alone.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -48,6 +51,7 @@ under test are d TP = P(Omega) and d PhiP = P(Omega) - P(Psi).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,9 +128,23 @@ class BundleChart:
         return _ChartContext(self, np.asarray(point, dtype=float))
 
 
+def _pointwise(chart: BundleChart) -> BundleChart:
+    """The chart with potential and curvature evaluated one base point at a
+    time, stacked over the leading axes of x (..., n)."""
+
+    def each(field):
+        def ev(x):
+            values = [np.asarray(field(xi)) for xi in x.reshape(-1, x.shape[-1])]
+            return np.stack(values).reshape(x.shape[:-1] + values[0].shape)
+
+        return ev
+
+    return replace(chart, potential=each(chart.potential), curvature_field=each(chart.curvature_field))
+
+
 class _ChartContext:
     """Evaluation cache at a point or a stack of points (..., d): group
-    element, potential, curvature.
+    element, potential, curvature, the last two evaluated on first use.
 
     A point of length base_dim is a base point with t = 0 implied.  Off
     t = 0 the group elements take one expm, and the Maurer-Cartan values of
@@ -148,8 +166,6 @@ class _ChartContext:
             self.t = point[..., n:]
         else:
             raise ValueError("point has wrong total-space dimension")
-        self.A = np.asarray(chart.potential(self.x))
-        self.F = np.asarray(chart.curvature_field(self.x))
         self.t_is_zero = not np.any(self.t)
         g0 = chart.reference()
         if self.t_is_zero:
@@ -159,6 +175,14 @@ class _ChartContext:
             self._m = chart.algebra.from_coords(self.t)
             self.g = g0 @ expm(self._m)
         self.ginv = self.g.conj().swapaxes(-1, -2)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return np.asarray(self.chart.potential(self.x))
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return np.asarray(self.chart.curvature_field(self.x))
 
     def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(base parts (m, ..., n), fiber parts (m, ..., dim g)) of m tangents
@@ -261,16 +285,19 @@ def curvature_form(chart: BundleChart) -> FormField:
     return FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curv(tg[0], tg[1]), algebra=chart.algebra)
 
 
+def _char_value(P: InvariantPolynomial, table: np.ndarray) -> float | np.ndarray:
+    """P(T^k) on 2k tangents from the pair table T (2k, 2k, ..., N, N) of a 2-form."""
+    return eval_on_forms_indexed(P, [(_entries(table), 2)] * P.degree, 2 * P.degree)
+
+
 def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega") -> FormField:
     """The 2k-form P(Omega^k) (source="omega") or P(Psi^k) (source="psi")."""
-    k = P.degree
 
     def ev(pt, tangents):
         ctx = chart.ctx(pt)
-        table = ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2]
-        return eval_on_forms_indexed(P, [(_entries(table), 2)] * k, 2 * k)
+        return _char_value(P, ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2])
 
-    return FormField(chart.dim, 2 * k, ev)
+    return FormField(chart.dim, 2 * P.degree, ev)
 
 
 def tp_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
@@ -311,14 +338,18 @@ def heterotic_residual(
     tangents: Sequence[np.ndarray],
     fd_step: float = 1e-4,
 ) -> float:
-    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point."""
+    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point.
+
+    P(Omega) and P(Psi) come from one table of the chart context at the point.
+    """
     k = P.degree
     if len(tangents) != 2 * k:
         raise ValueError(f"need {2 * k} tangents, got {len(tangents)}")
-    lhs = exterior_derivative(phi_p_form(chart, P), fd_step)(point, list(tangents))
-    rhs = char_form(chart, P, "omega")(point, list(tangents))
-    rhs -= char_form(chart, P, "psi")(point, list(tangents))
-    return abs(lhs - rhs)
+    chart = _pointwise(chart)
+    tangents = list(tangents)
+    lhs = exterior_derivative(phi_p_form(chart, P), fd_step)(point, tangents)
+    _, _, psi, om = chart.ctx(point).tables(tangents)
+    return abs(lhs - (_char_value(P, om) - _char_value(P, psi)))
 
 
 def transgression_residual(
@@ -341,6 +372,7 @@ def covariant_derivative_residual(
     """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents)."""
     if len(tangents) != 3:
         raise ValueError("need 3 tangents")
+    chart = _pointwise(chart)
     om = curvature_form(chart)
     dom = exterior_derivative(om, fd_step)(point, list(tangents))
     ctx = chart.ctx(point)
@@ -372,6 +404,7 @@ def connection_curvature_fd_residual(
     fd_step: float = 1e-4,
 ) -> float:
     """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD."""
+    chart = _pointwise(chart)
     w = omega_form(chart)
     dw = exterior_derivative(w, fd_step)(point, [X, Y])
     ctx = chart.ctx(point)

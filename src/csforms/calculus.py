@@ -5,13 +5,16 @@ degree p on a d-dimensional chart is a function (point, p tangent vectors) ->
 value, where the value is a scalar or a Lie-algebra matrix.  Every callback
 broadcasts over leading batch axes: a point is (..., d), each tangent is
 (..., d), and the value is (...) for a scalar form or (..., m, m) for a
-Lie-valued one.  A single point keeps its plain (d,) shape, so a callback
-that is only ever evaluated pointwise may ignore the batch axes.  The
-exterior derivative is taken by central finite differences of coefficient
-functions along constant extensions of the given tangents, one call of the
-form per stencil point; curvature and the other ingredients of the bundle
-identities are supplied analytically elsewhere, so finite differencing is
-confined to the verification side of each identity.
+Lie-valued one.  A single point keeps its plain (d,) shape.
+
+The exterior derivative is taken by central finite differences of
+coefficient functions along constant extensions of the given tangents.  Its
+2(p+1) stencil points are stacked ahead of the caller's batch axes and the
+form is called once on the stack, so a form under d always receives one;
+only a form that is evaluated directly at single points may ignore the
+batch axes.  Curvature and the other ingredients of the bundle identities
+are supplied analytically elsewhere, so finite differencing is confined to
+the verification side of each identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
 domains (spheres are parametrized by angle boxes with measure-zero seams);
@@ -117,16 +120,25 @@ def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> Fo
     """d(form) via central differences along constant tangent extensions.
 
     d a (X_0..X_p) = sum_i (-1)^i D_{X_i} [x -> a_x(X_0..^X_i..X_p)].
+
+    The 2(p+1) stencil points x + h X_i and then x - h X_i are stacked
+    ahead of the caller's batch axes, (2(p+1), ..., d), each with its p
+    remaining tangents stacked the same way, and the form is called once on
+    the stack; nested d and d under integrate stack further axes in front.
     """
     p = form.degree
 
     def ev(pt, tangents):
-        total = None
-        for i, xi in enumerate(tangents):
-            rest = tangents[:i] + tangents[i + 1 :]
-            d = (form(pt + fd_step * xi, rest) - form(pt - fd_step * xi, rest)) / (2 * fd_step)
-            term = (-1) ** i * d
-            total = term if total is None else total + term
+        pt, *tangents = np.broadcast_arrays(pt, *tangents)
+        steps = fd_step * np.stack(tangents)
+        points = np.concatenate([pt + steps, pt - steps])
+        # at stencil row i the j-th remaining tangent is X_j for j < i, else X_{j+1}
+        rest = [np.stack([tangents[j + (j >= i)] for i in range(p + 1)] * 2) for j in range(p)]
+        values = form(points, rest)
+        diff = (values[: p + 1] - values[p + 1 :]) / (2 * fd_step)
+        total = diff[0]
+        for i in range(1, p + 1):
+            total = total + (-1) ** i * diff[i]
         return total
 
     return FormField(form.dim, p + 1, ev, algebra=form.algebra)

@@ -131,14 +131,19 @@ def coefficient_checks(k_max: int = 12) -> list[CheckRecord]:
 
 def _random_polynomial_form(dim: int, degree: int, rng: np.random.Generator) -> FormField:
     """Scalar form with random quadratic coefficient functions, evaluated on
-    stacks of points as every integrated form is."""
+    stacks of points as every integrated form and every form under d is.
+
+    The contractions are einsums, not matrix products, whose BLAS kernel and
+    so whose rounding change with the batch shape; the tests that compare a
+    stacked finite-difference d with a per-point one, which d divides by
+    2h per level, rely on this."""
     n_terms = 4
     coefs = rng.standard_normal((n_terms, dim))
     quad = rng.standard_normal((n_terms, dim)) * 0.5
     dirs = rng.standard_normal((n_terms, degree, dim))
 
     def ev(pt, tangents):
-        c = pt @ coefs.T + (pt * pt) @ quad.T
+        c = np.einsum("...d,md->...m", pt, coefs) + np.einsum("...d,md->...m", pt * pt, quad)
         # entries dirs[m, a] . tangents[b] of each term's (degree, degree) matrix
         vol = np.linalg.det(np.einsum("mad,...bd->...mab", dirs, np.stack(tangents, axis=-2)))
         return np.sum(c * vol, axis=-1)

@@ -1,9 +1,11 @@
-"""Batched quadrature against per-point loops.
+"""Batched quadrature and finite-difference d against per-point loops.
 
 integrate, fiber_integral and winding_degree evaluate their forms and maps
-on the stack of all quadrature nodes in one call.  Each test here computes
-the same integral with a loop that calls the same form or map at single
-(d,) points, node by node, and asks for agreement to 1e-12 relative.  The last tests pin the per-point contract: a
+on the stack of all quadrature nodes in one call, and exterior_derivative
+evaluates its form on the stack of its whole stencil.  Each test here
+computes the same value with a loop that calls the same form or map at
+single (d,) points, one node or stencil point at a time, and asks for
+agreement to 1e-12 relative.  The last tests pin the per-point contract: a
 chart that only accepts single points still runs every pointwise check, and
 the checks inside the stacked kernels decide matrix by matrix.
 """
@@ -17,13 +19,15 @@ import pytest
 from csforms.bundles import (
     BundleChart,
     char_form,
+    connection_curvature_fd_residual,
+    covariant_derivative_residual,
     fiber_integral,
     heterotic_residual,
     phi_p_form,
     section_pullback_form,
 )
 from csforms._expm import expm
-from csforms.calculus import ParametrizedChain, exterior_derivative, gauss_product, integrate
+from csforms.calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
 from csforms.checks import _random_polynomial_form
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, rot4, so, so4_to_quaternion_pair, u
@@ -64,6 +68,20 @@ def loop_fiber_integral(chart, form_at, base_point, fiber, quad_order, use_alt_l
     return fiber.orientation * total
 
 
+def loop_exterior_derivative(form, fd_step=1e-4):
+    """d with one call of the form per stencil point."""
+
+    def ev(pt, tangents):
+        total = 0.0
+        for i, xi in enumerate(tangents):
+            rest = tangents[:i] + tangents[i + 1 :]
+            d = (form(pt + fd_step * xi, rest) - form(pt - fd_step * xi, rest)) / (2 * fd_step)
+            total = total + (-1) ** i * d
+        return total
+
+    return FormField(form.dim, form.degree + 1, ev, algebra=form.algebra)
+
+
 def hemisphere(chain, lower):
     intervals = list(chain.intervals)
     lo, hi = intervals[1]
@@ -95,6 +113,30 @@ def test_integrate_stokes_square():
     dform = exterior_derivative(form)
     assert close(integrate(dform, square, 24), loop_integrate(dform, square, 24))
     assert close(integrate(form, edge, 24), loop_integrate(form, edge, 24))
+
+
+@pytest.mark.parametrize("name", ["frame_s4", "frame_s4:b1", "frame_s4:b2", "ut_s2", "hopf_u1"])
+def test_d_phi_p_form(name):
+    b = get_bundle(name)
+    P = b.polynomial()
+    rng = np.random.default_rng(12)
+    chart = b.chart.at(random_group_element(b.chart.algebra, rng, 0.7))
+    point = chart.point(rng.uniform(-1.2, 1.2, chart.base_dim))
+    tangents = [rng.standard_normal(chart.dim) for _ in range(2 * P.degree)]
+    form = phi_p_form(chart, P)
+    batched = exterior_derivative(form)(point, tangents)
+    assert np.shape(batched) == ()
+    assert close(batched, loop_exterior_derivative(form)(point, tangents))
+
+
+@pytest.mark.parametrize("dim,degree", [(3, 1), (6, 2), (10, 3)])
+def test_nested_d(dim, degree):
+    rng = np.random.default_rng(dim)
+    form = _random_polynomial_form(dim, degree, rng)
+    point = rng.uniform(-1, 1, dim)
+    tangents = [rng.standard_normal(dim) for _ in range(degree + 2)]
+    batched = exterior_derivative(exterior_derivative(form))(point, tangents)
+    assert close(batched, loop_exterior_derivative(loop_exterior_derivative(form))(point, tangents))
 
 
 @pytest.mark.parametrize(
@@ -175,6 +217,10 @@ def test_single_point_chart_runs_pointwise_checks():
     point = chart.at(g0).point(rng.uniform(-1, 1, 4))
     tangents = [rng.standard_normal(10) for _ in range(4)]
     assert heterotic_residual(strict.at(g0), P, point, tangents) < 1e-4
+    value = covariant_derivative_residual(strict.at(g0), point, tangents[:3])
+    assert value < 1e-5 and value == covariant_derivative_residual(chart.at(g0), point, tangents[:3])
+    value = connection_curvature_fd_residual(strict.at(g0), point, *tangents[:2])
+    assert value < 1e-5 and value == connection_curvature_fd_residual(chart.at(g0), point, *tangents[:2])
     for source in ("omega", "psi"):
         assert char_form(strict.at(g0), P, source)(point, tangents) == char_form(chart.at(g0), P, source)(point, tangents)
     assert phi_p_form(strict.at(g0), P)(point, tangents[:3]) == phi_p_form(chart.at(g0), P)(point, tangents[:3])

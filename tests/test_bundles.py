@@ -1,5 +1,7 @@
 """Bundle chart machinery: connection, curvature, splits, assembled forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,7 +20,7 @@ from csforms.bundles import (
     vertical_tangent,
 )
 from csforms._expm import expm_maurer_cartan
-from csforms.calculus import FormField, exterior_derivative
+from csforms.calculus import FormField, exterior_derivative, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, so
 from csforms.zoo import flat_bundle, get_bundle
@@ -189,6 +191,17 @@ def test_covariant_derivative_flat():
     pt = b.chart.point(rng.uniform(-1, 1, 3))
     tg = [rng.standard_normal(9) for _ in range(3)]
     assert covariant_derivative_residual(b.chart, pt, tg) < 1e-10
+
+
+def test_char_form_omega_never_evaluates_the_potential():
+    ut = get_bundle("ut_s2")
+
+    def no_potential(x):
+        raise AssertionError("P(Omega) evaluated the potential")
+
+    chart = replace(ut.chart, potential=no_potential)
+    e1 = make_polynomial("euler", 1, "so2")
+    assert integrate(char_form(chart, e1), ut.chains["full_sphere"].chain, 24) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_tp_form_k1_is_p_of_omega():

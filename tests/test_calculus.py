@@ -98,14 +98,14 @@ def test_bracket_wedge_even_degree_square_vanishes():
 
 def test_exterior_derivative_exact_case():
     # d(x dy) = dx ^ dy
-    f = FormField(2, 1, lambda pt, tg: pt[0] * tg[0][1])
+    f = FormField(2, 1, lambda pt, tg: pt[..., 0] * tg[0][..., 1])
     df = exterior_derivative(f)
     val = df(np.array([0.3, -0.7]), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_dd_zero_scalar_function():
-    f = FormField(3, 0, lambda pt, tg: np.sin(pt[0]) * pt[1] + pt[2] ** 2)
+    f = FormField(3, 0, lambda pt, tg: np.sin(pt[..., 0]) * pt[..., 1] + pt[..., 2] ** 2)
     ddf = exterior_derivative(exterior_derivative(f))
     val = ddf(rng.uniform(-1, 1, 3), [rng.standard_normal(3), rng.standard_normal(3)])
     assert abs(val) < 1e-6

@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,16 @@ def test_numerical_failure_exits_1(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "csforms", "coeffs", "--k", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "checks passed" in out.stdout
