@@ -7,7 +7,9 @@ computes the same value with a loop that calls the same form or map at
 single (d,) points, one node or stencil point at a time, and asks for
 agreement to 1e-12 relative.  The last tests pin the per-point contract: a
 chart that only accepts single points still runs every pointwise check, and
-the checks inside the stacked kernels decide matrix by matrix.
+the checks inside the stacked kernels decide matrix by matrix.  The chart
+context's Omega pair table and the stacked covariant-derivative residual
+are checked against the formulas they replace, kept here as references.
 """
 
 from dataclasses import replace
@@ -18,11 +20,15 @@ import pytest
 
 from csforms.bundles import (
     BundleChart,
+    _comm,
+    _pointwise,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
+    curvature_form,
     fiber_integral,
     heterotic_residual,
+    omega_form,
     phi_p_form,
     section_pullback_form,
 )
@@ -198,10 +204,11 @@ def test_winding_degree_quaternionic_map():
 
 # --- the per-point contract and the per-matrix checks -----------------------
 
-def test_single_point_chart_runs_pointwise_checks():
-    fs = get_bundle("frame_s4:b1")
+def single_point_chart(chart):
+    """The chart with potential and curvature that accept (n,) only."""
+    n = chart.base_dim
 
-    def single(f, n):
+    def single(f):
         def strict(x):
             if np.shape(x) != (n,):
                 raise ValueError(f"single points only, got shape {np.shape(x)}")
@@ -209,8 +216,13 @@ def test_single_point_chart_runs_pointwise_checks():
 
         return strict
 
+    return BundleChart(n, chart.algebra, single(chart.potential), single(chart.curvature_field), chart.split)
+
+
+def test_single_point_chart_runs_pointwise_checks():
+    fs = get_bundle("frame_s4:b1")
     chart = fs.chart
-    strict = BundleChart(4, chart.algebra, single(chart.potential, 4), single(chart.curvature_field, 4), chart.split)
+    strict = single_point_chart(chart)
     P = fs.polynomial()
     rng = np.random.default_rng(2)
     g0 = random_group_element(chart.algebra, rng, 0.7)
@@ -272,3 +284,89 @@ def test_gram_schmidt_lift_skips_per_node():
         assert np.allclose(lift(s), g, rtol=0, atol=1e-15)
         assert np.allclose(g.T @ g, np.eye(4), atol=1e-14) and np.linalg.det(g) > 0
     assert np.array_equal(stacked[0], np.eye(4))
+
+
+# --- the Omega pair table and the stacked residuals --------------------------
+
+def einsum_curvs(ctx, vs):
+    """Omega on each pair of tangents: the three-operand einsum, then Ad_{g^-1}."""
+    vx = np.asarray(vs, dtype=float)[..., : ctx.chart.base_dim]
+    fval = np.einsum("i...a,j...b,...abxy->ij...xy", vx, vx, ctx.F)
+    return ctx.ginv @ fval @ ctx.g
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+CURVATURE_BUNDLES = ["ut_s2", "frame_s4", "hopf_u1", "twisted_u2:su2"]
+
+
+@pytest.mark.parametrize("case", ["point", "stack", "stacked_g0", "off_t0", "off_t0_stack", "shared_tangents"])
+@pytest.mark.parametrize("name", CURVATURE_BUNDLES)
+def test_pair_table_matches_three_operand_einsum(name, case):
+    chart = get_bundle(name).chart
+    rng = np.random.default_rng(sum(map(ord, name + case)))
+    batch = () if case in ("point", "off_t0") else (5,)
+    x = rng.uniform(-1.2, 1.2, batch + (chart.base_dim,))
+    t = rng.uniform(-0.6, 0.6, batch + (chart.algebra.dim,)) if case.startswith("off_t0") else None
+    if case == "stacked_g0":
+        chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
+    ctx = chart.ctx(chart.point(x, t))
+    # shared tangents: one set of (d,) tangents broadcast against the stack of points
+    tangent_batch = () if case == "shared_tangents" else batch
+    tangents = [rng.standard_normal(tangent_batch + (chart.dim,)) for _ in range(4)]
+    om = ctx.curvs(tangents)
+    assert om.shape == (4, 4) + batch + (chart.algebra.n,) * 2
+    assert rel_err(om, einsum_curvs(ctx, tangents)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", CURVATURE_BUNDLES)
+def test_identity_reference_is_not_conjugated(name):
+    chart = get_bundle(name).chart
+    assert chart.g0 is None
+    rng = np.random.default_rng(5)
+    for batch in ((), (3,)):
+        pt = chart.point(rng.uniform(-1.2, 1.2, batch + (chart.base_dim,)))
+        tangents = [rng.standard_normal(batch + (chart.dim,)) for _ in range(4)]
+        bare = chart.ctx(pt).tables(tangents)
+        explicit = chart.at(chart.algebra.identity()).ctx(pt).tables(tangents)
+        for a, b in zip(bare, explicit):
+            assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
+
+
+def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
+    """d Omega + [psi, Omega] - [Omega, phi] from the single-value methods."""
+    chart = _pointwise(chart)
+    dom = exterior_derivative(curvature_form(chart), fd_step)(point, list(tangents))
+    ctx = chart.ctx(point)
+    X, Y, Z = [np.asarray(v, float) for v in tangents]
+
+    def br_one_two(one_val, pair):
+        return _comm(one_val(X), pair(Y, Z)) - _comm(one_val(Y), pair(X, Z)) + _comm(one_val(Z), pair(X, Y))
+
+    resid = dom + br_one_two(ctx.psi, ctx.curv) + br_one_two(ctx.phi, ctx.curv)
+    return float(np.max(np.abs(resid)))
+
+
+def loop_connection_curvature_fd_residual(chart, point, X, Y, fd_step=1e-4):
+    """d w + (1/2)[w, w] - Omega from the single-value methods."""
+    chart = _pointwise(chart)
+    dw = exterior_derivative(omega_form(chart), fd_step)(point, [X, Y])
+    ctx = chart.ctx(point)
+    return float(np.max(np.abs(dw + _comm(ctx.omega(X), ctx.omega(Y)) - ctx.curv(X, Y))))
+
+
+@pytest.mark.parametrize("name,single", [("ut_s2", False), ("frame_s4:b1", False), ("frame_s4:b1", True)])
+def test_stacked_covariant_derivative_residual(name, single):
+    chart = get_bundle(name).chart
+    if single:
+        chart = single_point_chart(chart)
+    rng = np.random.default_rng(8)
+    chart = chart.at(random_group_element(chart.algebra, rng, 0.7))
+    point = chart.point(rng.uniform(-1, 1, chart.base_dim), rng.uniform(-0.3, 0.3, chart.algebra.dim))
+    tangents = [rng.standard_normal(chart.dim) for _ in range(3)]
+    stacked = covariant_derivative_residual(chart, point, tangents)
+    assert abs(stacked - loop_covariant_derivative_residual(chart, point, tangents)) <= REL
+    stacked = connection_curvature_fd_residual(chart, point, *tangents[:2])
+    assert abs(stacked - loop_connection_curvature_fd_residual(chart, point, *tangents[:2])) <= REL

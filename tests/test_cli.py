@@ -39,9 +39,17 @@ def test_coeffs_json_schema(capsys):
 
 
 def test_json_determinism(capsys):
-    _, out1 = run(capsys, "identities", "--seed", "7", "--json")
-    _, out2 = run(capsys, "identities", "--seed", "7", "--json")
-    assert out1 == out2
+    # the integrals run through batched BLAS products; BLAS threads are not pinned here
+    for argv in (
+        ("identities", "--seed", "7"),
+        ("gauss-bonnet",),
+        ("fiber-norm",),
+        ("obstruction",),
+        ("degree",),
+    ):
+        _, out1 = run(capsys, *argv, "--json")
+        _, out2 = run(capsys, *argv, "--json")
+        assert out1 == out2, argv
 
 
 def test_csv_output(capsys):
