@@ -21,12 +21,14 @@ csforms.calculus do: a potential maps base points (..., n) to (..., n, m, m),
 a curvature field to (..., n, n, m, m), a fiber lift parameters (..., p) and
 a section base points (..., n) to group elements (..., m, m), and the
 reference g0 may itself be a stack (..., m, m).  The quadrature drivers
-evaluate all of their nodes in one call, and a finite-difference d its
-whole stencil.  The residuals that take d of a chart form (heterotic,
-transgression, covariant-derivative and connection-curvature) evaluate the
-chart's potential and curvature one base point at a time and everything
-else on the stencil stack, so a chart used only by them and at single
-points may accept (n,) alone.
+evaluate their nodes one chunk of at most calculus._CHUNK nodes per call,
+and a finite-difference d its whole stencil.  A fiber lift or a section is
+differentiated by central differences on one stencil stack (2p+1, ..., p)
+of the points x, x + h v_i and x - h v_i, in one call.  The residuals that
+take d of a chart form (heterotic, transgression, covariant-derivative and
+connection-curvature) evaluate the chart's potential and curvature one base
+point at a time and everything else on the stencil stack, so a chart used
+only by them and at single points may accept (n,) alone.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -57,7 +59,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._expm import expm, expm_maurer_cartan
-from .calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
+from .calculus import (
+    FormField,
+    ParametrizedChain,
+    _chunked_sum,
+    _stencil_values,
+    exterior_derivative,
+    gauss_product,
+    integrate,
+)
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
 from .liealg import MatrixLieAlgebra, ReductiveSplit
 from .rationals import phi_coefficient
@@ -487,7 +497,9 @@ class FiberModel:
     ``lift`` maps fiber parameters (..., p) to group elements (..., m, m)
     whose cosets are the fiber points; ``lift_alt`` is a second,
     differently-constructed lift used to test that basic forms integrate
-    identically along either.
+    identically along either.  fiber_integral calls a lift once per chunk
+    of nodes, on the stencil stack (2p+1, C, p) of the C nodes and the
+    points +-h e_i about them.
     """
 
     name: str
@@ -508,27 +520,34 @@ def fiber_integral(
 ) -> float:
     """Integrate a (dim fiber)-form over the fiber above a base point.
 
-    The form is built once, on the chart re-centered at the stack of lifted
-    group elements (N, m, m) of the N quadrature nodes, and evaluated on all
-    nodes in one call, at t = 0 where fiber coordinates equal algebra
-    coordinates.
+    The quadrature nodes are taken in chunks of at most calculus._CHUNK.  On
+    each chunk of C nodes the lift is called once, on the stencil stack
+    (2p+1, C, p) of the nodes and the points +-h e_i about them; the form is
+    built on the chart re-centered at the lifted group elements (C, m, m)
+    and evaluated on the chunk in one call, at t = 0 where fiber coordinates
+    equal algebra coordinates.  The weighted chunks are summed in node order.
     """
     lift = fiber.lift_alt if use_alt_lift else fiber.lift
     if lift is None:
         raise ValueError(f"fiber {fiber.name} has no alternate lift")
     p = len(fiber.intervals)
     nodes, weights = gauss_product(fiber.intervals, quad_order)
-    g = lift(nodes)
-    ch = chart.at(g)
-    form = form_at(ch)
-    if form.degree != p:
-        raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
-    base = np.broadcast_to(np.asarray(base_point, dtype=float), (len(nodes), chart.base_dim))
-    # the fiber tangent along each parameter axis: g^-1 dg in algebra coordinates
-    ginv = g.conj().swapaxes(-1, -2)
-    dls = [(lift(nodes + fd_step * e) - lift(nodes - fd_step * e)) / (2 * fd_step) for e in np.eye(p)]
-    tangents = [ch.point(np.zeros_like(base), chart.algebra.coords(ginv @ dl)) for dl in dls]
-    return fiber.orientation * float(weights @ form(ch.point(base), tangents))
+    base = np.asarray(base_point, dtype=float)
+
+    def chunk_values(chunk):
+        g, plus, minus = _stencil_values(lift, nodes[chunk], fd_step * np.eye(p))
+        ch = chart.at(g)
+        form = form_at(ch)
+        if form.degree != p:
+            raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
+        # the fiber tangent along each parameter axis: no base part, and
+        # g^-1 dg in algebra coordinates
+        ginv = g.conj().swapaxes(-1, -2)
+        tangents = np.zeros((p, len(g), chart.dim))
+        tangents[..., chart.base_dim :] = chart.algebra.coords(ginv @ ((plus - minus) / (2 * fd_step)))
+        return form(ch.point(np.broadcast_to(base, (len(g), chart.base_dim))), list(tangents))
+
+    return fiber.orientation * _chunked_sum(weights, chunk_values)
 
 
 @dataclass(frozen=True)
@@ -545,8 +564,10 @@ class Section:
 
     ``value`` maps base points (..., n) to the group elements (..., m, m)
     representing the section (their H-cosets are the actual bundle points).
-    Zeros record names and indices; winding cross-checks live with the
-    bundle catalogs.
+    section_pullback_form calls it once per evaluation, on the stencil
+    stack (2p+1, ..., n) of the points and the points +-h v_i along the p
+    tangents.  Zeros record names and indices; winding cross-checks live
+    with the bundle catalogs.
     """
 
     name: str
@@ -560,20 +581,21 @@ def section_pullback_form(
     section: Section,
     fd_step: float = 1e-6,
 ) -> FormField:
-    """s*(PhiP) as a (2k-1)-form on the base chart; on a stack of points
-    the chart is re-centered at the stack of section values."""
+    """s*(PhiP) as a (2k-1)-form on the base chart.
+
+    At points x (..., n) and tangents v_i the section is called once, on the
+    stencil stack (2(2k-1)+1, ..., n) of x and x +- h v_i, and the chart is
+    re-centered at the stack of section values at x.
+    """
     alg = chart.algebra
 
     def ev(x, tangents):
-        g = section.value(x)
+        steps = fd_step * np.asarray(np.broadcast_arrays(*tangents))
+        g, plus, minus = _stencil_values(section.value, x, steps)
         ch = chart.at(g)
-        form = phi_p_form(ch, P)
         ginv = g.conj().swapaxes(-1, -2)
-        lifted = []
-        for v in tangents:
-            dg = (section.value(x + fd_step * v) - section.value(x - fd_step * v)) / (2 * fd_step)
-            lifted.append(ch.point(v, alg.coords(ginv @ dg)))
-        return form(ch.point(x), lifted)
+        vts = alg.coords(ginv @ ((plus - minus) / (2 * fd_step)))
+        return phi_p_form(ch, P)(ch.point(x), [ch.point(v, vt) for v, vt in zip(tangents, vts)])
 
     return FormField(chart.base_dim, 2 * P.degree - 1, ev)
 

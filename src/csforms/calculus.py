@@ -18,8 +18,14 @@ the verification side of each identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
 domains (spheres are parametrized by angle boxes with measure-zero seams);
-gauss_product is the one rule, shared with the fiber and degree integrals,
-and each of them evaluates its integrand on all nodes in one call.
+gauss_product is the one rule, shared with the fiber and degree integrals.
+Each of them evaluates its integrand on chunks of at most _CHUNK nodes, one
+call per chunk, and sums the weighted chunks in node order (_chunked_sum),
+so memory stays bounded at any order and an integral of at most _CHUNK
+nodes is one call and one dot product.  The central differences of a
+parametrized map (a chain without a jacobian, a fiber lift, a section, a
+winding map) are taken on one stack (2k+1, ..., d) of the points x, x + s_i
+and x - s_i (_stencil_values), so the map is called once per stencil.
 integrate pulls a form back through a chain's map and tangent frame, both of
 which take the (N, p) stack of nodes; there is no separate pullback of
 forms.  A chain is oriented by its parametrization alone, and each boundary
@@ -30,7 +36,8 @@ ParametrizedChain.boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-4
+# the most quadrature nodes a driver evaluates in one call
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -168,13 +177,37 @@ class ParametrizedChain:
         return np.asarray(self.mapping(np.asarray(params, dtype=float)), dtype=float)
 
     def tangent_frame(self, params: np.ndarray, fd_step: float = 1e-6) -> list[np.ndarray]:
+        params = np.asarray(params, dtype=float)
         if self.jacobian is not None:
-            jac = np.asarray(self.jacobian(np.asarray(params, dtype=float)))
+            jac = np.asarray(self.jacobian(params))
             return [jac[..., i] for i in range(self.param_dim)]
-        return [
-            (self.point(params + fd_step * e) - self.point(params - fd_step * e)) / (2 * fd_step)
-            for e in np.eye(self.param_dim)
-        ]
+        _, plus, minus = _stencil_values(self.point, params, fd_step * np.eye(self.param_dim))
+        return list((plus - minus) / (2 * fd_step))
+
+
+def _stencil_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps: np.ndarray):
+    """f at x, at x + s_i and at x - s_i for k steps s (k, ..., d).
+
+    The point axes of the steps broadcast against those of x (..., d),
+    aligned on the right as in numpy.  f is called once, on the stack
+    (2k+1, ..., d) of x, the k points x + s_i and the k points x - s_i;
+    returns (f(x), the k values at x + s_i, the k values at x - s_i).
+    """
+    k = len(steps)
+    steps = steps.reshape((k,) + (1,) * (x.ndim + 1 - steps.ndim) + steps.shape[1:])
+    stack = np.empty((2 * k + 1,) + np.broadcast(x, steps[0]).shape)
+    stack[0] = x
+    np.add(x, steps, out=stack[1 : k + 1])
+    np.subtract(x, steps, out=stack[k + 1 :])
+    values = np.asarray(f(stack))
+    return values[0], values[1 : k + 1], values[k + 1 :]
+
+
+def _chunked_sum(weights: np.ndarray, evaluate: Callable[[slice], np.ndarray]) -> float:
+    """sum_n weights[n] f_n, one call evaluate(chunk) -> f_n on each slice
+    of at most _CHUNK nodes, the chunks added in node order."""
+    chunks = (slice(start, start + _CHUNK) for start in range(0, len(weights), _CHUNK))
+    return reduce(add, (float(weights[c] @ evaluate(c)) for c in chunks))
 
 
 @lru_cache(maxsize=None)
@@ -197,25 +230,34 @@ def gauss_product(
     orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
     if len(orders) != d:
         raise ValueError(f"need one quadrature order per axis: {d} axes, {len(orders)} orders")
-    if any(int(o) < 1 for o in orders):
+    if any(int(o) != o for o in orders):
+        raise ValueError(f"quadrature orders must be integers, got {orders}")
+    orders = [int(o) for o in orders]
+    if any(o < 1 for o in orders):
         raise ValueError(f"quadrature orders must be >= 1, got {orders}")
     xs, ws = [], []
     for o, (lo, hi) in zip(orders, intervals):
-        x, w = _legendre_rule(int(o))
+        x, w = _legendre_rule(o)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         xs.append(mid + half * x)
         ws.append(half * w)
-    nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, d)
-    weights = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0).reshape(-1)
-    return nodes, weights
+    # coordinate i of the nodes varies along axis i of the (o_0, .., o_(d-1)) grid
+    nodes = np.empty(orders + [d])
+    for i, x in enumerate(xs):
+        nodes[..., i] = x.reshape((-1,) + (1,) * (d - 1 - i))
+    return nodes.reshape(-1, d), reduce(np.multiply.outer, ws).reshape(-1)
 
 
 def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Sequence[int]) -> float:
-    """Gauss-Legendre product quadrature of the pulled-back density, with the
-    form evaluated on all nodes in one call."""
+    """Gauss-Legendre product quadrature of the pulled-back density.
+
+    The chain's map and tangent frame and the form are evaluated once per
+    chunk of at most _CHUNK nodes, and the weighted chunks summed in node
+    order.
+    """
     if chain.param_dim != form.degree:
         raise ValueError(
             f"chain parameter dimension {chain.param_dim} != form degree {form.degree}"
         )
     nodes, weights = gauss_product(chain.intervals, quad_order)
-    return float(weights @ form(chain.point(nodes), chain.tangent_frame(nodes)))
+    return _chunked_sum(weights, lambda c: form(chain.point(nodes[c]), chain.tangent_frame(nodes[c])))

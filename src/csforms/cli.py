@@ -30,15 +30,21 @@ from .liealg import algebra_from_tag
 from .zoo import PrecisionError, bundle_names
 
 SCHEMA_VERSION = 1
+# Gauss-Legendre rules of higher order are refused: numpy builds an order-n
+# rule from an n x n companion matrix, and order 1024 already takes 0.16 s
+MAX_QUAD_ORDER = 1024
 
 
-def _positive(kind, zero_ok: bool = False):
-    """argparse type: a finite number of the given kind that is > 0 (>= 0 with zero_ok)."""
+def _positive(kind, zero_ok: bool = False, most: float = float("inf")):
+    """argparse type: a finite number of the given kind that is > 0 (>= 0
+    with zero_ok) and at most most."""
     bound = ">= 0" if zero_ok else "> 0"
+    if most < float("inf"):
+        bound += f" and <= {most}"
 
     def parse(text: str):
         v = kind(text)
-        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf")):
+        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf") and v <= most):
             raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
         return v
 
@@ -50,7 +56,11 @@ _TUNING = {
     "seed": dict(type=int, default=0, help="seed for random sweeps"),
     "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
     "fd-step": dict(type=_positive(float), default=1e-4, help="finite-difference step (> 0)"),
-    "quad-order": dict(type=_positive(int), default=None, help="override quadrature order (>= 1)"),
+    "quad-order": dict(
+        type=_positive(int, most=MAX_QUAD_ORDER),
+        default=None,
+        help=f"override quadrature order (1 to {MAX_QUAD_ORDER})",
+    ),
     "tol": dict(type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)"),
 }
 

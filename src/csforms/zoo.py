@@ -26,7 +26,9 @@ Shipped bundles:
 
 Every chart potential and curvature, chain map and Jacobian, fiber lift and
 section value here broadcasts over leading batch axes (see csforms.bundles),
-so the quadrature drivers evaluate them on all nodes at once.
+so the quadrature drivers evaluate them on a whole chunk of nodes at once,
+and a lift or section on the stencil stack (2p+1, ..., p) of its central
+differences.
 
 Orientation conventions are fixed once here: base chains are oriented so the
 Euler integrals are positive, and fiber parametrizations are oriented so the
@@ -43,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
-from .calculus import ParametrizedChain, gauss_product
+from .calculus import ParametrizedChain, _chunked_sum, _stencil_values, gauss_product
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
     algebra_from_tag,
@@ -155,15 +157,17 @@ def _angles(psi: np.ndarray) -> np.ndarray:
     return np.stack([reduce(np.multiply, f) for f, _ in _angle_factors(psi)], axis=-1)
 
 
-def _angles_jac(psi: np.ndarray) -> np.ndarray:
-    """Jacobian (..., m + 1, m) of _angles: v_k depends on psi_j for j <= k."""
+def _angles_jac(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_angles(psi) and its Jacobian (..., m + 1, m), from one pass over the
+    factors: v_k depends on psi_j for j <= k."""
     m = psi.shape[-1]
     zero = np.zeros_like(psi[..., 0])
-    rows = []
+    values, rows = [], []
     for f, df in _angle_factors(psi):
+        values.append(reduce(np.multiply, f))
         # d v_k / d psi_j: the j-th factor of v_k differentiated
         rows.append([reduce(np.multiply, f[:j] + [df[j]] + f[j + 1 :]) if j < len(f) else zero for j in range(m)])
-    return _matrix(rows)
+    return np.stack(values, axis=-1), _matrix(rows)
 
 
 def _sphere_at(n: int, theta: float) -> ParametrizedChain:
@@ -174,7 +178,7 @@ def _sphere_at(n: int, theta: float) -> ParametrizedChain:
         intervals=_angle_box(n - 1),
         mapping=lambda psi: r * _angles(psi),
         chart_dim=n,
-        jacobian=lambda psi: r * _angles_jac(psi),
+        jacobian=lambda psi: r * _angles_jac(psi)[1],
     )
 
 
@@ -191,8 +195,8 @@ def _polar_chain(n: int, lo: float, hi: float, name: str) -> ParametrizedChain:
         th, psi = params[..., 0], params[..., 1:]
         r = np.tan(0.5 * th)
         dr = 0.5 / np.cos(0.5 * th) ** 2
-        radial = dr[..., None] * _angles(psi)
-        return np.concatenate([radial[..., None], r[..., None, None] * _angles_jac(psi)], axis=-1)
+        v, dv = _angles_jac(psi)
+        return np.concatenate([(dr[..., None] * v)[..., None], r[..., None, None] * dv], axis=-1)
 
     boundary = tuple((_sphere_at(n, th), sign) for th, sign in ((hi, +1), (lo, -1)) if 0.0 < th < pi)
     return ParametrizedChain(name, ((lo, hi),) + _angle_box(n - 1), mapping, n, jacobian, boundary)
@@ -517,18 +521,23 @@ def _volume_pullback_integral(
     f: Callable[[np.ndarray], np.ndarray], d: int, quad_order, fd_step: float, align_signs: bool
 ) -> float:
     """Integral of f*(volume form of S^d) over the angle box of S^d, with f
-    called once on the stack (2d+1, N, d) of every node and stencil point."""
+    called once per chunk of C nodes, on the stack (2d+1, C, d) of the nodes
+    and their stencil points."""
     nodes, weights = gauss_product(_angle_box(d), quad_order)
-    # stencil rows: the node, then node + h e_i and node - h e_i for each axis
-    steps = np.concatenate([np.zeros((1, d)), fd_step * np.eye(d), -fd_step * np.eye(d)])
-    v = np.asarray(f(nodes + steps[:, None, :]), dtype=float)
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    center, vp, vm = v[0], v[1 : d + 1], v[d + 1 :]
-    if align_signs:
-        vp = np.where(np.sum(vp * center, axis=-1, keepdims=True) < 0, -vp, vp)
-        vm = np.where(np.sum(vm * center, axis=-1, keepdims=True) < 0, -vm, vm)
-    cols = np.concatenate([center[None], (vp - vm) / (2 * fd_step)])
-    return float(weights @ np.linalg.det(np.moveaxis(cols, 0, -1)))
+
+    def unit(params):
+        v = np.asarray(f(params), dtype=float)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def chunk_values(chunk):
+        center, vp, vm = _stencil_values(unit, nodes[chunk], fd_step * np.eye(d))
+        if align_signs:
+            vp = np.where(np.sum(vp * center, axis=-1, keepdims=True) < 0, -vp, vp)
+            vm = np.where(np.sum(vm * center, axis=-1, keepdims=True) < 0, -vm, vm)
+        cols = np.concatenate([center[None], (vp - vm) / (2 * fd_step)])
+        return np.linalg.det(np.moveaxis(cols, 0, -1))
+
+    return _chunked_sum(weights, chunk_values)
 
 
 def winding_degree(
@@ -541,9 +550,12 @@ def winding_degree(
 ) -> int:
     """Degree of a map into S^d given on source-sphere angle parameters.
 
-    f maps angle parameters (..., d) to vectors (..., d+1) and is called
-    once, on the stack of every node and finite-difference stencil point;
-    the degree is the integral of the pulled-back normalized volume form.  For maps whose values are only defined up to overall sign
+    f maps angle parameters (..., d) to vectors (..., d+1).  It is called
+    once per chunk of nodes, on the stack of the nodes and their
+    finite-difference stencil points.  The degree is the integral of the
+    pulled-back normalized volume form.
+
+    For maps whose values are only defined up to overall sign
     (projective-space lifts), pass align_signs=True: the finite-difference
     stencil is sign-aligned around each node, which the volume pullback does
     not feel.

@@ -169,6 +169,9 @@ def test_fiber_norm_all_pass(capsys):
         ["gauss-bonnet", "--points", "5"],
         ["suite-all", "--quick"],
         ["chern-number", "--json", "--csv"],
+        # an order whose Gauss-Legendre rule alone would need 75 GiB
+        ["chern-number", "--quad-order", "100000"],
+        ["fiber-norm", "--bundle", "frame_s4", "--quad-order", "1025"],
         # a 4-form on the 3-dimensional ut_s2 total space; an undocumented name
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "p1"],
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],

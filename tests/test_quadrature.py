@@ -1,0 +1,200 @@
+"""The quadrature layer: the product rule, stencil stacks and node chunks.
+
+gauss_product is checked bit for bit against a meshgrid construction of the
+same rule.  Every central difference of a parametrized map (a fiber lift, a
+section, a chain without a jacobian) is one call of the map on the stacked
+stencil, and every quadrature driver evaluates its nodes in chunks of at
+most calculus._CHUNK: the call counts and the shapes the callbacks receive
+are recorded here, chunked sums are compared with one-chunk sums with the
+chunk size patched small, and the peak memory of a fiber integral at order
+32 is bounded.
+"""
+
+import tracemalloc
+from dataclasses import replace
+from math import pi
+
+import numpy as np
+import pytest
+
+from csforms import calculus
+from csforms.bundles import Section, char_form, fiber_integral, phi_p_form, section_pullback_form
+from csforms.calculus import FormField, ParametrizedChain, gauss_product, integrate
+from csforms.invariants import make_polynomial
+from csforms.liealg import so4_to_quaternion_pair
+from csforms.zoo import _angles, _volume_pullback_integral, get_bundle, south_transition_frame, winding_degree
+
+REL = 1e-13
+
+
+def meshgrid_rule(intervals, orders):
+    """The tensor-product rule from two meshgrids and a stack."""
+    xs, ws = [], []
+    for o, (lo, hi) in zip(orders, intervals):
+        x, w = np.polynomial.legendre.leggauss(o)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        xs.append(mid + half * x)
+        ws.append(half * w)
+    nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, len(orders))
+    weights = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0).reshape(-1)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("orders", [(7,), (3, 5), (4, 1, 6), (2, 3, 1, 4), (3, 2, 5, 1, 2)])
+def test_gauss_product_matches_meshgrid_rule(orders):
+    rng = np.random.default_rng(len(orders))
+    lows = rng.uniform(-2.0, 1.0, len(orders))
+    intervals = tuple((lo, lo + w) for lo, w in zip(lows, rng.uniform(0.1, 3.0, len(orders))))
+    nodes, weights = gauss_product(intervals, orders)
+    ref_nodes, ref_weights = meshgrid_rule(intervals, orders)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    same, _ = gauss_product(intervals, orders[0])
+    assert np.array_equal(same, meshgrid_rule(intervals, (orders[0],) * len(orders))[0])
+
+
+@pytest.mark.parametrize("order", [2.5, (3, 2.5), (3.0, np.float64(1.5))])
+def test_gauss_product_rejects_non_integral_orders(order):
+    with pytest.raises(ValueError, match="integers"):
+        gauss_product(((0.0, 1.0), (0.0, 1.0)), order)
+
+
+def test_gauss_product_accepts_integral_floats():
+    intervals = ((0.0, 1.0), (0.0, 2.0))
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_product(intervals, 3.0), gauss_product(intervals, 3)))
+
+
+# --- one call per stencil ------------------------------------------------------
+
+def counting(f, calls):
+    """f, appending the shape of each input it receives to calls."""
+
+    def wrapped(x):
+        calls.append(np.shape(x))
+        return f(x)
+
+    return wrapped
+
+
+def phi_p_at(P):
+    return lambda ch: phi_p_form(ch, P)
+
+
+def test_fiber_lift_called_once_per_chunk(monkeypatch):
+    fs = get_bundle("frame_s4")
+    calls = []
+    fiber = replace(fs.fiber, lift=counting(fs.fiber.lift, calls))
+    base = np.random.default_rng(1).uniform(-1.2, 1.2, 4)
+    P = fs.polynomial()
+    whole = fiber_integral(fs.chart, phi_p_at(P), base, fiber, (6, 6, 1))
+    # the 36 nodes and their 6 stencil points, (2p + 1, N, p)
+    assert calls == [(7, 36, 3)]
+    calls.clear()
+    monkeypatch.setattr(calculus, "_CHUNK", 10)
+    chunked = fiber_integral(fs.chart, phi_p_at(P), base, fiber, (6, 6, 1))
+    assert calls == [(7, 10, 3)] * 3 + [(7, 6, 3)]
+    assert abs(chunked - whole) <= REL * abs(whole)
+
+
+def test_section_called_once_per_form_evaluation():
+    ut = get_bundle("ut_s2")
+    calls = []
+    source = ut.sections["height_gradient"]
+    section = Section(source.name, counting(source.value, calls), source.zeros)
+    form = section_pullback_form(ut.chart, make_polynomial("euler", 1, "so2"), section)
+    rng = np.random.default_rng(2)
+    points, tangents = rng.uniform(-1, 1, (5, 2)), rng.standard_normal((5, 2))
+    form(points, [tangents])
+    assert calls == [(3, 5, 2)]
+    calls.clear()
+    ((circle, _),) = ut.chains["cap:pi/3"].chain.boundary
+    integrate(form, circle, 48)
+    assert calls == [(3, 48, 2)]
+
+
+def test_chain_without_jacobian_maps_once_per_tangent_frame():
+    calls = []
+
+    def mapping(p):
+        return np.stack([np.sin(p[..., 0]) * p[..., 1], p[..., 0] ** 2, np.cos(p[..., 1])], axis=-1)
+
+    chain = ParametrizedChain("patch", ((0.0, 1.0), (0.0, 2.0)), counting(mapping, calls), 3)
+    params = np.random.default_rng(3).uniform(0, 1, (4, 2))
+    frame = chain.tangent_frame(params, fd_step=1e-6)
+    assert calls == [(5, 4, 2)]
+    for e, tangent in zip(np.eye(2), frame):
+        assert np.array_equal(tangent, (mapping(params + 1e-6 * e) - mapping(params - 1e-6 * e)) / 2e-6)
+
+
+# --- node chunks ---------------------------------------------------------------
+
+def recording(form, sizes):
+    """form, appending the number of points of each call to sizes."""
+
+    def ev(pt, tangents):
+        sizes.append(len(pt))
+        return form(pt, tangents)
+
+    return FormField(form.dim, form.degree, ev, algebra=form.algebra)
+
+
+def test_integrate_form_never_sees_more_than_a_chunk():
+    ut = get_bundle("ut_s2")
+    form = char_form(ut.chart, make_polynomial("euler", 1, "so2"))
+    sizes = []
+    value = integrate(recording(form, sizes), ut.chains["full_sphere"].chain, 80)
+    assert sizes == [calculus._CHUNK, 80 * 80 - calculus._CHUNK]
+    assert value == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_chunked_integrate_matches_one_chunk(monkeypatch, chunk):
+    ut = get_bundle("ut_s2")
+    form = char_form(ut.chart, make_polynomial("euler", 1, "so2"))
+    cap = ut.chains["cap:pi/3"].chain
+    whole = integrate(form, cap, (24, 12))
+    monkeypatch.setattr(calculus, "_CHUNK", chunk)
+    sizes = []
+    chunked = integrate(recording(form, sizes), cap, (24, 12))
+    assert max(sizes) == min(chunk, 288) and sum(sizes) == 288
+    assert abs(chunked - whole) <= REL * abs(whole)
+
+
+@pytest.mark.parametrize("name", ["frame_s4:b1", "hopf_u1"])
+def test_chunked_fiber_integral_matches_one_chunk(monkeypatch, name):
+    b = get_bundle(name)
+    order = 24 if name == "hopf_u1" else (6, 6, 1)
+    base = np.random.default_rng(4).uniform(-1.2, 1.2, b.chart.base_dim)
+    form_at = phi_p_at(b.polynomial())
+    whole = fiber_integral(b.chart, form_at, base, b.fiber, order, use_alt_lift=True)
+    monkeypatch.setattr(calculus, "_CHUNK", 5)
+    sizes = []
+    chunked = fiber_integral(b.chart, lambda ch: recording(form_at(ch), sizes), base, b.fiber, order, use_alt_lift=True)
+    assert max(sizes) == 5
+    assert abs(chunked - whole) <= REL * abs(whole)
+
+
+def test_chunked_winding_degree_matches_one_chunk(monkeypatch):
+    def a1(params):
+        return so4_to_quaternion_pair(south_transition_frame(_angles(params)))[0]
+
+    order = (6, 6, 4)
+    whole = _volume_pullback_integral(a1, 3, order, 1e-5, align_signs=True)
+    monkeypatch.setattr(calculus, "_CHUNK", 11)
+    chunked = _volume_pullback_integral(a1, 3, order, 1e-5, align_signs=True)
+    assert abs(chunked - whole) <= REL * abs(whole)
+    assert winding_degree(a1, 3, order, target_volume=pi**2, align_signs=True) == round(whole / pi**2)
+
+
+def test_fiber_integral_memory_is_bounded():
+    # order 32 is 32,768 nodes: one unchunked evaluation peaks near 270 MiB,
+    # chunks of 4,096 nodes near 40 MiB
+    fs = get_bundle("frame_s4")
+    base = np.random.default_rng(3).uniform(-1.2, 1.2, 4)
+    tracemalloc.start()
+    try:
+        value = fiber_integral(fs.chart, phi_p_at(fs.polynomial()), base, fs.fiber, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, abs=1e-4)
+    assert peak < 100 * 2**20
