@@ -20,15 +20,18 @@ Every callable here broadcasts over leading batch axes, as the forms of
 csforms.calculus do: a potential maps base points (..., n) to (..., n, m, m),
 a curvature field to (..., n, n, m, m), a fiber lift parameters (..., p) and
 a section base points (..., n) to group elements (..., m, m), and the
-reference g0 may itself be a stack (..., m, m).  The quadrature drivers
-evaluate their nodes one chunk of at most calculus._CHUNK nodes per call,
-and a finite-difference d its whole stencil.  A fiber lift or a section is
-differentiated by central differences on one stencil stack (2p+1, ..., p)
-of the points x, x + h v_i and x - h v_i, in one call.  The residuals that
-take d of a chart form (heterotic, transgression, covariant-derivative and
-connection-curvature) evaluate the chart's potential and curvature one base
-point at a time and everything else on the stencil stack, so a chart used
-only by them and at single points may accept (n,) alone.
+reference g0 may itself be a stack (..., m, m).  calculus.integrate
+evaluates its nodes one chunk of at most calculus._CHUNK nodes per call,
+and a finite-difference d its whole stencil.  A fiber integral is a form
+on the fiber's parameter box, integrated by calculus.integrate.  A fiber
+lift or a section is differentiated by central differences on one stencil
+stack (2p+1, ..., p) of the points x, x + h v_i and x - h v_i, in one call
+(_recentered).  The residuals that take d of a chart form (heterotic,
+transgression, covariant-derivative and connection-curvature) evaluate the
+chart's potential and curvature one base point at a time and everything
+else on the stencil stack, so a chart used only by them and at single
+points may accept (n,) alone.  At t = 0 and on base tangents the
+connection-curvature residual checks F = dA + [A, A] itself.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -62,10 +65,9 @@ from ._expm import expm, expm_maurer_cartan
 from .calculus import (
     FormField,
     ParametrizedChain,
-    _chunked_sum,
+    _box_chain,
     _stencil_values,
     exterior_derivative,
-    gauss_product,
     integrate,
 )
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
@@ -92,7 +94,6 @@ __all__ = [
     "psi_horizontal_part",
     "ad_coords_matrix",
     "connection_curvature_fd_residual",
-    "potential_curvature_residual",
 ]
 
 
@@ -468,26 +469,6 @@ def connection_curvature_fd_residual(
     return float(np.max(np.abs(fd_val - ctx.curvs([X, Y])[0, 1])))
 
 
-def potential_curvature_residual(
-    chart: BundleChart, x: np.ndarray, ix: int, iy: int, fd_step: float = 1e-4
-) -> float:
-    """Check F_ab = dA(e_a, e_b) + [A_a, A_b] at a base point by FD."""
-    x = np.asarray(x, dtype=float)
-    ea = np.zeros(chart.base_dim)
-    eb = np.zeros(chart.base_dim)
-    ea[ix] = 1.0
-    eb[iy] = 1.0
-
-    def acomp(pt, direction):
-        return np.einsum("a,aij->ij", direction, np.asarray(chart.potential(pt)))
-
-    da = (acomp(x + fd_step * ea, eb) - acomp(x - fd_step * ea, eb)) / (2 * fd_step)
-    da -= (acomp(x + fd_step * eb, ea) - acomp(x - fd_step * eb, ea)) / (2 * fd_step)
-    aa = _comm(acomp(x, ea), acomp(x, eb))
-    f = np.einsum("a,b,abij->ij", ea, eb, np.asarray(chart.curvature_field(x)))
-    return float(np.max(np.abs(da + aa - f)))
-
-
 # --- fiber integration and sections ------------------------------------------
 
 @dataclass(frozen=True)
@@ -509,6 +490,19 @@ class FiberModel:
     orientation: int = 1
 
 
+def _recentered(chart: BundleChart, gmap: Callable, x: np.ndarray, tangents: Sequence[np.ndarray], fd_step: float):
+    """The chart re-centered at the group elements g = gmap(x), and the
+    fiber coordinates (p, ..., dim g) of g^-1 dg along each of p tangents.
+
+    gmap is called once, on the stencil stack (2p+1, ..., k) of the
+    parameters x (..., k) and the points x +- h v_i.
+    """
+    steps = fd_step * np.asarray(np.broadcast_arrays(*tangents))
+    g, plus, minus = _stencil_values(gmap, x, steps)
+    ginv = g.conj().swapaxes(-1, -2)
+    return chart.at(g), chart.algebra.coords(ginv @ ((plus - minus) / (2 * fd_step)))
+
+
 def fiber_integral(
     chart: BundleChart,
     form_at: Callable[[BundleChart], FormField],
@@ -520,34 +514,29 @@ def fiber_integral(
 ) -> float:
     """Integrate a (dim fiber)-form over the fiber above a base point.
 
-    The quadrature nodes are taken in chunks of at most calculus._CHUNK.  On
-    each chunk of C nodes the lift is called once, on the stencil stack
-    (2p+1, C, p) of the nodes and the points +-h e_i about them; the form is
-    built on the chart re-centered at the lifted group elements (C, m, m)
-    and evaluated on the chunk in one call, at t = 0 where fiber coordinates
-    equal algebra coordinates.  The weighted chunks are summed in node order.
+    The integrand is a p-form on the fiber's parameter box, integrated over
+    the box by calculus.integrate.  On a chunk of C nodes it calls the lift
+    once, on the stencil stack (2p+1, C, p) of the nodes and the points
+    +-h e_i about them; the form is built on the chart re-centered at the
+    lifted group elements (C, m, m) and evaluated on the chunk in one call,
+    at t = 0 where fiber coordinates equal algebra coordinates.
     """
     lift = fiber.lift_alt if use_alt_lift else fiber.lift
     if lift is None:
         raise ValueError(f"fiber {fiber.name} has no alternate lift")
     p = len(fiber.intervals)
-    nodes, weights = gauss_product(fiber.intervals, quad_order)
     base = np.asarray(base_point, dtype=float)
 
-    def chunk_values(chunk):
-        g, plus, minus = _stencil_values(lift, nodes[chunk], fd_step * np.eye(p))
-        ch = chart.at(g)
+    def ev(params, tangents):
+        ch, vts = _recentered(chart, lift, params, tangents, fd_step)
         form = form_at(ch)
         if form.degree != p:
             raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
-        # the fiber tangent along each parameter axis: no base part, and
-        # g^-1 dg in algebra coordinates
-        ginv = g.conj().swapaxes(-1, -2)
-        tangents = np.zeros((p, len(g), chart.dim))
-        tangents[..., chart.base_dim :] = chart.algebra.coords(ginv @ ((plus - minus) / (2 * fd_step)))
-        return form(ch.point(np.broadcast_to(base, (len(g), chart.base_dim))), list(tangents))
+        # the fiber tangents have no base part
+        zeros = np.zeros(vts.shape[:-1] + (chart.base_dim,))
+        return form(ch.point(np.broadcast_to(base, zeros.shape[1:])), list(ch.point(zeros, vts)))
 
-    return fiber.orientation * _chunked_sum(weights, chunk_values)
+    return fiber.orientation * integrate(FormField(p, p, ev), _box_chain(fiber.name, fiber.intervals), quad_order)
 
 
 @dataclass(frozen=True)
@@ -587,14 +576,9 @@ def section_pullback_form(
     stencil stack (2(2k-1)+1, ..., n) of x and x +- h v_i, and the chart is
     re-centered at the stack of section values at x.
     """
-    alg = chart.algebra
 
     def ev(x, tangents):
-        steps = fd_step * np.asarray(np.broadcast_arrays(*tangents))
-        g, plus, minus = _stencil_values(section.value, x, steps)
-        ch = chart.at(g)
-        ginv = g.conj().swapaxes(-1, -2)
-        vts = alg.coords(ginv @ ((plus - minus) / (2 * fd_step)))
+        ch, vts = _recentered(chart, section.value, x, tangents, fd_step)
         return phi_p_form(ch, P)(ch.point(x), [ch.point(v, vt) for v, vt in zip(tangents, vts)])
 
     return FormField(chart.base_dim, 2 * P.degree - 1, ev)

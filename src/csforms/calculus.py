@@ -17,24 +17,26 @@ are supplied analytically elsewhere, so finite differencing is confined to
 the verification side of each identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
-domains (spheres are parametrized by angle boxes with measure-zero seams);
-gauss_product is the one rule, shared with the fiber and degree integrals.
-Each of them evaluates its integrand on chunks of at most _CHUNK nodes, one
-call per chunk, and sums the weighted chunks in node order (_chunked_sum),
-so memory stays bounded at any order and an integral of at most _CHUNK
-nodes is one call and one dot product.  The central differences of a
-parametrized map (a chain without a jacobian, a fiber lift, a section, a
-winding map) are taken on one stack (2k+1, ..., d) of the points x, x + s_i
-and x - s_i (_stencil_values), so the map is called once per stencil.
-integrate pulls a form back through a chain's map and tangent frame, both of
-which take the (N, p) stack of nodes; there is no separate pullback of
-forms.  A chain is oriented by its parametrization alone, and each boundary
-piece carries the sign induced on it in the (chain, sign) pairs of
-ParametrizedChain.boundary.
+domains (spheres are parametrized by angle boxes with measure-zero seams).
+integrate is the one quadrature driver and gauss_product its one rule: a
+fiber integral or a winding degree is a form on its parameter box,
+integrated over the box as a chain (_box_chain).  integrate evaluates the
+integrand on chunks of at most _CHUNK nodes, one call per chunk, and sums
+the weighted chunks in node order, so memory stays bounded at any order and
+an integral of at most _CHUNK nodes is one call and one dot product.  The
+central differences of a parametrized map (a chain without a jacobian, a
+fiber lift, a section, a winding map) are taken on one stack (2k+1, ..., d)
+of the points x, x + s_i and x - s_i (_stencil_values), so the map is
+called once per stencil.  integrate pulls a form back through a chain's map
+and tangent frame, both of which take the (N, p) stack of nodes; there is no
+separate pullback of forms.  A chain is oriented by its parametrization
+alone, and each boundary piece carries the sign induced on it in the
+(chain, sign) pairs of ParametrizedChain.boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
@@ -56,8 +58,11 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-4
-# the most quadrature nodes a driver evaluates in one call
+# the most quadrature nodes integrate evaluates in one call
 _CHUNK = 4096
+# the most nodes a product rule may have: order 64 on the S^3 fiber (262,144
+# nodes) already took 13.9 s, and each doubling of a 3-D order costs 8x more
+MAX_QUAD_NODES = 2**19
 
 
 @dataclass(frozen=True)
@@ -203,13 +208,6 @@ def _stencil_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps:
     return values[0], values[1 : k + 1], values[k + 1 :]
 
 
-def _chunked_sum(weights: np.ndarray, evaluate: Callable[[slice], np.ndarray]) -> float:
-    """sum_n weights[n] f_n, one call evaluate(chunk) -> f_n on each slice
-    of at most _CHUNK nodes, the chunks added in node order."""
-    chunks = (slice(start, start + _CHUNK) for start in range(0, len(weights), _CHUNK))
-    return reduce(add, (float(weights[c] @ evaluate(c)) for c in chunks))
-
-
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
@@ -223,8 +221,9 @@ def gauss_product(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre rule on an interval box.
 
-    quad_order is one order for every axis or one order per axis.  Returns
-    nodes (N, d) in C order (last axis fastest) and weights (N,).
+    quad_order is one order for every axis or one order per axis, of at
+    most MAX_QUAD_NODES nodes in all.  Returns nodes (N, d) in C order (last
+    axis fastest) and weights (N,).
     """
     d = len(intervals)
     orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
@@ -235,6 +234,8 @@ def gauss_product(
     orders = [int(o) for o in orders]
     if any(o < 1 for o in orders):
         raise ValueError(f"quadrature orders must be >= 1, got {orders}")
+    if math.prod(orders) > MAX_QUAD_NODES:
+        raise ValueError(f"quadrature orders {orders} give more than {MAX_QUAD_NODES} nodes")
     xs, ws = [], []
     for o, (lo, hi) in zip(orders, intervals):
         x, w = _legendre_rule(o)
@@ -246,6 +247,13 @@ def gauss_product(
     for i, x in enumerate(xs):
         nodes[..., i] = x.reshape((-1,) + (1,) * (d - 1 - i))
     return nodes.reshape(-1, d), reduce(np.multiply.outer, ws).reshape(-1)
+
+
+def _box_chain(name: str, intervals: Sequence[tuple[float, float]]) -> ParametrizedChain:
+    """The interval box as a chain in its own coordinates: the identity map
+    and, at every node, the coordinate axes as tangents."""
+    p = len(intervals)
+    return ParametrizedChain(name, tuple(intervals), lambda x: x, p, lambda x: np.broadcast_to(np.eye(p), x.shape + (p,)))
 
 
 def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Sequence[int]) -> float:
@@ -260,4 +268,5 @@ def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Seque
             f"chain parameter dimension {chain.param_dim} != form degree {form.degree}"
         )
     nodes, weights = gauss_product(chain.intervals, quad_order)
-    return _chunked_sum(weights, lambda c: form(chain.point(nodes[c]), chain.tangent_frame(nodes[c])))
+    chunks = (slice(start, start + _CHUNK) for start in range(0, len(weights), _CHUNK))
+    return reduce(add, (float(weights[c] @ form(chain.point(nodes[c]), chain.tangent_frame(nodes[c]))) for c in chunks))

@@ -395,25 +395,24 @@ def vanishing_sweep(points: int = 100, seed: int = 0, tol: float = 1e-10) -> lis
     return records
 
 
-def gauss_bonnet_checks(
-    quad_order_2d: int = 24,
-    quad_order_4d: Sequence[int] = (8, 8, 8, 8),
-    boundary_quad_order: int = 48,
-) -> list[CheckRecord]:
+def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
+    """Euler integrals on S^2 and S^4 and the S^2 cap identities, with every chain at
+    quad_order N and the boundary circles at 2N; None means 24 (48) on S^2 and 8 on S^4."""
+    order2, order4 = (24, 8) if quad_order is None else (quad_order, quad_order)
     records = []
     ut = get_bundle("ut_s2")
     e1 = make_polynomial("euler", 1, "so2")
-    v = integrate(char_form(ut.chart, e1), ut.chains["full_sphere"].chain, quad_order_2d)
+    v = integrate(char_form(ut.chart, e1), ut.chains["full_sphere"].chain, order2)
     records.append(_rec("gauss_bonnet_s2", "Gauss-Bonnet: integral of e(Omega) = 2 on the 2-sphere", v, 2.0, 1e-8))
 
     fs = get_bundle("frame_s4")
     e2 = make_polynomial("euler", 2, "so4")
-    v = integrate(char_form(fs.chart, e2), fs.chains["full_sphere"].chain, list(quad_order_4d))
+    v = integrate(char_form(fs.chart, e2), fs.chains["full_sphere"].chain, order4)
     records.append(_rec("gauss_bonnet_s4", "Gauss-Bonnet: integral of e(Omega) = 2 on the 4-sphere", v, 2.0, 1e-4))
 
     for label in ("cap:pi/6", "cap:pi/3", "cap:pi/2"):
         rep = obstruction_identity_check(
-            ut.chart, e1, ut.chains[label], ut.sections["height_gradient"], quad_order_2d, boundary_quad_order
+            ut.chart, e1, ut.chains[label], ut.sections["height_gradient"], order2, 2 * order2
         )
         records.append(
             _rec(
@@ -430,10 +429,12 @@ def gauss_bonnet_checks(
     return records
 
 
-def chern_number_checks(quad_order: int = 24) -> list[CheckRecord]:
+def chern_number_checks(quad_order: int | None = None) -> list[CheckRecord]:
+    """c_1 integral on S^2 at quad_order, 24 when None."""
     hopf = get_bundle("hopf_u1")
     c1 = make_polynomial("chern_j", 1, "u1")
-    v = integrate(char_form(hopf.chart, c1), hopf.chains["full_sphere"].chain, quad_order)
+    order = 24 if quad_order is None else quad_order
+    v = integrate(char_form(hopf.chart, c1), hopf.chains["full_sphere"].chain, order)
     return [_rec("chern_number_s2", "degree-one line bundle has c_1 integral 1", v, 1.0, 1e-8)]
 
 
@@ -453,13 +454,13 @@ def _bare_integrand(P) -> Callable[[BundleChart], FormField]:
     return form_at
 
 
-def fiber_norm_checks(
-    quad_order_1d: int = 24, quad_order_3d: int = 10, bundle: str | None = None
-) -> list[CheckRecord]:
-    """Fiber integrals over the fibers of FIBER_NORM_BUNDLES, or of one of them."""
+def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) -> list[CheckRecord]:
+    """Fiber integrals over the fibers of FIBER_NORM_BUNDLES, or of one of them, with every
+    axis at quad_order N and the circle's alternate lift at 2N; None means 24 (48) and 10."""
     if bundle is not None and bundle not in FIBER_NORM_BUNDLES:
         raise ValueError(f"no fiber-norm records for bundle {bundle!r}; known: {list(FIBER_NORM_BUNDLES)}")
     wanted = FIBER_NORM_BUNDLES if bundle is None else (bundle,)
+    quad_order_1d, quad_order_3d = (24, 10) if quad_order is None else (quad_order, quad_order)
 
     def on_fiber(name, form_at, order, **kw):
         b = get_bundle(name)
@@ -599,17 +600,19 @@ def obstruction_checks(
     bundle_name: str = "ut_s2",
     chain: str = "cap:pi/3",
     section: str = "height_gradient",
-    quad_order: int = 24,
-    boundary_quad_order: int = 48,
+    quad_order: int | None = None,
     tol: float = 1e-4,
 ) -> list[CheckRecord]:
+    """The obstruction identity on one chain and section, at chain order
+    quad_order (24 when None) and boundary order twice that."""
     bundle = get_bundle(bundle_name)
     for kind, name, known in (("chain", chain, bundle.chains), ("section", section, bundle.sections)):
         if name not in known:
             raise ValueError(f"bundle {bundle_name} has no {kind} {name!r}; known: {sorted(known)}")
     P = _polynomial_for(bundle, None)
+    order = 24 if quad_order is None else quad_order
     rep = obstruction_identity_check(
-        bundle.chart, P, bundle.chains[chain], bundle.sections[section], quad_order, boundary_quad_order
+        bundle.chart, P, bundle.chains[chain], bundle.sections[section], order, 2 * order
     )
     return [
         _rec(

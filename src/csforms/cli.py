@@ -26,6 +26,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__, checks, rationals
+from .calculus import MAX_QUAD_NODES
 from .liealg import algebra_from_tag
 from .zoo import PrecisionError, bundle_names
 
@@ -59,7 +60,7 @@ _TUNING = {
     "quad-order": dict(
         type=_positive(int, most=MAX_QUAD_ORDER),
         default=None,
-        help=f"override quadrature order (1 to {MAX_QUAD_ORDER})",
+        help=f"override quadrature order (1 to {MAX_QUAD_ORDER}, at most {MAX_QUAD_NODES} nodes per rule)",
     ),
     "tol": dict(type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)"),
 }
@@ -189,20 +190,13 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
             tol=tol if tol is not None else 1e-4,
         )
     elif cmd == "gauss-bonnet":
-        order4 = (args.quad_order,) * 4 if args.quad_order else (8, 8, 8, 8)
-        order2 = args.quad_order if args.quad_order else 24
-        # the boundary circles keep the default 24:48 ratio to the chain order
-        recs = checks.gauss_bonnet_checks(
-            quad_order_2d=order2, quad_order_4d=order4, boundary_quad_order=2 * order2
-        )
+        recs = checks.gauss_bonnet_checks(quad_order=args.quad_order)
     elif cmd == "chern-number":
-        recs = checks.chern_number_checks(quad_order=args.quad_order or 24)
+        recs = checks.chern_number_checks(quad_order=args.quad_order)
     elif cmd == "fiber-norm":
         if args.bundle:
             cfg["bundle"] = args.bundle
-        recs = checks.fiber_norm_checks(
-            quad_order_1d=args.quad_order or 24, quad_order_3d=args.quad_order or 10, bundle=args.bundle
-        )
+        recs = checks.fiber_norm_checks(quad_order=args.quad_order, bundle=args.bundle)
         if args.k is not None:
             fc = rationals.fiber_constant(args.k)
             cfg["fiber_constant"] = {"k": args.k, "num": fc.numerator, "den": fc.denominator}
@@ -210,13 +204,11 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         recs = checks.pontryagin_checks(points=args.points, seed=args.seed, fd_step=args.fd_step)
     elif cmd == "obstruction":
         cfg["bundle"], cfg["chain"], cfg["section"] = args.bundle, args.chain, args.section
-        order = args.quad_order or 24
         recs = checks.obstruction_checks(
             args.bundle,
             args.chain,
             args.section,
-            quad_order=order,
-            boundary_quad_order=2 * order,
+            quad_order=args.quad_order,
             tol=tol if tol is not None else 1e-4,
         )
     elif cmd == "degree":

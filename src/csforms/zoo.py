@@ -26,9 +26,10 @@ Shipped bundles:
 
 Every chart potential and curvature, chain map and Jacobian, fiber lift and
 section value here broadcasts over leading batch axes (see csforms.bundles),
-so the quadrature drivers evaluate them on a whole chunk of nodes at once,
-and a lift or section on the stencil stack (2p+1, ..., p) of its central
-differences.
+so calculus.integrate evaluates them on a whole chunk of nodes at once, and
+a lift or section on the stencil stack (2p+1, ..., p) of its central
+differences.  A winding degree is a d-form on the angle box of S^d,
+integrated by calculus.integrate as well.
 
 Orientation conventions are fixed once here: base chains are oriented so the
 Euler integrals are positive, and fiber parametrizations are oriented so the
@@ -45,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
-from .calculus import ParametrizedChain, _chunked_sum, _stencil_values, gauss_product
+from .calculus import FormField, ParametrizedChain, _box_chain, _stencil_values, integrate
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
     algebra_from_tag,
@@ -520,24 +521,24 @@ _SPHERE_VOLUMES = {1: 2 * pi, 3: 2 * pi**2}
 def _volume_pullback_integral(
     f: Callable[[np.ndarray], np.ndarray], d: int, quad_order, fd_step: float, align_signs: bool
 ) -> float:
-    """Integral of f*(volume form of S^d) over the angle box of S^d, with f
-    called once per chunk of C nodes, on the stack (2d+1, C, d) of the nodes
-    and their stencil points."""
-    nodes, weights = gauss_product(_angle_box(d), quad_order)
+    """Integral of f*(volume form of S^d) over the angle box of S^d: a
+    d-form on the box, integrated by calculus.integrate, with f called once
+    per chunk of C nodes, on the stack (2d+1, C, d) of the nodes and their
+    stencil points."""
 
     def unit(params):
         v = np.asarray(f(params), dtype=float)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    def chunk_values(chunk):
-        center, vp, vm = _stencil_values(unit, nodes[chunk], fd_step * np.eye(d))
+    def ev(params, tangents):
+        center, vp, vm = _stencil_values(unit, params, fd_step * np.asarray(tangents))
         if align_signs:
             vp = np.where(np.sum(vp * center, axis=-1, keepdims=True) < 0, -vp, vp)
             vm = np.where(np.sum(vm * center, axis=-1, keepdims=True) < 0, -vm, vm)
         cols = np.concatenate([center[None], (vp - vm) / (2 * fd_step)])
         return np.linalg.det(np.moveaxis(cols, 0, -1))
 
-    return _chunked_sum(weights, chunk_values)
+    return integrate(FormField(d, d, ev), _box_chain(f"S^{d}", _angle_box(d)), quad_order)
 
 
 def winding_degree(

@@ -93,7 +93,7 @@ def test_criterion_4_naturally_associated_vanishing():
 
 def test_criterion_5_gauss_bonnet():
     t0 = time.time()
-    records = checks.gauss_bonnet_checks(quad_order_2d=24, quad_order_4d=(8, 8, 8, 8))
+    records = checks.gauss_bonnet_checks()
     _assert_all("criterion 5: Gauss-Bonnet and cap obstruction", records, budget=300, elapsed=time.time() - t0)
 
 

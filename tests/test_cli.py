@@ -46,6 +46,7 @@ def test_json_determinism(capsys):
         ("fiber-norm",),
         ("obstruction",),
         ("degree",),
+        ("suite-all", "--points", "3"),
     ):
         _, out1 = run(capsys, *argv, "--json")
         _, out2 = run(capsys, *argv, "--json")
@@ -172,6 +173,9 @@ def test_fiber_norm_all_pass(capsys):
         # an order whose Gauss-Legendre rule alone would need 75 GiB
         ["chern-number", "--quad-order", "100000"],
         ["fiber-norm", "--bundle", "frame_s4", "--quad-order", "1025"],
+        # orders each axis accepts whose product rules exceed the node cap
+        ["fiber-norm", "--bundle", "frame_s4", "--quad-order", "1024"],
+        ["gauss-bonnet", "--quad-order", "1024"],
         # a 4-form on the 3-dimensional ut_s2 total space; an undocumented name
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "p1"],
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],

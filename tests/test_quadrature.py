@@ -1,13 +1,15 @@
 """The quadrature layer: the product rule, stencil stacks and node chunks.
 
 gauss_product is checked bit for bit against a meshgrid construction of the
-same rule.  Every central difference of a parametrized map (a fiber lift, a
-section, a chain without a jacobian) is one call of the map on the stacked
-stencil, and every quadrature driver evaluates its nodes in chunks of at
-most calculus._CHUNK: the call counts and the shapes the callbacks receive
-are recorded here, chunked sums are compared with one-chunk sums with the
-chunk size patched small, and the peak memory of a fiber integral at order
-32 is bounded.
+same rule, and its node cap at the boundary.  Every central difference of a
+parametrized map (a fiber lift, a section, a chain without a jacobian) is
+one call of the map on the stacked stencil.  integrate is the one
+quadrature driver: fiber integrals and winding degrees each call it once,
+on a box chain, and it evaluates its nodes in chunks of at most
+calculus._CHUNK.  The call counts and the shapes the callbacks receive are
+recorded here, chunked sums are compared with one-chunk sums with the chunk
+size patched small, and the peak memory of a fiber integral at order 32 is
+bounded.
 """
 
 import tracemalloc
@@ -17,9 +19,9 @@ from math import pi
 import numpy as np
 import pytest
 
-from csforms import calculus
+from csforms import bundles, calculus, zoo
 from csforms.bundles import Section, char_form, fiber_integral, phi_p_form, section_pullback_form
-from csforms.calculus import FormField, ParametrizedChain, gauss_product, integrate
+from csforms.calculus import MAX_QUAD_NODES, FormField, ParametrizedChain, _box_chain, gauss_product, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import so4_to_quaternion_pair
 from csforms.zoo import _angles, _volume_pullback_integral, get_bundle, south_transition_frame, winding_degree
@@ -63,6 +65,28 @@ def test_gauss_product_accepts_integral_floats():
     assert all(np.array_equal(a, b) for a, b in zip(gauss_product(intervals, 3.0), gauss_product(intervals, 3)))
 
 
+def test_gauss_product_caps_the_node_count():
+    cube = ((0.0, 1.0),) * 3
+    nodes, weights = gauss_product(cube, (64, 64, 128))
+    assert len(nodes) == len(weights) == MAX_QUAD_NODES
+    for orders in ((64, 64, 129), (1024, 1024, 1024)):
+        with pytest.raises(ValueError, match="nodes"):
+            gauss_product(cube, orders)
+    with pytest.raises(ValueError, match="nodes"):
+        gauss_product(((0.0, 1.0),), MAX_QUAD_NODES + 1)
+
+
+def test_box_chain_is_the_box_in_its_own_coordinates():
+    box = _box_chain("box", ((0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)))
+    assert box.param_dim == box.chart_dim == 3
+    nodes = np.random.default_rng(5).uniform(-1, 1, (7, 3))
+    assert np.array_equal(box.point(nodes), nodes)
+    frame = box.tangent_frame(nodes)
+    assert len(frame) == 3
+    for e, tangent in zip(np.eye(3), frame):
+        assert tangent.shape == (7, 3) and np.array_equal(tangent, np.broadcast_to(e, (7, 3)))
+
+
 # --- one call per stencil ------------------------------------------------------
 
 def counting(f, calls):
@@ -93,6 +117,23 @@ def test_fiber_lift_called_once_per_chunk(monkeypatch):
     chunked = fiber_integral(fs.chart, phi_p_at(P), base, fiber, (6, 6, 1))
     assert calls == [(7, 10, 3)] * 3 + [(7, 6, 3)]
     assert abs(chunked - whole) <= REL * abs(whole)
+
+
+def test_fiber_and_degree_integrals_call_integrate_once(monkeypatch):
+    chains = []
+
+    def counted(form, chain, quad_order):
+        chains.append(chain.intervals)
+        return integrate(form, chain, quad_order)
+
+    monkeypatch.setattr(bundles, "integrate", counted)
+    monkeypatch.setattr(zoo, "integrate", counted)
+    fs = get_bundle("frame_s4")
+    fiber_integral(fs.chart, phi_p_at(fs.polynomial()), np.zeros(4), fs.fiber, (4, 4, 2))
+    assert chains == [fs.fiber.intervals]
+    chains.clear()
+    assert winding_degree(lambda s: np.stack([np.cos(s[..., 0]), np.sin(s[..., 0])], axis=-1), 1, 8) == 1
+    assert chains == [((0.0, 2 * pi),)]
 
 
 def test_section_called_once_per_form_evaluation():

@@ -7,11 +7,11 @@ import pytest
 
 from csforms.bundles import (
     char_form,
+    connection_curvature_fd_residual,
     fiber_integral,
     heterotic_residual,
     obstruction_identity_check,
     phi_p_form,
-    potential_curvature_residual,
     tp_form,
 )
 from csforms.calculus import FormField, ParametrizedChain, gauss_product, integrate
@@ -41,8 +41,9 @@ def test_get_bundle_dispatch():
 def test_every_bundle_passes_curvature_cross_check(name):
     b = get_bundle(name)
     x = rng.uniform(-1.0, 1.0, b.chart.base_dim)
+    axes = np.eye(b.chart.dim)
     worst = max(
-        potential_curvature_residual(b.chart, x, i, j)
+        connection_curvature_fd_residual(b.chart, b.chart.point(x), axes[i], axes[j])
         for i in range(b.chart.base_dim)
         for j in range(i + 1, b.chart.base_dim)
     )
