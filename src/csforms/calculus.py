@@ -63,6 +63,11 @@ _CHUNK = 4096
 # the most nodes a product rule may have: order 64 on the S^3 fiber (262,144
 # nodes) already took 13.9 s, and each doubling of a 3-D order costs 8x more
 MAX_QUAD_NODES = 2**19
+# the highest order on any one axis: numpy builds an order-n Gauss-Legendre
+# rule from an n x n companion matrix (order 2048 takes about 1 s, order
+# 100,000 would need about 75 GiB); 2048 = 2N lets a circle of order
+# N = 1024 run its boundary circles and its alternate lift at 2N
+MAX_QUAD_ORDER = 2048
 
 
 @dataclass(frozen=True)
@@ -221,9 +226,9 @@ def gauss_product(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre rule on an interval box.
 
-    quad_order is one order for every axis or one order per axis, of at
-    most MAX_QUAD_NODES nodes in all.  Returns nodes (N, d) in C order (last
-    axis fastest) and weights (N,).
+    quad_order is one order for every axis or one order per axis, each at
+    most MAX_QUAD_ORDER, of at most MAX_QUAD_NODES nodes in all.  Returns
+    nodes (N, d) in C order (last axis fastest) and weights (N,).
     """
     d = len(intervals)
     orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
@@ -236,6 +241,8 @@ def gauss_product(
         raise ValueError(f"quadrature orders must be >= 1, got {orders}")
     if math.prod(orders) > MAX_QUAD_NODES:
         raise ValueError(f"quadrature orders {orders} give more than {MAX_QUAD_NODES} nodes")
+    if max(orders) > MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature orders {orders} exceed {MAX_QUAD_ORDER} on one axis")
     xs, ws = [], []
     for o, (lo, hi) in zip(orders, intervals):
         x, w = _legendre_rule(o)

@@ -2,8 +2,16 @@
 
 Each function returns a list of CheckRecord with the computed value, the
 expected value, the tolerance, and a stable anchor string naming the identity
-being verified.  All randomness flows from an explicit seed, so a report is a
-deterministic function of its configuration.
+being verified.  A record passes when |computed - expected| <= tolerance; that
+rule is written once, in _rec, and CheckRecord.with_tolerance re-judges a
+record at another tolerance (the CLI's --tol).
+
+All randomness flows from an explicit seed, so a report is a deterministic
+function of its configuration.  Every pointwise sweep draws its points through
+_sweep, which for each point draws, in this order, a reference group element
+g0 (random_group_element at scale 0.7), the base coordinates x (uniform on
+[-1.2, 1.2]^n) and then the tangents (standard normal on the total space), and
+keeps the largest |residual|.  Byte-identical reports depend on that order.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from . import rationals
 from ._expm import expm
 from .bundles import (
     BundleChart,
+    ObstructionReport,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
@@ -61,6 +70,10 @@ class CheckRecord:
     passed: bool
     extra: dict = field(default_factory=dict)
 
+    def with_tolerance(self, tol: float) -> CheckRecord:
+        """The same record judged at tolerance tol."""
+        return _rec(self.name, self.anchor, self.computed, self.expected, tol, **self.extra)
+
 
 def _rec(name: str, anchor: str, computed: float, expected: float, tol: float, **extra) -> CheckRecord:
     return CheckRecord(
@@ -74,19 +87,24 @@ def _rec(name: str, anchor: str, computed: float, expected: float, tol: float, *
     )
 
 
-def _chart_points(bundle: NamedBundle, rng: np.random.Generator, count: int):
-    """Random total-space points: base coordinates plus a Haar-ish reference.
+def _sweep(bundle: NamedBundle, rng: np.random.Generator, count: int, n_tangents: int, residual: Callable):
+    """The largest |residual(chart, point, tangents)| over count random
+    total-space points, drawn as in the module docstring; a residual that
+    returns several values gets one maximum per value.  A NaN residual makes
+    the maximum NaN, which fails the record.
 
     A sweep over no points would pass vacuously, so count must be >= 1.
     """
     if count < 1:
         raise ValueError(f"a sweep needs at least one point, got {count}")
     ch = bundle.chart
+    worst = 0.0
     for _ in range(count):
-        g0 = random_group_element(ch.algebra, rng, 0.7)
-        chg = ch.at(g0)
-        x = rng.uniform(-1.2, 1.2, ch.base_dim)
-        yield chg, chg.point(x)
+        chg = ch.at(random_group_element(ch.algebra, rng, 0.7))
+        pt = chg.point(rng.uniform(-1.2, 1.2, ch.base_dim))
+        tg = [rng.standard_normal(chg.dim) for _ in range(n_tangents)]
+        worst = np.maximum(worst, np.abs(residual(chg, pt, tg)))
+    return worst
 
 
 # --- exact coefficients -------------------------------------------------------
@@ -307,12 +325,11 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
     records.append(_rec("polarization_symmetry", "polarized P is symmetric", sym, 0.0, 1e-12))
 
     # covariant derivative identity on the sphere bundles
+    def covariant(ch, pt, tg):
+        return covariant_derivative_residual(ch, pt, [psi_horizontal_part(ch, pt, v) for v in tg], fd_step)
+
     for bname in ("ut_s2", "frame_s4"):
-        b = get_bundle(bname)
-        worst = 0.0
-        for chg, ptb in _chart_points(b, rng, 3):
-            tg = [psi_horizontal_part(chg, ptb, rng.standard_normal(chg.dim)) for _ in range(3)]
-            worst = max(worst, covariant_derivative_residual(chg, ptb, tg, fd_step))
+        worst = _sweep(get_bundle(bname), rng, 3, 3, covariant)
         records.append(_rec(f"covariant_derivative_{bname}", "d Omega + [psi,Omega] = [Omega,phi]", worst, 0.0, 1e-5))
 
     return records
@@ -320,20 +337,24 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
 
 # --- bundle sweeps --------------------------------------------------------------
 
+# the names heterotic_sweep takes for poly: (polynomial, degree), where None
+# is the top degree n/2 of the bundle's so(n)
+POLY_NAMES = {
+    "euler1": ("euler", 1),
+    "euler": ("euler", None),
+    "c1": ("chern_j", 1),
+    "c2": ("chern_j", 2),
+    "p1": ("pontryagin_1", 2),
+}
+
+
 def _polynomial_for(bundle: NamedBundle, poly: str | None):
     if poly is None:
         return bundle.polynomial()
-    names = {
-        "euler1": ("euler", 1),
-        "euler": ("euler", bundle.chart.algebra.n // 2),
-        "c1": ("chern_j", 1),
-        "c2": ("chern_j", 2),
-        "p1": ("pontryagin_1", 2),
-    }
-    if poly not in names:
-        raise ValueError(f"unknown polynomial {poly!r}; known: {', '.join(names)}")
-    name, k = names[poly]
-    return make_polynomial(name, k, bundle.chart.algebra.tag)
+    if poly not in POLY_NAMES:
+        raise ValueError(f"unknown polynomial {poly!r}; known: {', '.join(POLY_NAMES)}")
+    name, k = POLY_NAMES[poly]
+    return make_polynomial(name, bundle.chart.algebra.n // 2 if k is None else k, bundle.chart.algebra.tag)
 
 
 def heterotic_sweep(
@@ -342,7 +363,6 @@ def heterotic_sweep(
     points: int = 100,
     seed: int = 0,
     fd_step: float = 1e-4,
-    tol: float = 1e-4,
 ) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     bundle = get_bundle(bundle_name)
@@ -352,24 +372,21 @@ def heterotic_sweep(
         raise ValueError(
             f"{P.name} is a {2 * P.degree}-form; {bundle_name} has a {bundle.chart.dim}-dimensional total space"
         )
-    worst = 0.0
-    for chg, pt in _chart_points(bundle, rng, points):
-        tg = [rng.standard_normal(chg.dim) for _ in range(2 * P.degree)]
-        worst = max(worst, heterotic_residual(chg, P, pt, tg, fd_step))
+    worst = _sweep(bundle, rng, points, 2 * P.degree, lambda ch, pt, tg: heterotic_residual(ch, P, pt, tg, fd_step))
     return [
         _rec(
             f"heterotic_{bundle_name}_{P.name}",
             "heterotic identity d PhiP = P(Omega) - P(Psi)",
             worst,
             0.0,
-            tol,
+            1e-4,
             points=points,
             fd_step=fd_step,
         )
     ]
 
 
-def vanishing_sweep(points: int = 100, seed: int = 0, tol: float = 1e-10) -> list[CheckRecord]:
+def vanishing_sweep(points: int = 100, seed: int = 0) -> list[CheckRecord]:
     """|P(Psi)| sweeps for the naturally-associated families."""
     rng = np.random.default_rng(seed)
     cases = [
@@ -383,16 +400,25 @@ def vanishing_sweep(points: int = 100, seed: int = 0, tol: float = 1e-10) -> lis
     for bname, poly, label in cases:
         bundle = get_bundle(bname)
         P = _polynomial_for(bundle, poly)
-        form = None
-        worst = 0.0
-        for chg, pt in _chart_points(bundle, rng, points):
-            form = char_form(chg, P, "psi")
-            tg = [rng.standard_normal(chg.dim) for _ in range(2 * P.degree)]
-            worst = max(worst, abs(form(pt, tg)))
+        worst = _sweep(bundle, rng, points, 2 * P.degree, lambda ch, pt, tg: char_form(ch, P, "psi")(pt, tg))
         records.append(
-            _rec(f"vanishing_{bname}_{P.name}", f"P(Psi) = 0: {label}", worst, 0.0, tol, points=points)
+            _rec(f"vanishing_{bname}_{P.name}", f"P(Psi) = 0: {label}", worst, 0.0, 1e-10, points=points)
         )
     return records
+
+
+def _obstruction_record(name: str, report: ObstructionReport) -> CheckRecord:
+    """The record of one obstruction_identity_check report."""
+    return _rec(
+        name,
+        "relative Gauss-Bonnet: chain integral = index sum + boundary transgression",
+        report.residual,
+        0.0,
+        1e-4,
+        lhs=report.lhs,
+        index_sum=report.index_sum,
+        boundary_term=report.boundary_term,
+    )
 
 
 def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
@@ -414,18 +440,7 @@ def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
         rep = obstruction_identity_check(
             ut.chart, e1, ut.chains[label], ut.sections["height_gradient"], order2, 2 * order2
         )
-        records.append(
-            _rec(
-                f"obstruction_{label}",
-                "relative Gauss-Bonnet: chain integral = index sum + boundary transgression",
-                rep.residual,
-                0.0,
-                1e-4,
-                lhs=rep.lhs,
-                index_sum=rep.index_sum,
-                boundary_term=rep.boundary_term,
-            )
-        )
+        records.append(_obstruction_record(f"obstruction_{label}", rep))
     return records
 
 
@@ -518,14 +533,17 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -
     b2 = get_bundle("frame_s4:b2")
     p1 = make_polynomial("pontryagin_1", 2, "so4")
 
-    worst_split = 0.0
-    for chg, pt in _chart_points(b1, rng, points):
-        ch2 = b2.chart.at(chg.reference())
-        tg = [rng.standard_normal(chg.dim) for _ in range(4)]
-        v1 = char_form(chg, p1, "psi")(pt, tg)
-        v2 = char_form(ch2, p1, "psi")(pt, tg)
-        vo = char_form(chg, p1, "omega")(pt, tg)
-        worst_split = max(worst_split, abs(v1 + v2 - vo))
+    def split(ch, pt, tg):
+        ch2 = b2.chart.at(ch.reference())
+        return char_form(ch, p1, "psi")(pt, tg) + char_form(ch2, p1, "psi")(pt, tg) - char_form(ch, p1, "omega")(pt, tg)
+
+    def sum_rule(ch, pt, tg):
+        ch2 = b2.chart.at(ch.reference())
+        d1 = exterior_derivative(phi_p_form(ch, p1), fd_step)(pt, tg)
+        d2 = exterior_derivative(phi_p_form(ch2, p1), fd_step)(pt, tg)
+        return d1 + d2 - char_form(ch, p1, "omega")(pt, tg)
+
+    worst_split = _sweep(b1, rng, points, 4, split)
     records = [
         _rec(
             "pontryagin_pointwise_split",
@@ -537,14 +555,7 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -
         )
     ]
 
-    worst_sum = 0.0
-    for chg, pt in _chart_points(b1, rng, max(4, points // 10)):
-        ch2 = b2.chart.at(chg.reference())
-        tg = [rng.standard_normal(chg.dim) for _ in range(4)]
-        d1 = exterior_derivative(phi_p_form(chg, p1), fd_step)(pt, tg)
-        d2 = exterior_derivative(phi_p_form(ch2, p1), fd_step)(pt, tg)
-        vo = char_form(chg, p1, "omega")(pt, tg)
-        worst_sum = max(worst_sum, abs(d1 + d2 - vo))
+    worst_sum = _sweep(b1, rng, max(4, points // 10), 4, sum_rule)
     records.append(
         _rec(
             "pontryagin_sum_rule",
@@ -558,7 +569,7 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -
     return records
 
 
-def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = 1e-4, tol: float = 1e-8) -> list[CheckRecord]:
+def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = 1e-4) -> list[CheckRecord]:
     """Flat-bundle closedness of TP and PhiP for naturally-associated pairs."""
     rng = np.random.default_rng(seed)
     records = []
@@ -569,14 +580,13 @@ def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = 1e-4, to
     for name, pname, k in cases:
         bundle = get_bundle(name)
         P = make_polynomial(pname, k, bundle.chart.algebra.tag)
-        worst_tp = 0.0
-        worst_phi = 0.0
-        for chg, pt in _chart_points(bundle, rng, points):
-            tg = [rng.standard_normal(chg.dim) for _ in range(2 * k)]
-            worst_tp = max(worst_tp, abs(exterior_derivative(tp_form(chg, P), fd_step)(pt, tg)))
-            worst_phi = max(worst_phi, abs(exterior_derivative(phi_p_form(chg, P), fd_step)(pt, tg)))
-        records.append(_rec(f"flat_closed_tp_{name}", "TP is closed when P(Omega) = 0", worst_tp, 0.0, tol))
-        records.append(_rec(f"flat_closed_phip_{name}", "PhiP is closed when P(Omega) = P(Psi) = 0", worst_phi, 0.0, tol))
+
+        def d_tp_phi(ch, pt, tg):
+            return tuple(exterior_derivative(form(ch, P), fd_step)(pt, tg) for form in (tp_form, phi_p_form))
+
+        worst_tp, worst_phi = _sweep(bundle, rng, points, 2 * k, d_tp_phi)
+        records.append(_rec(f"flat_closed_tp_{name}", "TP is closed when P(Omega) = 0", worst_tp, 0.0, 1e-8))
+        records.append(_rec(f"flat_closed_phip_{name}", "PhiP is closed when P(Omega) = P(Psi) = 0", worst_phi, 0.0, 1e-8))
     return records
 
 
@@ -601,7 +611,6 @@ def obstruction_checks(
     chain: str = "cap:pi/3",
     section: str = "height_gradient",
     quad_order: int | None = None,
-    tol: float = 1e-4,
 ) -> list[CheckRecord]:
     """The obstruction identity on one chain and section, at chain order
     quad_order (24 when None) and boundary order twice that."""
@@ -614,18 +623,7 @@ def obstruction_checks(
     rep = obstruction_identity_check(
         bundle.chart, P, bundle.chains[chain], bundle.sections[section], order, 2 * order
     )
-    return [
-        _rec(
-            f"obstruction_{bundle_name}_{chain}_{section}",
-            "relative Gauss-Bonnet: chain integral = index sum + boundary transgression",
-            rep.residual,
-            0.0,
-            tol,
-            lhs=rep.lhs,
-            index_sum=rep.index_sum,
-            boundary_term=rep.boundary_term,
-        )
-    ]
+    return [_obstruction_record(f"obstruction_{bundle_name}_{chain}_{section}", rep)]
 
 
 def suite_all(

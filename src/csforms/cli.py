@@ -26,26 +26,21 @@ import time
 from dataclasses import asdict
 
 from . import __version__, checks, rationals
-from .calculus import MAX_QUAD_NODES
+from .calculus import MAX_QUAD_NODES, MAX_QUAD_ORDER
 from .liealg import algebra_from_tag
 from .zoo import PrecisionError, bundle_names
 
 SCHEMA_VERSION = 1
-# Gauss-Legendre rules of higher order are refused: numpy builds an order-n
-# rule from an n x n companion matrix, and order 1024 already takes 0.16 s
-MAX_QUAD_ORDER = 1024
 
 
-def _positive(kind, zero_ok: bool = False, most: float = float("inf")):
+def _positive(kind, zero_ok: bool = False):
     """argparse type: a finite number of the given kind that is > 0 (>= 0
-    with zero_ok) and at most most."""
+    with zero_ok)."""
     bound = ">= 0" if zero_ok else "> 0"
-    if most < float("inf"):
-        bound += f" and <= {most}"
 
     def parse(text: str):
         v = kind(text)
-        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf") and v <= most):
+        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf")):
             raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
         return v
 
@@ -58,11 +53,13 @@ _TUNING = {
     "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
     "fd-step": dict(type=_positive(float), default=1e-4, help="finite-difference step (> 0)"),
     "quad-order": dict(
-        type=_positive(int, most=MAX_QUAD_ORDER),
+        type=_positive(int),
         default=None,
-        help=f"override quadrature order (1 to {MAX_QUAD_ORDER}, at most {MAX_QUAD_NODES} nodes per rule)",
+        help=f"override quadrature order (>= 1; at most {MAX_QUAD_ORDER} per axis and {MAX_QUAD_NODES} nodes per rule)",
     ),
-    "tol": dict(type=_positive(float, zero_ok=True), default=None, help="override the default tolerance (>= 0)"),
+    "tol": dict(
+        type=_positive(float, zero_ok=True), default=None, help="re-judge every record at this tolerance (>= 0)"
+    ),
 }
 
 _SWEEP = ("seed", "points", "fd-step", "tol")
@@ -100,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heterotic-check", help="d PhiP = P(Omega) - P(Psi) residual sweep")
     p.add_argument("--bundle", type=str, required=True, help=f"one of {bundle_names()}")
-    p.add_argument("--poly", type=str, default=None, help="euler1 | euler | c1 | c2 | p1 (default per bundle)")
+    p.add_argument("--poly", type=str, default=None, help=f"{' | '.join(checks.POLY_NAMES)} (default per bundle)")
     _add_flags(p, *_SWEEP)
 
     p = sub.add_parser("gauss-bonnet", help="Euler-form integrals and cap identities")
@@ -181,14 +178,7 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
     elif cmd == "heterotic-check":
         cfg["bundle"] = args.bundle
         cfg["poly"] = args.poly
-        recs = checks.heterotic_sweep(
-            args.bundle,
-            poly=args.poly,
-            points=args.points,
-            seed=args.seed,
-            fd_step=args.fd_step,
-            tol=tol if tol is not None else 1e-4,
-        )
+        recs = checks.heterotic_sweep(args.bundle, poly=args.poly, points=args.points, seed=args.seed, fd_step=args.fd_step)
     elif cmd == "gauss-bonnet":
         recs = checks.gauss_bonnet_checks(quad_order=args.quad_order)
     elif cmd == "chern-number":
@@ -204,13 +194,7 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         recs = checks.pontryagin_checks(points=args.points, seed=args.seed, fd_step=args.fd_step)
     elif cmd == "obstruction":
         cfg["bundle"], cfg["chain"], cfg["section"] = args.bundle, args.chain, args.section
-        recs = checks.obstruction_checks(
-            args.bundle,
-            args.chain,
-            args.section,
-            quad_order=args.quad_order,
-            tol=tol if tol is not None else 1e-4,
-        )
+        recs = checks.obstruction_checks(args.bundle, args.chain, args.section, quad_order=args.quad_order)
     elif cmd == "degree":
         recs = checks.degree_checks()
     elif cmd == "suite-all":
@@ -218,14 +202,8 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
     else:  # pragma: no cover
         raise ValueError(f"unhandled command {cmd}")
 
-    if tol is not None and cmd not in ("heterotic-check", "obstruction"):
-        recs = [
-            checks.CheckRecord(
-                r.name, r.anchor, r.computed, r.expected, tol,
-                abs(r.computed - r.expected) <= tol, r.extra,
-            )
-            for r in recs
-        ]
+    if tol is not None:
+        recs = [r.with_tolerance(tol) for r in recs]
         cfg["tol_override"] = tol
     return recs, cfg
 

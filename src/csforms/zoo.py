@@ -39,7 +39,7 @@ assembled transgression forms have fiber integral +1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import pi
 from typing import Callable
 
@@ -430,7 +430,9 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
 # --- flat and generic charts --------------------------------------------------
 
 def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
-    """Trivial bundle over R^n with zero potential."""
+    """Trivial bundle over R^n, n >= 1, with zero potential."""
+    if n < 1:
+        raise ValueError(f"bundle flat:{gtag}:{n} needs a base dimension n >= 1, got {n}")
     alg = algebra_from_tag(gtag)
     m = alg.n
     dt = complex if alg.is_complex else float
@@ -476,34 +478,25 @@ def twisted_u2(hsub: str = "su2") -> NamedBundle:
     )
 
 
+# every shipped bundle but the flat family, which get_bundle parses from its name
+_CATALOG: dict[str, Callable[[], NamedBundle]] = {
+    "hopf_u1": hopf_u1,
+    "ut_s2": unit_tangent_s2,
+    "frame_s4": partial(frame_bundle_s4, "sphere"),
+    "frame_s4:b1": partial(frame_bundle_s4, "b1"),
+    "frame_s4:b2": partial(frame_bundle_s4, "b2"),
+    "twisted_u2:su2": partial(twisted_u2, "su2"),
+    "twisted_u2:u1": partial(twisted_u2, "u1"),
+}
+
+
 def bundle_names() -> list[str]:
-    return [
-        "hopf_u1",
-        "ut_s2",
-        "frame_s4",
-        "frame_s4:b1",
-        "frame_s4:b2",
-        "twisted_u2:su2",
-        "twisted_u2:u1",
-        "flat:<g>:<n>",
-    ]
+    return [*_CATALOG, "flat:<g>:<n>"]
 
 
 def get_bundle(name: str) -> NamedBundle:
-    if name == "hopf_u1":
-        return hopf_u1()
-    if name == "ut_s2":
-        return unit_tangent_s2()
-    if name in ("frame_s4", "frame_s4:sphere"):
-        return frame_bundle_s4("sphere")
-    if name == "frame_s4:b1":
-        return frame_bundle_s4("b1")
-    if name == "frame_s4:b2":
-        return frame_bundle_s4("b2")
-    if name == "twisted_u2:su2":
-        return twisted_u2("su2")
-    if name == "twisted_u2:u1":
-        return twisted_u2("u1")
+    if name in _CATALOG:
+        return _CATALOG[name]()
     if name.startswith("flat:"):
         parts = name.split(":")
         if len(parts) == 3:

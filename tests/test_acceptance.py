@@ -76,7 +76,8 @@ def test_criterion_3_heterotic_identity():
     t0 = time.time()
     records = []
     for name in ("hopf_u1", "ut_s2", "frame_s4", "frame_s4:b1", "frame_s4:b2"):
-        records += checks.heterotic_sweep(name, points=100, seed=0, fd_step=1e-4, tol=1e-4)
+        records += checks.heterotic_sweep(name, points=100, seed=0, fd_step=1e-4)
+    assert all(r.tolerance == 1e-4 for r in records)
     _assert_all("criterion 3: heterotic identity, 100 points x 5 bundles", records, budget=300, elapsed=time.time() - t0)
 
 
@@ -84,10 +85,11 @@ def test_criterion_4_naturally_associated_vanishing():
     t0 = time.time()
     records = [
         r
-        for r in checks.vanishing_sweep(points=100, seed=0, tol=1e-10)
+        for r in checks.vanishing_sweep(points=100, seed=0)
         if r.name in ("vanishing_ut_s2_euler", "vanishing_frame_s4_euler", "vanishing_twisted_u2:su2_chern_1")
     ]
     assert len(records) == 3
+    assert all(r.tolerance == 1e-10 for r in records)
     _assert_all("criterion 4: P(Psi) vanishing for naturally associated bundles", records, budget=60, elapsed=time.time() - t0)
 
 
@@ -161,7 +163,8 @@ def test_criterion_8_pontryagin_splitting():
 
 def test_criterion_9_flat_closedness():
     t0 = time.time()
-    records = checks.closedness_checks(points=20, seed=0, tol=1e-8)
+    records = checks.closedness_checks(points=20, seed=0)
+    assert all(r.tolerance == 1e-8 for r in records)
     _assert_all("criterion 9: flat-bundle closedness of TP and PhiP", records, budget=10, elapsed=time.time() - t0)
 
 

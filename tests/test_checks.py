@@ -1,8 +1,11 @@
 """Guards of the named checks that do not need a full sweep."""
 
+import numpy as np
 import pytest
 
 from csforms import checks
+from csforms.liealg import random_group_element
+from csforms.zoo import get_bundle
 
 
 def test_sweep_over_zero_points_is_rejected():
@@ -11,3 +14,41 @@ def test_sweep_over_zero_points_is_rejected():
         checks.heterotic_sweep("ut_s2", points=0)
     with pytest.raises(ValueError, match="at least one point"):
         checks.closedness_checks(points=0)
+    with pytest.raises(ValueError, match="at least one point"):
+        checks.vanishing_sweep(points=0)
+    with pytest.raises(ValueError, match="at least one point"):
+        checks.pontryagin_checks(points=0)
+
+
+def test_sweep_keeps_one_maximum_per_value():
+    values = iter([(1.0, -4.0), (-3.0, 2.0)])
+    worst = checks._sweep(get_bundle("ut_s2"), np.random.default_rng(0), 2, 2, lambda ch, pt, tg: next(values))
+    assert list(worst) == [3.0, 4.0]
+
+
+def test_sweep_with_a_nan_residual_fails_its_record():
+    # a plain max() would drop the NaN and report the other points' residual
+    values = iter([1e-12, float("nan"), 1e-12])
+    worst = checks._sweep(get_bundle("ut_s2"), np.random.default_rng(0), 3, 2, lambda ch, pt, tg: next(values))
+    assert np.isnan(worst)
+    assert not checks._rec("nan", "a NaN residual", worst, 0.0, 1e-4).passed
+
+
+def test_sweep_draw_order():
+    # per point: g0, then x, then the tangents, so a report depends only on the seed
+    b = get_bundle("ut_s2")
+    seen = []
+    checks._sweep(b, np.random.default_rng(5), 2, 3, lambda ch, pt, tg: seen.append((ch.reference(), pt, tg)) or 0.0)
+    rng = np.random.default_rng(5)
+    for ref, pt, tg in seen:
+        g0 = random_group_element(b.chart.algebra, rng, 0.7)
+        x = rng.uniform(-1.2, 1.2, b.chart.base_dim)
+        assert np.array_equal(ref, g0) and np.array_equal(pt, b.chart.at(g0).point(x))
+        assert all(np.array_equal(t, rng.standard_normal(b.chart.dim)) for t in tg)
+
+
+def test_with_tolerance_rejudges_a_record():
+    (r,) = checks.chern_number_checks(quad_order=6)
+    loose, tight = r.with_tolerance(1.0), r.with_tolerance(0.0)
+    assert loose.passed and loose.tolerance == 1.0 and not tight.passed
+    assert (loose.name, loose.anchor, loose.computed, loose.extra) == (r.name, r.anchor, r.computed, r.extra)

@@ -181,6 +181,8 @@ def test_fiber_norm_all_pass(capsys):
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],
         # the zero-free quaternionic sections against a chain that expects the south zero
         ["obstruction", "--bundle", "frame_s4", "--chain", "full_sphere", "--section", "sigma1"],
+        # a 1-D order within the node cap whose rule alone would need 75 GiB
+        ["fiber-norm", "--bundle", "ut_s2", "--quad-order", "100000"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -240,10 +242,41 @@ def test_subcommand_flags():
         assert options == OUTPUT_FLAGS | HONORED_FLAGS[name], name
 
 
-def test_config_echoes_only_taken_flags(capsys):
-    code, out = run(capsys, "degree", "--json", "--tol", "0.5")
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["degree"], {"command": "degree"}),
+        (
+            ["heterotic-check", "--bundle", "ut_s2", "--points", "2"],
+            {"command": "heterotic-check", "bundle": "ut_s2", "poly": None, "seed": 0, "fd_step": 1e-4, "points": 2},
+        ),
+        (
+            ["obstruction"],
+            {"command": "obstruction", "bundle": "ut_s2", "chain": "cap:pi/3", "section": "height_gradient"},
+        ),
+    ],
+    ids=["degree", "heterotic-check", "obstruction"],
+)
+def test_config_echoes_only_taken_flags(capsys, argv, config):
+    code, out = run(capsys, *argv, "--json", "--tol", "0.5")
     assert code == 0
-    assert json.loads(out)["config"] == {"command": "degree", "tol_override": 0.5}
+    report = json.loads(out)
+    assert report["config"] == {**config, "tol_override": 0.5}
+    assert all(r["tolerance"] == 0.5 for r in report["records"])
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_flat_bundle_needs_a_positive_base_dimension(capsys, n):
+    code = main(["heterotic-check", "--bundle", f"flat:so4:{n}", "--poly", "euler"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"bundle flat:so4:{n} needs a base dimension n >= 1" in err
+
+
+def test_poly_help_names_every_polynomial():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (poly,) = [a for a in sub.choices["heterotic-check"]._actions if "--poly" in a.option_strings]
+    assert poly.help.startswith(" | ".join(checks.POLY_NAMES))
 
 
 def test_numerical_failure_exits_1(capsys, monkeypatch):

@@ -21,7 +21,7 @@ import pytest
 
 from csforms import bundles, calculus, zoo
 from csforms.bundles import Section, char_form, fiber_integral, phi_p_form, section_pullback_form
-from csforms.calculus import MAX_QUAD_NODES, FormField, ParametrizedChain, _box_chain, gauss_product, integrate
+from csforms.calculus import MAX_QUAD_NODES, MAX_QUAD_ORDER, FormField, ParametrizedChain, _box_chain, gauss_product, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import so4_to_quaternion_pair
 from csforms.zoo import _angles, _volume_pullback_integral, get_bundle, south_transition_frame, winding_degree
@@ -74,6 +74,14 @@ def test_gauss_product_caps_the_node_count():
             gauss_product(cube, orders)
     with pytest.raises(ValueError, match="nodes"):
         gauss_product(((0.0, 1.0),), MAX_QUAD_NODES + 1)
+
+
+def test_gauss_product_caps_the_order_of_each_axis():
+    # an order-n rule is built from an n x n matrix, whatever the node count
+    with pytest.raises(ValueError, match=f"exceed {MAX_QUAD_ORDER} on one axis"):
+        gauss_product(((0.0, 1.0),), MAX_QUAD_ORDER + 1)
+    with pytest.raises(ValueError, match="one axis"):
+        gauss_product(((0.0, 1.0), (0.0, 1.0)), (1, MAX_QUAD_ORDER + 1))
 
 
 def test_box_chain_is_the_box_in_its_own_coordinates():

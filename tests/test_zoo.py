@@ -37,6 +37,12 @@ def test_get_bundle_dispatch():
     assert "hopf_u1" in bundle_names()
 
 
+def test_every_catalog_name_builds_its_bundle():
+    for name in bundle_names():
+        if not name.startswith("flat:"):
+            assert get_bundle(name).name == name
+
+
 @pytest.mark.parametrize("name", ["hopf_u1", "ut_s2", "frame_s4", "twisted_u2:su2", "flat:so4:2"])
 def test_every_bundle_passes_curvature_cross_check(name):
     b = get_bundle(name)
