@@ -13,7 +13,8 @@ e^(i d/2) sin(d/2)/(d/2), which np.sinc evaluates without a case split at
 equal eigenvalues (repeated pairs are the rule on so(4)).
 
 Both functions take a single matrix (n, n) or a stack (..., n, n); every
-matrix of a stack is checked and exponentiated on its own.
+matrix of a stack is checked and exponentiated on its own.  Both take the
+eigh_skew(x) a caller already has, so exp and dexp at one x share one eigh.
 
 This leaf module belongs to none of the package's layers (rationals, liealg,
 invariants, calculus, bundles, zoo), so a per-layer profiler that counts the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expm", "expm_maurer_cartan"]
+__all__ = ["eigh_skew", "expm", "expm_maurer_cartan"]
 
 _SKEW_TOL = 1e-10
 
@@ -34,7 +35,7 @@ def _frobenius2(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x.conj(), x).real
 
 
-def _eigh_skew(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_skew(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, U) with i x = U diag(lam) U^H; ValueError unless every matrix
     of x (..., n, n) is skew-Hermitian.
 
@@ -49,20 +50,21 @@ def _eigh_skew(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(1j * x)
 
 
-def expm(x: np.ndarray) -> np.ndarray:
-    """exp(x) for a skew-Hermitian matrix or stack x; real output for real input."""
-    lam, u = _eigh_skew(x)
+def expm(x: np.ndarray, eig=None) -> np.ndarray:
+    """exp(x) for a skew-Hermitian matrix or stack x (eig: its eigh_skew);
+    real output for real input."""
+    lam, u = eigh_skew(x) if eig is None else eig
     out = (u * np.exp(-1j * lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
     return out if np.iscomplexobj(x) else out.real
 
 
-def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray) -> np.ndarray:
+def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, eig=None) -> np.ndarray:
     """exp(-x) dexp_x[dx] for a stack dxs (m, ..., n, n) of directions at
-    x (..., n, n).
+    x (..., n, n) (eig: its eigh_skew).
 
     This is g^-1 dg along g = exp(x + s dx) at s = 0; real for real input.
     """
-    lam, u = _eigh_skew(x)
+    lam, u = eigh_skew(x) if eig is None else eig
     d = lam[..., :, None] - lam[..., None, :]
     weights = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
     uh = u.conj().swapaxes(-1, -2)

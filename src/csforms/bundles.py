@@ -11,7 +11,7 @@ g0 exp(sum_a t_a E_a).  In these coordinates the connection and curvature are
 
 with the Maurer-Cartan term evaluated exactly: g^-1 dg on the fiber tangents
 of a point is exp(-X) dexp_X[dX], which csforms._expm computes for all of
-them from one eigendecomposition of the skew-Hermitian X.  Keeping g0
+them and for exp(X) from one eigendecomposition of the skew-Hermitian X.  Keeping g0
 movable lets every caller work at t = 0, where the fiber coordinates are the
 algebra coordinates themselves and no exponential or matrix logarithm is
 needed.
@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._expm import expm, expm_maurer_cartan
+from ._expm import eigh_skew, expm, expm_maurer_cartan
 from .calculus import (
     FormField,
     ParametrizedChain,
@@ -185,19 +185,15 @@ class _ChartContext:
     element, potential, curvature, the last two evaluated on first use.
 
     A point of length base_dim is a base point with t = 0 implied.  Off
-    t = 0 the group elements take one expm, and the Maurer-Cartan values of
-    all fiber tangents one expm_maurer_cartan, each on the whole stack.  The
-    stacked methods (omegas, phis, curvs, tables) take a list of m tangents
-    (..., d) and compute each value once, every pair table in one product.
-    The tangent indices come first: phi is (m, ..., N, N) and a pair table
-    (m, m, ..., N, N).  The single-value methods are views of them.
-
-    The Omega pair table sum_ab v_i^a v_j^b F_ab is contracted in two
-    batched matrix products over the flattened point axes (_pair_table):
-    b with v_j first, then a with v_i, at m n^2 N^2 + m^2 n N^2 operations
-    per point instead of the m^2 n^2 N^2 of one three-operand loop.  Without
-    a reference element (g0 None) and at t = 0 the group element is the
-    identity, and the adjoint action Ad_{g^-1} is skipped (_conj), as the
+    t = 0 one eigh_skew of the fiber coordinates X serves the group
+    elements, one expm, and the Maurer-Cartan values of all fiber tangents,
+    one expm_maurer_cartan, each on the whole stack.  The stacked methods
+    (omegas, phis, curvs, tables) take a list of m tangents (..., d) and
+    compute each value once, the Omega pair table in two batched products
+    (_pair_table).  The tangent indices come first: phi is (m, ..., N, N)
+    and a pair table (m, m, ..., N, N).  The single-value methods are views
+    of them.  Without a reference element (g0 None) and at t = 0 the group
+    element is the identity, and Ad_{g^-1} is skipped (_conj), as the
     exponential is.
     """
 
@@ -220,7 +216,8 @@ class _ChartContext:
             self.g = g0
         else:
             self._m = chart.algebra.from_coords(self.t)
-            self.g = g0 @ expm(self._m)
+            self._eig = eigh_skew(self._m)
+            self.g = g0 @ expm(self._m, self._eig)
         self.ginv = self.g.conj().swapaxes(-1, -2)
 
     @cached_property
@@ -245,7 +242,7 @@ class _ChartContext:
         dms = self.chart.algebra.from_coords(vts)
         if self.t_is_zero:
             return dms
-        return expm_maurer_cartan(self._m, dms)
+        return expm_maurer_cartan(self._m, dms, self._eig)
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """w on each of m tangents, (m, ..., N, N)."""
@@ -297,11 +294,6 @@ class _ChartContext:
         return self.chart.split.project_h(w)
 
 
-def _entries(table: np.ndarray) -> Callable[..., np.ndarray]:
-    """Index callable (i_1..i_p) -> table[i_1, .., i_p] for eval_on_forms_indexed."""
-    return lambda *idx: table[idx]
-
-
 # --- pointwise operations -----------------------------------------------------
 
 def vertical_tangent(chart: BundleChart, point: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -335,17 +327,13 @@ def curvature_form(chart: BundleChart) -> FormField:
     return FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curv(tg[0], tg[1]), algebra=chart.algebra)
 
 
-def _char_value(P: InvariantPolynomial, table: np.ndarray) -> float | np.ndarray:
-    """P(T^k) on 2k tangents from the pair table T (2k, 2k, ..., N, N) of a 2-form."""
-    return eval_on_forms_indexed(P, [(_entries(table), 2)] * P.degree, 2 * P.degree)
-
-
 def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega") -> FormField:
     """The 2k-form P(Omega^k) (source="omega") or P(Psi^k) (source="psi")."""
 
     def ev(pt, tangents):
         ctx = chart.ctx(pt)
-        return _char_value(P, ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2])
+        table = ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2]
+        return eval_on_forms_indexed(P, [(table, 2)] * P.degree, 2 * P.degree)
 
     return FormField(chart.dim, 2 * P.degree, ev)
 
@@ -372,17 +360,12 @@ def phi_p_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
     and A_i0 = A_i.
     """
     k = P.degree
-    coeff = _phi_coefficients(k)
+    coeff = [((i, j), a) for (i, j), a in _phi_coefficients(k) if chart.split is not None or j == 0]
 
     def ev(pt, tangents):
-        phi, pp, ps, om = (_entries(t) for t in chart.ctx(pt).tables(tangents))
-        total = 0.0
-        for (i, j), a in coeff:
-            if chart.split is None and j > 0:
-                continue
-            args = [(phi, 1)] + [(pp, 2)] * i + [(ps, 2)] * j + [(om, 2)] * (k - 1 - i - j)
-            total += a * eval_on_forms_indexed(P, args, 2 * k - 1)
-        return total
+        phi, pp, ps, om = chart.ctx(pt).tables(tangents)
+        terms = [(a, [(phi, 1)] + [(pp, 2)] * i + [(ps, 2)] * j + [(om, 2)] * (k - 1 - i - j)) for (i, j), a in coeff]
+        return eval_on_forms_indexed(P, terms, 2 * k - 1)
 
     return FormField(chart.dim, 2 * k - 1, ev)
 
@@ -396,7 +379,8 @@ def heterotic_residual(
 ) -> float:
     """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point.
 
-    P(Omega) and P(Psi) come from one table of the chart context at the point.
+    P(Omega) - P(Psi) comes from the tables of one chart context at the
+    point, in one shuffle evaluation.
     """
     k = P.degree
     if len(tangents) != 2 * k:
@@ -405,7 +389,7 @@ def heterotic_residual(
     tangents = list(tangents)
     lhs = exterior_derivative(phi_p_form(chart, P), fd_step)(point, tangents)
     _, _, psi, om = chart.ctx(point).tables(tangents)
-    return abs(lhs - (_char_value(P, om) - _char_value(P, psi)))
+    return abs(lhs - eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k))
 
 
 def transgression_residual(

@@ -221,16 +221,9 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_product(
-    intervals: Sequence[tuple[float, float]], quad_order: int | Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre rule on an interval box.
-
-    quad_order is one order for every axis or one order per axis, each at
-    most MAX_QUAD_ORDER, of at most MAX_QUAD_NODES nodes in all.  Returns
-    nodes (N, d) in C order (last axis fastest) and weights (N,).
-    """
-    d = len(intervals)
+def _quad_orders(quad_order: int | Sequence[int], d: int) -> list[int]:
+    """quad_order as one order for each of d axes; ValueError on a non-integer
+    order, one outside 1..MAX_QUAD_ORDER, or more than MAX_QUAD_NODES nodes."""
     orders = [quad_order] * d if np.isscalar(quad_order) else list(quad_order)
     if len(orders) != d:
         raise ValueError(f"need one quadrature order per axis: {d} axes, {len(orders)} orders")
@@ -243,6 +236,20 @@ def gauss_product(
         raise ValueError(f"quadrature orders {orders} give more than {MAX_QUAD_NODES} nodes")
     if max(orders) > MAX_QUAD_ORDER:
         raise ValueError(f"quadrature orders {orders} exceed {MAX_QUAD_ORDER} on one axis")
+    return orders
+
+
+def gauss_product(
+    intervals: Sequence[tuple[float, float]], quad_order: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre rule on an interval box.
+
+    quad_order is one order for every axis or one order per axis, each at
+    most MAX_QUAD_ORDER, of at most MAX_QUAD_NODES nodes in all.  Returns
+    nodes (N, d) in C order (last axis fastest) and weights (N,).
+    """
+    d = len(intervals)
+    orders = _quad_orders(quad_order, d)
     xs, ws = [], []
     for o, (lo, hi) in zip(orders, intervals):
         x, w = _legendre_rule(o)

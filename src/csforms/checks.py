@@ -38,7 +38,7 @@ from .bundles import (
     psi_horizontal_part,
     tp_form,
 )
-from .calculus import FormField, ParametrizedChain, bracket_wedge, exterior_derivative, integrate, wedge
+from .calculus import FormField, ParametrizedChain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
 from .invariants import eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
 from .liealg import random_element, random_group_element, so, u
 from .zoo import NamedBundle, get_bundle, quaternionic_section_degrees
@@ -476,6 +476,10 @@ def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) 
         raise ValueError(f"no fiber-norm records for bundle {bundle!r}; known: {list(FIBER_NORM_BUNDLES)}")
     wanted = FIBER_NORM_BUNDLES if bundle is None else (bundle,)
     quad_order_1d, quad_order_3d = (24, 10) if quad_order is None else (quad_order, quad_order)
+    # every order a record will use is refused, if at all, before the first integral
+    for name in wanted:
+        for order in (quad_order_1d, 2 * quad_order_1d) if name == "ut_s2" else (quad_order_3d,):
+            _quad_orders(order, len(get_bundle(name).fiber.intervals))
 
     def on_fiber(name, form_at, order, **kw):
         b = get_bundle(name)

@@ -120,11 +120,11 @@ def _curvature_pattern(n: int) -> np.ndarray:
 def _sphere_potential(x: np.ndarray) -> np.ndarray:
     """Levi-Civita spin connection of the round S^n, n = x.shape[-1], in the
     conformal orthonormal gauge: A_a[b, c] = mu (x_c d_ab - x_b d_ac) with
-    mu = -2/(1 + |x|^2).  It vanishes on radial directions (A_x(x) = 0)."""
-    mu = -2.0 / (1.0 + _sq(x))
-    # d_ab x_c, then antisymmetrized in (b, c)
-    t = np.eye(x.shape[-1])[:, :, None] * x[..., None, None, :]
-    return mu[..., None, None, None] * (t - np.swapaxes(t, -1, -2))
+    mu = -2/(1 + |x|^2), that is mu sum_e x_e (E_ae - E_ea): one product
+    with _curvature_pattern.  It vanishes on radial directions (A_x(x) = 0)."""
+    n = x.shape[-1]
+    lam = 2.0 / (1.0 + _sq(x))  # -mu
+    return (lam[..., None] * (x @ _curvature_pattern(n).reshape(n, -1))).reshape(x.shape[:-1] + (n, n, n))
 
 
 def _sphere_curvature(x: np.ndarray) -> np.ndarray:
@@ -499,10 +499,10 @@ def get_bundle(name: str) -> NamedBundle:
         return _CATALOG[name]()
     if name.startswith("flat:"):
         parts = name.split(":")
-        if len(parts) == 3:
-            return flat_bundle(parts[1], int(parts[2]))
-        if len(parts) == 4:
-            return flat_bundle(parts[1], int(parts[2]), parts[3])
+        if len(parts) in (3, 4):
+            if not parts[2].removeprefix("-").isdecimal():
+                raise ValueError(f"bundle {name!r} needs an integer n in flat:<g>:<n>[:<h>], got {parts[2]!r}")
+            return flat_bundle(parts[1], int(parts[2]), *parts[3:])
     raise ValueError(f"unknown bundle {name!r}; known: {bundle_names()}")
 
 

@@ -283,7 +283,7 @@ def test_phi_p_form_computes_each_phi_once(monkeypatch):
 
     calls = []
 
-    def counted(m):
+    def counted(m, *eig):
         calls.append(m.shape)
         return expm(m)
 
@@ -295,3 +295,49 @@ def test_phi_p_form_computes_each_phi_once(monkeypatch):
     value = phi_p_form(b.chart, P)(pt, tangents)
     assert np.isfinite(value) and value != 0.0
     assert 0 < len(calls) <= 1 + len(tangents)
+
+
+def _counting(P):
+    """P with its multilinear calls counted in a list."""
+    calls = []
+
+    def ml(args):
+        calls.append(len(args))
+        return P.multilinear(args)
+
+    return replace(P, multilinear=ml), calls
+
+
+@pytest.mark.parametrize("name", ["frame_s4", "frame_s4:b1", "hopf_u1"])
+def test_each_form_value_is_one_multilinear_call(name):
+    b = get_bundle(name)
+    P, calls = _counting(b.polynomial())
+    k = P.degree
+    ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
+    pt = ch.point(rng.uniform(-0.5, 0.5, ch.base_dim))
+    tg = [rng.standard_normal(ch.dim) for _ in range(2 * k)]
+    phi_p_form(ch, P)(pt, tg[1:])
+    assert len(calls) == 1
+    char_form(ch, P)(pt, tg)
+    assert len(calls) == 2
+    # one call for d PhiP on the stencil stack, one for P(Omega) - P(Psi)
+    assert heterotic_residual(ch, P, pt, tg) < 1e-6
+    assert len(calls) == 4
+
+
+def test_chart_context_diagonalizes_once_off_t0(monkeypatch):
+    eighs = []
+    real = np.linalg.eigh
+
+    def counted(x, *a, **kw):
+        eighs.append(x.shape)
+        return real(x, *a, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    b = get_bundle("frame_s4:b1")
+    tangents = [rng.standard_normal(b.chart.dim) for _ in range(3)]
+    off = b.chart.ctx(b.chart.point(rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.3, 0.3, b.chart.algebra.dim)))
+    off.tables(tangents)
+    assert len(eighs) == 1
+    b.chart.ctx(b.chart.point(rng.uniform(-0.5, 0.5, 4))).tables(tangents)
+    assert len(eighs) == 1

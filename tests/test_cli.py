@@ -183,6 +183,8 @@ def test_fiber_norm_all_pass(capsys):
         ["obstruction", "--bundle", "frame_s4", "--chain", "full_sphere", "--section", "sigma1"],
         # a 1-D order within the node cap whose rule alone would need 75 GiB
         ["fiber-norm", "--bundle", "ut_s2", "--quad-order", "100000"],
+        # a flat bundle whose base dimension is not an integer
+        ["heterotic-check", "--bundle", "flat:so4:x"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -193,6 +195,19 @@ def test_rejected_input_exits_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+def test_fiber_norm_refuses_its_orders_before_the_first_integral(capsys, monkeypatch):
+    # order 2048 is accepted on the circle, but its alternate lift runs at 4096
+    calls = []
+    real = checks.fiber_integral
+    monkeypatch.setattr(checks, "fiber_integral", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    with pytest.raises(ValueError, match="4096"):
+        checks.fiber_norm_checks(quad_order=2048, bundle="ut_s2")
+    assert calls == []
+    assert main(["fiber-norm", "--bundle", "ut_s2", "--quad-order", "2048"]) == 2
+    assert calls == []
+    assert "4096" in capsys.readouterr().err
 
 
 def test_fiber_norm_bundle_selects_records(capsys):

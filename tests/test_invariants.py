@@ -329,3 +329,97 @@ def test_wedge_and_bracket_match_literal_sn_sum(degs):
     expected = literal_alternating_sum(degs, commutator)
     scale = max(1.0, np.max(np.abs(expected)))
     assert np.max(np.abs(bracket_wedge(la, lb)(pt, tangents) - expected)) < 1e-12 * scale
+
+
+# --- merged shuffles: identical slots evaluated once ------------------------------
+
+def _unmerged_sum(P, args, n):
+    """The weight-1 sum over every shuffle, reading the tables directly."""
+    from csforms.invariants import _shuffles
+
+    total = 0.0
+    for sign, blocks in _shuffles(tuple(p for _, p in args)):
+        total = total + sign * polarize_eval(P, [a[b] for (a, _), b in zip(args, blocks)])
+    return total
+
+
+def _random_table(alg, n, p, batch=(3,)):
+    """An alternating p-table (n,)*p + batch + (N, N) of random algebra elements."""
+    t = np.array([random_element(alg, rng) for _ in range(n**p * int(np.prod(batch)))])
+    t = t.reshape((n,) * p + batch + t.shape[-2:])
+    return t - t.swapaxes(0, 1) if p == 2 else t
+
+
+@pytest.mark.parametrize(
+    "pname,k,tag,layout",
+    [
+        # each slot is (table name, degree); equal names are one table
+        ("pontryagin_1", 2, "so4", (("A", 2), ("A", 2))),
+        ("euler", 2, "so4", (("a", 1), ("A", 2))),
+        ("chern_j", 3, "u3", (("A", 2), ("A", 2), ("A", 2))),
+        ("chern_j", 3, "u3", (("a", 1), ("A", 2), ("A", 2))),
+        ("chern_j", 3, "u3", (("A", 2), ("B", 2), ("A", 2))),
+        ("chern_j", 3, "u3", (("a", 1), ("A", 2), ("b", 1))),
+    ],
+)
+def test_merged_shuffle_sum_matches_unmerged(pname, k, tag, layout):
+    P = make_polynomial(pname, k, tag)
+    alg = so(4) if tag == "so4" else u(3)
+    n = sum(p for _, p in layout)
+    tables = {name: _random_table(alg, n, p) for name, p in layout}
+    args = [(tables[name], p) for name, p in layout]
+    expected = _unmerged_sum(P, args, n)
+    assert np.max(np.abs(expected)) > 1e-6
+    assert np.max(np.abs(eval_on_forms_indexed(P, args, n) - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "pname,k,tag,layout",
+    [
+        ("pontryagin_1", 2, "so4", (("a", 1), ("a", 1))),
+        ("chern_j", 3, "u3", (("a", 1), ("a", 1), ("A", 2))),
+        ("chern_j", 3, "u3", (("A", 2), ("a", 1), ("a", 1))),
+    ],
+)
+def test_repeated_odd_slot_cancels_to_zero(pname, k, tag, layout):
+    P = make_polynomial(pname, k, tag)
+    alg = so(4) if tag == "so4" else u(3)
+    n = sum(p for _, p in layout)
+    tables = {name: _random_table(alg, n, p) for name, p in layout}
+    args = [(tables[name], p) for name, p in layout]
+    assert np.max(np.abs(_unmerged_sum(P, args, n))) < 1e-13
+    # the merged rows carry weight 0
+    assert np.all(eval_on_forms_indexed(P, args, n) == 0.0)
+
+
+def test_merged_shuffle_counts():
+    from csforms.invariants import _shuffles, _stack_plan
+
+    for k, unmerged, merged in ((2, 6, 3), (3, 90, 15)):
+        weights, _ = _stack_plan(((1.0, ((0, 2),) * k),), 2 * k)
+        assert (len(_shuffles((2,) * k)), len(weights)) == (unmerged, merged)
+        assert set(np.abs(weights)) == {float(factorial(k))}
+
+
+def test_weighted_lists_are_one_weighted_sum():
+    P = make_polynomial("chern_j", 3, "u3")
+    a, A, B = _random_table(u(3), 5, 1), _random_table(u(3), 5, 2), _random_table(u(3), 5, 2)
+    lists = [[(a, 1), (A, 2), (A, 2)], [(a, 1), (B, 2), (A, 2)], [(a, 1), (B, 2), (B, 2)]]
+    coeffs = [0.5, -1.25, 3.0]
+    expected = sum(c * eval_on_forms_indexed(P, args, 5) for c, args in zip(coeffs, lists))
+    got = eval_on_forms_indexed(P, list(zip(coeffs, lists)), 5)
+    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+def test_callables_and_tables_give_one_value():
+    # a callable is read on increasing index tuples only, a table directly
+    P = make_polynomial("euler", 2, "so4")
+    A = _random_table(so(4), 4, 2)
+    seen = []
+
+    def f(i, j):
+        seen.append((i, j))
+        return A[i, j]
+
+    assert eval_on_forms_indexed(P, [(f, 2), (f, 2)], 4) == pytest.approx(eval_on_forms_indexed(P, [(A, 2), (A, 2)], 4), abs=0)
+    assert seen and all(i < j for i, j in seen)

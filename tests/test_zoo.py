@@ -82,6 +82,24 @@ def test_s2_potential_is_closed_form_spin_connection():
     assert np.max(np.abs(get_bundle("ut_s2").chart.potential(x) - reference)) < 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sphere_potential_matches_the_explicit_formula(n):
+    # A_a[b, c] = mu (x_c d_ab - x_b d_ac), mu = -2/(1 + |x|^2): d_ab x_c antisymmetrized in (b, c)
+    from csforms.zoo import _sphere_potential
+
+    for x in (np.random.default_rng(n).uniform(-2.0, 2.0, n), np.random.default_rng(n).uniform(-2.0, 2.0, (3, 5, n))):
+        mu = -2.0 / (1.0 + (x * x).sum(axis=-1))
+        t = np.eye(n)[:, :, None] * x[..., None, None, :]
+        assert np.array_equal(_sphere_potential(x), mu[..., None, None, None] * (t - np.swapaxes(t, -1, -2)))
+
+
+@pytest.mark.parametrize("name", ["flat:so4:x", "flat:so4:2.5", "flat:so4::so3"])
+def test_flat_bundle_with_a_non_integer_n_names_the_form(name):
+    with pytest.raises(ValueError, match=r"flat:<g>:<n>\[:<h>\]") as exc:
+        get_bundle(name)
+    assert repr(name) in str(exc.value)
+
+
 def test_flat_bundle_is_flat_and_closed():
     b = flat_bundle("so4", 3, "so3")
     e2 = make_polynomial("euler", 2, "so4")
