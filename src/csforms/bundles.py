@@ -27,11 +27,10 @@ on the fiber's parameter box, integrated by calculus.integrate.  A fiber
 lift or a section is differentiated by central differences on one stencil
 stack (2p+1, ..., p) of the points x, x + h v_i and x - h v_i, in one call
 (_recentered).  The residuals that take d of a chart form (heterotic,
-transgression, covariant-derivative and connection-curvature) evaluate the
-chart's potential and curvature one base point at a time and everything
-else on the stencil stack, so a chart used only by them and at single
-points may accept (n,) alone.  At t = 0 and on base tangents the
-connection-curvature residual checks F = dA + [A, A] itself.
+transgression, covariant-derivative and connection-curvature) make one
+chart context on the stencil stack and one at the point, so each calls the
+chart's potential and curvature once per context.  At t = 0 and on base
+tangents the connection-curvature residual checks F = dA + [A, A] itself.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -87,6 +86,7 @@ __all__ = [
     "tp_form",
     "phi_p_form",
     "heterotic_residual",
+    "heterotic_rhs",
     "fiber_integral",
     "section_pullback_form",
     "obstruction_identity_check",
@@ -137,20 +137,6 @@ class BundleChart:
 
     def ctx(self, point: np.ndarray) -> "_ChartContext":
         return _ChartContext(self, np.asarray(point, dtype=float))
-
-
-def _pointwise(chart: BundleChart) -> BundleChart:
-    """The chart with potential and curvature evaluated one base point at a
-    time, stacked over the leading axes of x (..., n)."""
-
-    def each(field):
-        def ev(x):
-            values = [np.asarray(field(xi)) for xi in x.reshape(-1, x.shape[-1])]
-            return np.stack(values).reshape(x.shape[:-1] + values[0].shape)
-
-        return ev
-
-    return replace(chart, potential=each(chart.potential), curvature_field=each(chart.curvature_field))
 
 
 def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -377,19 +363,20 @@ def heterotic_residual(
     tangents: Sequence[np.ndarray],
     fd_step: float = 1e-4,
 ) -> float:
-    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point.
-
-    P(Omega) - P(Psi) comes from the tables of one chart context at the
-    point, in one shuffle evaluation.
-    """
-    k = P.degree
-    if len(tangents) != 2 * k:
-        raise ValueError(f"need {2 * k} tangents, got {len(tangents)}")
-    chart = _pointwise(chart)
+    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point."""
+    if len(tangents) != 2 * P.degree:
+        raise ValueError(f"need {2 * P.degree} tangents, got {len(tangents)}")
     tangents = list(tangents)
     lhs = exterior_derivative(phi_p_form(chart, P), fd_step)(point, tangents)
+    return abs(lhs - heterotic_rhs(chart, P, point, tangents))
+
+
+def heterotic_rhs(chart: BundleChart, P: InvariantPolynomial, point: np.ndarray, tangents: Sequence[np.ndarray]) -> float:
+    """P(Omega) - P(Psi) on 2k tangents, from the tables of one chart context
+    at the point, in one shuffle evaluation."""
+    k = P.degree
     _, _, psi, om = chart.ctx(point).tables(tangents)
-    return abs(lhs - eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k))
+    return eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k)
 
 
 def transgression_residual(
@@ -412,7 +399,6 @@ def covariant_derivative_residual(
     """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents)."""
     if len(tangents) != 3:
         raise ValueError("need 3 tangents")
-    chart = _pointwise(chart)
     tangents = list(tangents)
     dom = exterior_derivative(curvature_form(chart), fd_step)(point, tangents)
     # every value at the point from one omegas and one curvs call on (X, Y, Z)
@@ -445,7 +431,6 @@ def connection_curvature_fd_residual(
     fd_step: float = 1e-4,
 ) -> float:
     """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD."""
-    chart = _pointwise(chart)
     dw = exterior_derivative(omega_form(chart), fd_step)(point, [X, Y])
     ctx = chart.ctx(point)
     w = ctx.omegas([X, Y])

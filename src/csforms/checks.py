@@ -2,9 +2,11 @@
 
 Each function returns a list of CheckRecord with the computed value, the
 expected value, the tolerance, and a stable anchor string naming the identity
-being verified.  A record passes when |computed - expected| <= tolerance; that
-rule is written once, in _rec, and CheckRecord.with_tolerance re-judges a
-record at another tolerance (the CLI's --tol).
+being verified.  A record passes when |computed - expected| <= tolerance and,
+if it records the size `scale` of what it compares (the heterotic sweeps'
+largest |P(Omega) - P(Psi)|), that size is at least NONVACUITY_FLOOR; those
+rules are written once, in _rec, and CheckRecord.with_tolerance re-judges a
+record at another tolerance (the CLI's --tol), which leaves the floor.
 
 All randomness flows from an explicit seed, so a report is a deterministic
 function of its configuration.  Every pointwise sweep draws its points through
@@ -33,6 +35,7 @@ from .bundles import (
     covariant_derivative_residual,
     fiber_integral,
     heterotic_residual,
+    heterotic_rhs,
     obstruction_identity_check,
     phi_p_form,
     psi_horizontal_part,
@@ -60,6 +63,10 @@ __all__ = [
 ]
 
 
+# a record whose compared quantities are all below this in size shows nothing
+NONVACUITY_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     name: str
@@ -76,13 +83,14 @@ class CheckRecord:
 
 
 def _rec(name: str, anchor: str, computed: float, expected: float, tol: float, **extra) -> CheckRecord:
+    vacuous = "scale" in extra and not extra["scale"] >= NONVACUITY_FLOOR
     return CheckRecord(
         name=name,
         anchor=anchor,
         computed=float(computed),
         expected=float(expected),
         tolerance=float(tol),
-        passed=bool(abs(float(computed) - float(expected)) <= float(tol)),
+        passed=bool(abs(float(computed) - float(expected)) <= float(tol)) and not vacuous,
         extra=extra,
     )
 
@@ -372,7 +380,11 @@ def heterotic_sweep(
         raise ValueError(
             f"{P.name} is a {2 * P.degree}-form; {bundle_name} has a {bundle.chart.dim}-dimensional total space"
         )
-    worst = _sweep(bundle, rng, points, 2 * P.degree, lambda ch, pt, tg: heterotic_residual(ch, P, pt, tg, fd_step))
+
+    def residual(ch, pt, tg):
+        return heterotic_residual(ch, P, pt, tg, fd_step), heterotic_rhs(ch, P, pt, tg)
+
+    worst, scale = _sweep(bundle, rng, points, 2 * P.degree, residual)
     return [
         _rec(
             f"heterotic_{bundle_name}_{P.name}",
@@ -382,6 +394,7 @@ def heterotic_sweep(
             1e-4,
             points=points,
             fd_step=fd_step,
+            scale=float(scale),
         )
     ]
 

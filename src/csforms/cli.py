@@ -234,9 +234,10 @@ def _to_text(report: dict, elapsed: float) -> str:
     lines = []
     for r in report["records"]:
         status = "PASS" if r["passed"] else "FAIL"
+        scale = f" scale={r['extra']['scale']:.3g}" if "scale" in r["extra"] else ""
         lines.append(
             f"[{status}] {r['name']}: computed={r['computed']:.6g} expected={r['expected']:.6g} "
-            f"tol={r['tolerance']:.3g}  ({r['anchor']})"
+            f"tol={r['tolerance']:.3g}{scale}  ({r['anchor']})"
         )
     fc = report["config"].get("fiber_constant")
     if fc:

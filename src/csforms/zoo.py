@@ -21,6 +21,8 @@ Shipped bundles:
                  (H = SO(3)), and the two RP^3 bundles attached to the su(2)
                  ideals (H = H1, H2)
     flat:<g>:<n> trivial bundle, zero potential
+    linear:<g>:<n> generic chart over R^n, A_a = C_a + x_b D_ab from seed 0;
+                 linear:u3:6:<h> checks chern_3, where the mixed A_11 enters
     twisted_u2   generic-curvature U(2) chart over R^2 used for the
                  determinant-bundle and odd-sphere-bundle vanishing checks
 
@@ -51,6 +53,7 @@ from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
     algebra_from_tag,
     left_mult_matrix,
+    random_element,
     so,
     so4_ideal_split,
     so4_to_quaternion_pair,
@@ -65,6 +68,7 @@ __all__ = [
     "unit_tangent_s2",
     "frame_bundle_s4",
     "flat_bundle",
+    "linear_bundle",
     "twisted_u2",
     "get_bundle",
     "bundle_names",
@@ -448,6 +452,35 @@ def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
     return NamedBundle(name=f"flat:{gtag}:{n}", chart=chart)
 
 
+def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator) -> NamedBundle:
+    """Bundle over R^n with the generic potential A_a(x) = C_a + x_b D_ab.
+
+    The C_a and then the D_ab (row by row) are drawn from rng, each as
+    random_element(g, rng, 0.3).  The curvature is exact:
+    F_ab = D_ba - D_ab + [A_a, A_b].  On u(m) the default polynomial is
+    chern_j of degree m.
+    """
+    if n < 1:
+        raise ValueError(f"bundle linear:{gtag}:{n} needs a base dimension n >= 1, got {n}")
+    alg = algebra_from_tag(gtag)
+    C = np.array([random_element(alg, rng, 0.3) for _ in range(n)])
+    D = np.array([[random_element(alg, rng, 0.3) for _ in range(n)] for _ in range(n)])
+    dD = np.swapaxes(D, 0, 1) - D
+
+    def potential(x):
+        return C + np.einsum("...b,abij->...aij", x, D)
+
+    def curvature(x):
+        A = potential(x)
+        AA = np.einsum("...aij,...bjk->...abik", A, A)
+        return dD + AA - np.swapaxes(AA, -3, -4)
+
+    name = ":".join(["linear", gtag, str(n)] + ([hsub] if hsub else []))
+    split = standard_split(gtag, hsub) if hsub else None
+    chart = BundleChart(n, alg, potential, curvature, split=split, name=name)
+    return NamedBundle(name=name, chart=chart, default_poly=("chern_j", alg.n) if alg.name == "u" else None)
+
+
 _M1 = 0.7 * np.array([[0.9j, 0.4 + 0.3j], [-0.4 + 0.3j, -0.6j]])
 _M2 = 0.7 * np.array([[0.5j, -0.2 + 0.6j], [0.2 + 0.6j, 0.8j]])
 
@@ -490,19 +523,25 @@ _CATALOG: dict[str, Callable[[], NamedBundle]] = {
 }
 
 
+# the families get_bundle parses from names <family>:<g>:<n>[:<h>]
+_FAMILIES: dict[str, Callable[..., NamedBundle]] = {
+    "flat": flat_bundle,
+    "linear": lambda gtag, n, hsub=None: linear_bundle(gtag, n, hsub, np.random.default_rng(0)),
+}
+
+
 def bundle_names() -> list[str]:
-    return [*_CATALOG, "flat:<g>:<n>"]
+    return [*_CATALOG, *(f"{family}:<g>:<n>" for family in _FAMILIES)]
 
 
 def get_bundle(name: str) -> NamedBundle:
     if name in _CATALOG:
         return _CATALOG[name]()
-    if name.startswith("flat:"):
-        parts = name.split(":")
-        if len(parts) in (3, 4):
-            if not parts[2].removeprefix("-").isdecimal():
-                raise ValueError(f"bundle {name!r} needs an integer n in flat:<g>:<n>[:<h>], got {parts[2]!r}")
-            return flat_bundle(parts[1], int(parts[2]), *parts[3:])
+    parts = name.split(":")
+    if parts[0] in _FAMILIES and len(parts) in (3, 4):
+        if not parts[2].removeprefix("-").isdecimal():
+            raise ValueError(f"bundle {name!r} needs an integer n in {parts[0]}:<g>:<n>[:<h>], got {parts[2]!r}")
+        return _FAMILIES[parts[0]](parts[1], int(parts[2]), *parts[3:])
     raise ValueError(f"unknown bundle {name!r}; known: {bundle_names()}")
 
 

@@ -81,6 +81,16 @@ def test_criterion_3_heterotic_identity():
     _assert_all("criterion 3: heterotic identity, 100 points x 5 bundles", records, budget=300, elapsed=time.time() - t0)
 
 
+def test_criterion_3_heterotic_identity_at_degree_3():
+    # chern_3 on u(3)/u(2) and u(3)/su(3): the first degree at which the mixed A_11 enters
+    t0 = time.time()
+    records = []
+    for name in ("linear:u3:6:u2", "linear:u3:6:su3"):
+        records += checks.heterotic_sweep(name, points=3)
+    assert all(r.tolerance == 1e-4 and r.name.endswith("chern_3") for r in records)
+    _assert_all("criterion 3: heterotic identity at k = 3, 3 points x 2 splits", records, budget=60, elapsed=time.time() - t0)
+
+
 def test_criterion_4_naturally_associated_vanishing():
     t0 = time.time()
     records = [

@@ -5,11 +5,12 @@ on the stack of all quadrature nodes in one call, and exterior_derivative
 evaluates its form on the stack of its whole stencil.  Each test here
 computes the same value with a loop that calls the same form or map at
 single (d,) points, one node or stencil point at a time, and asks for
-agreement to 1e-12 relative.  The last tests pin the per-point contract: a
-chart that only accepts single points still runs every pointwise check, and
-the checks inside the stacked kernels decide matrix by matrix.  The chart
-context's Omega pair table and the stacked covariant-derivative residual
-are checked against the formulas they replace, kept here as references.
+agreement to 1e-12 relative.  The last tests pin the stacked contract: each
+chart context calls the chart's potential and curvature at most once, on
+its whole point stack, and the checks inside the stacked kernels decide
+matrix by matrix.  The chart context's Omega pair table and the stacked
+covariant-derivative residual are checked against the formulas they
+replace, kept here as references.
 """
 
 from dataclasses import replace
@@ -19,9 +20,7 @@ import numpy as np
 import pytest
 
 from csforms.bundles import (
-    BundleChart,
     _comm,
-    _pointwise,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
@@ -202,40 +201,42 @@ def test_winding_degree_quaternionic_map():
     assert batched / pi**2 == pytest.approx(round(batched / pi**2), abs=1e-4)
 
 
-# --- the per-point contract and the per-matrix checks -----------------------
+# --- the stacked contract and the per-matrix checks -------------------------
 
-def single_point_chart(chart):
-    """The chart with potential and curvature that accept (n,) only."""
-    n = chart.base_dim
+def counting_chart(chart, calls):
+    """The chart with potential and curvature that record the shape of each call."""
 
-    def single(f):
-        def strict(x):
-            if np.shape(x) != (n,):
-                raise ValueError(f"single points only, got shape {np.shape(x)}")
-            return f(x)
+    def counted(key, field):
+        def ev(x):
+            calls[key].append(np.shape(x))
+            return field(x)
 
-        return strict
+        return ev
 
-    return BundleChart(n, chart.algebra, single(chart.potential), single(chart.curvature_field), chart.split)
+    return replace(
+        chart, potential=counted("potential", chart.potential), curvature_field=counted("curvature", chart.curvature_field)
+    )
 
 
-def test_single_point_chart_runs_pointwise_checks():
+def test_chart_fields_are_called_once_per_context_on_the_whole_stack():
     fs = get_bundle("frame_s4:b1")
-    chart = fs.chart
-    strict = single_point_chart(chart)
     P = fs.polynomial()
     rng = np.random.default_rng(2)
-    g0 = random_group_element(chart.algebra, rng, 0.7)
-    point = chart.at(g0).point(rng.uniform(-1, 1, 4))
+    g0 = random_group_element(fs.chart.algebra, rng, 0.7)
+    point = fs.chart.at(g0).point(rng.uniform(-1, 1, 4))
     tangents = [rng.standard_normal(10) for _ in range(4)]
-    assert heterotic_residual(strict.at(g0), P, point, tangents) < 1e-4
-    value = covariant_derivative_residual(strict.at(g0), point, tangents[:3])
-    assert value < 1e-5 and value == covariant_derivative_residual(chart.at(g0), point, tangents[:3])
-    value = connection_curvature_fd_residual(strict.at(g0), point, *tangents[:2])
-    assert value < 1e-5 and value == connection_curvature_fd_residual(chart.at(g0), point, *tangents[:2])
-    for source in ("omega", "psi"):
-        assert char_form(strict.at(g0), P, source)(point, tangents) == char_form(chart.at(g0), P, source)(point, tangents)
-    assert phi_p_form(strict.at(g0), P)(point, tangents[:3]) == phi_p_form(chart.at(g0), P)(point, tangents[:3])
+    n = (4,)
+
+    def calls_of(residual, *args):
+        calls = {"potential": [], "curvature": []}
+        residual(counting_chart(fs.chart, calls).at(g0), *args)
+        return calls
+
+    # d PhiP on the stencil stack of 2(3 + 1) points, then P(Omega) - P(Psi) at the point
+    assert calls_of(heterotic_residual, P, point, tangents) == {"potential": [(8, *n), n], "curvature": [(8, *n), n]}
+    # d Omega reads no potential; the brackets at the point read both fields
+    assert calls_of(covariant_derivative_residual, point, tangents[:3]) == {"potential": [n], "curvature": [(6, *n), n]}
+    assert calls_of(connection_curvature_fd_residual, point, *tangents[:2]) == {"potential": [(4, *n), n], "curvature": [n]}
 
 
 def test_skew_checks_decide_per_matrix():
@@ -337,7 +338,6 @@ def test_identity_reference_is_not_conjugated(name):
 
 def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
     """d Omega + [psi, Omega] - [Omega, phi] from the single-value methods."""
-    chart = _pointwise(chart)
     dom = exterior_derivative(curvature_form(chart), fd_step)(point, list(tangents))
     ctx = chart.ctx(point)
     X, Y, Z = [np.asarray(v, float) for v in tangents]
@@ -351,17 +351,14 @@ def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
 
 def loop_connection_curvature_fd_residual(chart, point, X, Y, fd_step=1e-4):
     """d w + (1/2)[w, w] - Omega from the single-value methods."""
-    chart = _pointwise(chart)
     dw = exterior_derivative(omega_form(chart), fd_step)(point, [X, Y])
     ctx = chart.ctx(point)
     return float(np.max(np.abs(dw + _comm(ctx.omega(X), ctx.omega(Y)) - ctx.curv(X, Y))))
 
 
-@pytest.mark.parametrize("name,single", [("ut_s2", False), ("frame_s4:b1", False), ("frame_s4:b1", True)])
-def test_stacked_covariant_derivative_residual(name, single):
+@pytest.mark.parametrize("name", ["ut_s2", "frame_s4:b1"])
+def test_stacked_covariant_derivative_residual(name):
     chart = get_bundle(name).chart
-    if single:
-        chart = single_point_chart(chart)
     rng = np.random.default_rng(8)
     chart = chart.at(random_group_element(chart.algebra, rng, 0.7))
     point = chart.point(rng.uniform(-1, 1, chart.base_dim), rng.uniform(-0.3, 0.3, chart.algebra.dim))

@@ -52,3 +52,15 @@ def test_with_tolerance_rejudges_a_record():
     loose, tight = r.with_tolerance(1.0), r.with_tolerance(0.0)
     assert loose.passed and loose.tolerance == 1.0 and not tight.passed
     assert (loose.name, loose.anchor, loose.computed, loose.extra) == (r.name, r.anchor, r.computed, r.extra)
+
+
+def test_vacuous_heterotic_sweep_fails_at_any_tolerance():
+    # on a flat so(4) bundle P(Omega) = P(Psi) = 0: a residual of 0 proves nothing
+    (r,) = checks.heterotic_sweep("flat:so4:3", "euler", points=3)
+    assert abs(r.computed) <= r.tolerance and r.extra["scale"] < checks.NONVACUITY_FLOOR
+    assert not r.passed and not r.with_tolerance(1.0).passed
+
+
+def test_heterotic_sweep_records_its_scale():
+    (r,) = checks.heterotic_sweep("ut_s2", points=3)
+    assert r.passed and r.extra["scale"] >= 1e-3

@@ -183,8 +183,9 @@ def test_fiber_norm_all_pass(capsys):
         ["obstruction", "--bundle", "frame_s4", "--chain", "full_sphere", "--section", "sigma1"],
         # a 1-D order within the node cap whose rule alone would need 75 GiB
         ["fiber-norm", "--bundle", "ut_s2", "--quad-order", "100000"],
-        # a flat bundle whose base dimension is not an integer
+        # a flat or linear bundle whose base dimension is not an integer
         ["heterotic-check", "--bundle", "flat:so4:x"],
+        ["heterotic-check", "--bundle", "linear:u3:x"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -286,6 +287,12 @@ def test_flat_bundle_needs_a_positive_base_dimension(capsys, n):
     err = capsys.readouterr().err
     assert code == 2
     assert f"bundle flat:so4:{n} needs a base dimension n >= 1" in err
+
+
+def test_vacuous_heterotic_check_exits_1(capsys):
+    code, out = run(capsys, "heterotic-check", "--bundle", "flat:so4:3", "--poly", "euler", "--points", "3")
+    assert code == 1
+    assert "FAIL" in out
 
 
 def test_poly_help_names_every_polynomial():

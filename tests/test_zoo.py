@@ -1,6 +1,8 @@
 """Bundle zoo: named charts, global integrals, sections, windings, degrees."""
 
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from csforms.zoo import (
     bundle_names,
     flat_bundle,
     get_bundle,
+    linear_bundle,
     quaternionic_section_degrees,
     winding_degree,
 )
@@ -39,7 +42,7 @@ def test_get_bundle_dispatch():
 
 def test_every_catalog_name_builds_its_bundle():
     for name in bundle_names():
-        if not name.startswith("flat:"):
+        if "<" not in name:  # the families parsed from their names, flat:<g>:<n> and linear:<g>:<n>
             assert get_bundle(name).name == name
 
 
@@ -98,6 +101,32 @@ def test_flat_bundle_with_a_non_integer_n_names_the_form(name):
     with pytest.raises(ValueError, match=r"flat:<g>:<n>\[:<h>\]") as exc:
         get_bundle(name)
     assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["linear:u3:x", "linear:u3:6.0:u2"])
+def test_linear_bundle_with_a_non_integer_n_names_the_form(name):
+    with pytest.raises(ValueError, match=r"linear:<g>:<n>\[:<h>\]") as exc:
+        get_bundle(name)
+    assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("split", ["u2", "su3"])
+def test_linear_bundle_matches_the_benchmark_chart(split):
+    # the chart sweep_k3 builds from the same seed, called at single points
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    bench = workloads.linear_u3_chart(np.random.default_rng(4), split)
+    chart = linear_bundle("u3", 6, split, np.random.default_rng(4)).chart
+    assert chart.split.label == bench.split.label
+    x = np.random.default_rng(5).uniform(-1.2, 1.2, (2, 3, 6))
+    for field, bench_field in ((chart.potential, bench.potential), (chart.curvature_field, bench.curvature_field)):
+        stacked = field(x)
+        for idx in np.ndindex(x.shape[:-1]):
+            single = bench_field(x[idx])
+            assert np.max(np.abs(field(x[idx]) - single)) <= 1e-15
+            assert np.max(np.abs(stacked[idx] - single)) <= 1e-15
+    assert get_bundle("linear:u3:6:su3").polynomial().name == "chern_3"
 
 
 def test_flat_bundle_is_flat_and_closed():
