@@ -49,7 +49,7 @@ def _positive(kind, zero_ok: bool = False):
 
 
 _TUNING = {
-    "seed": dict(type=int, default=0, help="seed for random sweeps"),
+    "seed": dict(type=_positive(int, zero_ok=True), default=0, help="seed for random sweeps (>= 0)"),
     "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
     "fd-step": dict(type=_positive(float), default=1e-4, help="finite-difference step (> 0)"),
     "quad-order": dict(

@@ -423,15 +423,10 @@ def _bracket_with_one_form(
 
     def ev(*vecs: np.ndarray) -> np.ndarray:
         assert len(vecs) == p + 1
-        total = None
-        for drop in range(p + 1):
-            rest = vecs[:drop] + vecs[drop + 1 :]
-            a = f(*rest)
-            b = phi(vecs[drop])
-            # sign of moving slot `drop` to the end: (p - drop) transpositions
-            s = (-1) ** (p - drop)
-            term = s * (a @ b - b @ a)
-            total = term if total is None else total + term
+        total = 0.0
+        for sign, (rest, (last,)) in _shuffles((p, 1)):
+            a, b = f(*(vecs[i] for i in rest)), phi(vecs[last])
+            total = total + sign * (a @ b - b @ a)
         return total
 
     return ev

@@ -10,6 +10,7 @@ orthogonal complement of a subalgebra under an invariant form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import numpy as np
@@ -128,11 +129,10 @@ def su(n: int) -> MatrixLieAlgebra:
 def algebra_from_tag(tag: str) -> MatrixLieAlgebra:
     """Parse tags like "so4", "so(4)", "u2", "su2"; a size below 0 raises
     ValueError, size 0 (and so(1)) gives the zero algebra."""
-    s = tag.lower().replace("(", "").replace(")", "").strip()
-    for name in ("so", "su", "u"):
-        if s.startswith(name):
-            return MatrixLieAlgebra(name, int(s[len(name):]))
-    raise ValueError(f"cannot parse algebra tag {tag!r}")
+    m = re.fullmatch(r"(so|su|u)(-?\d+)", tag.lower().replace("(", "").replace(")", "").strip())
+    if m is None:
+        raise ValueError(f"cannot parse algebra tag {tag!r}: expected so<n>, su<n> or u<n> with an integer n")
+    return MatrixLieAlgebra(m[1], int(m[2]))
 
 
 def inner_raw(x: np.ndarray, y: np.ndarray) -> float:

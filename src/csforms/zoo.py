@@ -19,12 +19,16 @@ Shipped bundles:
     frame_s4     oriented frame bundle of the round S^4, SO(4) group, with
                  three associated-bundle variants: the unit sphere bundle
                  (H = SO(3)), and the two RP^3 bundles attached to the su(2)
-                 ideals (H = H1, H2)
+                 ideals (H = H1, H2); the sphere bundle's alternate fiber
+                 lift is the n-generic Householder frame
     flat:<g>:<n> trivial bundle, zero potential
-    linear:<g>:<n> generic chart over R^n, A_a = C_a + x_b D_ab from seed 0;
+    linear:<g>:<n> generic chart over R^n from seed 0;
                  linear:u3:6:<h> checks chern_3, where the mixed A_11 enters
     twisted_u2   generic-curvature U(2) chart over R^2 used for the
                  determinant-bundle and odd-sphere-bundle vanishing checks
+
+The last three are one affine chart A_a = C_a + x_b D_ab: flat has C = D = 0,
+linear draws C and D, and twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.
 
 Every chart potential and curvature, chain map and Jacobian, fiber lift and
 section value here broadcasts over leading batch axes (see csforms.bundles),
@@ -322,39 +326,16 @@ def _quat_lift(psis: np.ndarray) -> np.ndarray:
     return left_mult_matrix(_angles(psis))
 
 
-def _gs_lift(reference: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Gram-Schmidt completion of the fiber point against a reference frame.
-
-    Discontinuous on the measure-zero locus where the point hits the span of
-    the reference tail; even quadrature orders keep nodes away from it.
-    """
-
-    def lift(psis: np.ndarray) -> np.ndarray:
-        v = _angles(psis)
-        # columns not yet filled are zero and drop out of the projections;
-        # a reference vector of norm below 1e-12 after them is skipped at
-        # that node alone
-        cols = np.zeros(v.shape[:-1] + (4, 4))
-        cols[..., 0] = v
-        filled = np.ones(v.shape[:-1], dtype=int)
-        for r in reference.T:
-            w = np.broadcast_to(r.astype(float), v.shape)
-            for j in range(4):
-                q = cols[..., j]
-                w = w - np.sum(w * q, axis=-1, keepdims=True) * q
-            nrm = np.linalg.norm(w, axis=-1)
-            keep = (nrm >= 1e-12) & (filled < 4)
-            slot = np.minimum(filled, 3)[..., None, None] == np.arange(4)
-            cols = np.where(keep[..., None, None] & slot, (w / np.where(keep, nrm, 1.0)[..., None])[..., None], cols)
-            filled = filled + keep
-        flip = np.where(np.linalg.det(cols) < 0, -1.0, 1.0)
-        cols[..., 3] *= flip[..., None]
-        return cols
-
-    return lift
-
-
-_GS_REF_1 = np.eye(4)[:, 1:]  # (e2, e3, e4)
+def _householder_lift(psis: np.ndarray) -> np.ndarray:
+    """A frame in SO(n) with first column v = _angles(psis), n = v.shape[-1]:
+    the reflection I - 2 w w^T / |w|^2, w = v - e_1, which maps e_1 to v,
+    with its last column negated.  Smooth away from v = e_1, which no
+    Gauss node reaches."""
+    v = _angles(psis)
+    w = v - np.eye(v.shape[-1])[0]
+    frame = np.eye(v.shape[-1]) - 2.0 * w[..., :, None] * w[..., None, :] / _sq(w)[..., None, None]
+    frame[..., :, -1] *= -1.0
+    return frame
 
 
 def _ideal_exp(angle: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -391,7 +372,7 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
             name="s3_fiber",
             intervals=_angle_box(3),
             lift=_quat_lift,
-            lift_alt=_gs_lift(_GS_REF_1),
+            lift_alt=_householder_lift,
             orientation=-1,
         )
         poly = ("euler", 2)
@@ -431,40 +412,12 @@ def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
     )
 
 
-# --- flat and generic charts --------------------------------------------------
+# --- affine charts -----------------------------------------------------------
 
-def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
-    """Trivial bundle over R^n, n >= 1, with zero potential."""
-    if n < 1:
-        raise ValueError(f"bundle flat:{gtag}:{n} needs a base dimension n >= 1, got {n}")
-    alg = algebra_from_tag(gtag)
-    m = alg.n
-    dt = complex if alg.is_complex else float
-
-    def potential(x):
-        return np.zeros(np.shape(x)[:-1] + (n, m, m), dtype=dt)
-
-    def curvature(x):
-        return np.zeros(np.shape(x)[:-1] + (n, n, m, m), dtype=dt)
-
-    split = standard_split(gtag, hsub) if hsub else None
-    chart = BundleChart(n, alg, potential, curvature, split=split, name=f"flat:{gtag}:{n}")
-    return NamedBundle(name=f"flat:{gtag}:{n}", chart=chart)
-
-
-def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator) -> NamedBundle:
-    """Bundle over R^n with the generic potential A_a(x) = C_a + x_b D_ab.
-
-    The C_a and then the D_ab (row by row) are drawn from rng, each as
-    random_element(g, rng, 0.3).  The curvature is exact:
-    F_ab = D_ba - D_ab + [A_a, A_b].  On u(m) the default polynomial is
-    chern_j of degree m.
-    """
-    if n < 1:
-        raise ValueError(f"bundle linear:{gtag}:{n} needs a base dimension n >= 1, got {n}")
-    alg = algebra_from_tag(gtag)
-    C = np.array([random_element(alg, rng, 0.3) for _ in range(n)])
-    D = np.array([[random_element(alg, rng, 0.3) for _ in range(n)] for _ in range(n)])
+def _affine_bundle(name: str, alg, C: np.ndarray, D: np.ndarray, split, default_poly=None) -> NamedBundle:
+    """Bundle over R^n, n = len(C), with the affine potential
+    A_a(x) = C_a + x_b D_ab and its exact curvature
+    F_ab = D_ba - D_ab + [A_a, A_b]."""
     dD = np.swapaxes(D, 0, 1) - D
 
     def potential(x):
@@ -475,10 +428,36 @@ def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator)
         AA = np.einsum("...aij,...bjk->...abik", A, A)
         return dD + AA - np.swapaxes(AA, -3, -4)
 
-    name = ":".join(["linear", gtag, str(n)] + ([hsub] if hsub else []))
-    split = standard_split(gtag, hsub) if hsub else None
-    chart = BundleChart(n, alg, potential, curvature, split=split, name=name)
-    return NamedBundle(name=name, chart=chart, default_poly=("chern_j", alg.n) if alg.name == "u" else None)
+    chart = BundleChart(len(C), alg, potential, curvature, split=split, name=name)
+    return NamedBundle(name=name, chart=chart, default_poly=default_poly)
+
+
+def _family(family: str, gtag: str, n: int, hsub: str | None):
+    """Name <family>:<g>:<n>[:<h>], algebra and split of a bundle over R^n, n >= 1."""
+    if n < 1:
+        raise ValueError(f"bundle {family}:{gtag}:{n} needs a base dimension n >= 1, got {n}")
+    name = ":".join([family, gtag, str(n)] + ([hsub] if hsub else []))
+    return name, algebra_from_tag(gtag), standard_split(gtag, hsub) if hsub else None
+
+
+def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
+    """Trivial bundle over R^n, n >= 1, with zero potential."""
+    name, alg, split = _family("flat", gtag, n, hsub)
+    C = np.zeros((n, alg.n, alg.n), dtype=complex if alg.is_complex else float)
+    return _affine_bundle(name, alg, C, np.zeros((n,) + C.shape, C.dtype), split)
+
+
+def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator) -> NamedBundle:
+    """Bundle over R^n with the generic affine potential A_a(x) = C_a + x_b D_ab.
+
+    The C_a and then the D_ab (row by row) are drawn from rng, each as
+    random_element(g, rng, 0.3).  On u(m) the default polynomial is chern_j
+    of degree m.
+    """
+    name, alg, split = _family("linear", gtag, n, hsub)
+    C = np.array([random_element(alg, rng, 0.3) for _ in range(n)])
+    D = np.array([[random_element(alg, rng, 0.3) for _ in range(n)] for _ in range(n)])
+    return _affine_bundle(name, alg, C, D, split, ("chern_j", alg.n) if alg.name == "u" else None)
 
 
 _M1 = 0.7 * np.array([[0.9j, 0.4 + 0.3j], [-0.4 + 0.3j, -0.6j]])
@@ -488,30 +467,19 @@ _M2 = 0.7 * np.array([[0.5j, -0.2 + 0.6j], [0.2 + 0.6j, 0.8j]])
 def twisted_u2(hsub: str = "su2") -> NamedBundle:
     """U(2) bundle chart over R^2 with generic non-abelian curvature.
 
-    A = x M1 dy + y M2 dx for fixed non-commuting skew-hermitian M1, M2, so
+    A = y M2 dx + x M1 dy for fixed non-commuting skew-hermitian M1, M2
+    (the affine chart with C = 0, D_xy = M2, D_yx = M1), so
     F(dx,dy) = M1 - M2 + xy [M2, M1].  Used for the determinant-bundle
     (hsub="su2") and odd-sphere-bundle (hsub="u1") vanishing checks, where the
     psi-curvature is genuinely nonzero but the relevant polynomial kills it.
     """
-    alg = u(2)
-
-    def potential(x):
-        return np.stack([x[..., 1, None, None] * _M2, x[..., 0, None, None] * _M1], axis=-3)
-
-    def curvature(x):
-        f = _M1 - _M2 + (x[..., 0] * x[..., 1])[..., None, None] * (_M2 @ _M1 - _M1 @ _M2)
-        return _PAIR2 * f[..., None, None, :, :]
-
-    split = standard_split("u2", hsub)
-    chart = BundleChart(2, alg, potential, curvature, split=split, name=f"twisted_u2:{hsub}")
-    return NamedBundle(
-        name=f"twisted_u2:{hsub}",
-        chart=chart,
-        default_poly=("chern_j", 1 if hsub == "su2" else 2),
-    )
+    D = np.zeros((2, 2, 2, 2), dtype=complex)
+    D[0, 1], D[1, 0] = _M2, _M1
+    split, poly = standard_split("u2", hsub), ("chern_j", 1 if hsub == "su2" else 2)
+    return _affine_bundle(f"twisted_u2:{hsub}", u(2), np.zeros((2, 2, 2), complex), D, split, poly)
 
 
-# every shipped bundle but the flat family, which get_bundle parses from its name
+# every shipped bundle but the families below, which get_bundle parses from the name
 _CATALOG: dict[str, Callable[[], NamedBundle]] = {
     "hopf_u1": hopf_u1,
     "ut_s2": unit_tangent_s2,

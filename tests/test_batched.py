@@ -37,8 +37,8 @@ from csforms.checks import _random_polynomial_form
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, rot4, so, so4_to_quaternion_pair, u
 from csforms.zoo import (
-    _gs_lift,
     _angles,
+    _householder_lift,
     _volume_pullback_integral,
     get_bundle,
     south_transition_frame,
@@ -275,16 +275,19 @@ def test_quaternion_split_stack():
         so4_to_quaternion_pair(R)
 
 
-def test_gram_schmidt_lift_skips_per_node():
-    # against the full identity frame, the node at the north pole (v = e1)
-    # skips e1 and every other node skips the last reference vector
-    lift = _gs_lift(np.eye(4))
-    params = np.array([[0.0, 0.3, 0.2], [0.9, 1.1, 2.0], [2.0, 0.4, 5.0]])
-    stacked = lift(params)
-    for s, g in zip(params, stacked):
-        assert np.allclose(lift(s), g, rtol=0, atol=1e-15)
-        assert np.allclose(g.T @ g, np.eye(4), atol=1e-14) and np.linalg.det(g) > 0
-    assert np.array_equal(stacked[0], np.eye(4))
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_householder_lift_is_a_special_orthogonal_frame_over_the_fiber_point(n):
+    # first column the fiber point, orthogonal with det +1, node by node as on the stack
+    rng = np.random.default_rng(n)
+    params = rng.uniform(0.1, 3.0, (2, 3, n - 1))
+    stacked = _householder_lift(params)
+    assert stacked.shape == (2, 3, n, n)
+    assert np.max(np.abs(stacked[..., :, 0] - _angles(params))) <= 1e-15
+    for idx in np.ndindex(params.shape[:-1]):
+        g = stacked[idx]
+        assert np.array_equal(_householder_lift(params[idx]), g)
+        assert np.allclose(g.T @ g, np.eye(n), rtol=0, atol=1e-14)
+        assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-13)
 
 
 # --- the Omega pair table and the stacked residuals --------------------------

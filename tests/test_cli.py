@@ -198,6 +198,26 @@ def test_rejected_input_exits_2(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["algebra", "--dump", "so"], "cannot parse algebra tag 'so': expected so<n>, su<n> or u<n>"),
+        (["algebra", "--dump", "u2x"], "cannot parse algebra tag 'u2x': expected so<n>, su<n> or u<n>"),
+        (["heterotic-check", "--bundle", "linear:so:3"], "cannot parse algebra tag 'so': expected so<n>"),
+        (["identities", "--seed", "-1"], "argument --seed: must be a finite number >= 0, got -1"),
+    ],
+    ids=["dump-no-size", "dump-bad-size", "bundle-no-size", "negative-seed"],
+)
+def test_rejected_input_names_what_was_wrong(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "invalid literal" not in err
+
+
 def test_fiber_norm_refuses_its_orders_before_the_first_integral(capsys, monkeypatch):
     # order 2048 is accepted on the circle, but its alternate lift runs at 4096
     calls = []

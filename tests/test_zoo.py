@@ -20,6 +20,9 @@ from csforms.calculus import FormField, ParametrizedChain, gauss_product, integr
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_group_element
 from csforms.zoo import (
+    _CATALOG,
+    _M1,
+    _M2,
     PrecisionError,
     bundle_names,
     flat_bundle,
@@ -44,6 +47,14 @@ def test_every_catalog_name_builds_its_bundle():
     for name in bundle_names():
         if "<" not in name:  # the families parsed from their names, flat:<g>:<n> and linear:<g>:<n>
             assert get_bundle(name).name == name
+
+
+@pytest.mark.parametrize("name", ["flat:so4:3:so3", "flat:u2:3", "linear:u3:6:u2", *_CATALOG])
+def test_bundle_and_chart_keep_the_name_they_are_built_from(name):
+    # a family name keeps its split suffix :<h>, as the catalog names do
+    b = get_bundle(name)
+    assert b.name == name
+    assert b.chart.name == (name if name != "frame_s4" else "frame_s4:sphere")
 
 
 @pytest.mark.parametrize("name", ["hopf_u1", "ut_s2", "frame_s4", "twisted_u2:su2", "flat:so4:2"])
@@ -205,23 +216,19 @@ def test_fiber_normalizations():
         assert v == pytest.approx(1.0, abs=1e-4)
 
 
-def test_gs_lift_reference_independence():
-    # Gram-Schmidt lifts built against two different reference frames give the
-    # same fiber integral (the integrand is basic)
-    from csforms._expm import expm
-    from csforms.bundles import FiberModel
-    from csforms.zoo import _GS_REF_1, _gs_lift
+def test_s3_fiber_integral_agrees_along_the_quaternionic_and_householder_lifts():
+    # the integrand is basic, so the two lifts of the S^3 fiber give one value
+    from csforms.zoo import _householder_lift, _quat_lift
 
-    cyc = np.eye(4)[:, [1, 2, 3, 0]]
-    rotated_ref = expm(0.4 * (cyc - cyc.T))[:, 1:]
     fs = get_bundle("frame_s4")
+    assert fs.fiber.lift is _quat_lift and fs.fiber.lift_alt is _householder_lift
     e2 = make_polynomial("euler", 2, "so4")
-    vals = []
-    for ref in (_GS_REF_1, rotated_ref):
-        fib = FiberModel("s3_gs", fs.fiber.intervals, _gs_lift(ref), orientation=fs.fiber.orientation)
-        vals.append(fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), np.zeros(4), fib, 8))
+    vals = [
+        fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), np.zeros(4), fs.fiber, 8, use_alt_lift=alt)
+        for alt in (False, True)
+    ]
     assert vals[0] == pytest.approx(vals[1], abs=1e-6)
-    assert vals[0] == pytest.approx(1.0, abs=1e-4)
+    assert vals[1] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_fiber_integral_away_from_origin():
@@ -365,6 +372,21 @@ def test_su2_factor_instanton_number():
     p1 = make_polynomial("pontryagin_1", 2, "so4")
     v = integrate(char_form(b2.chart, p1, "psi"), fs.chains["full_sphere"].chain, 6)
     assert v / 2 == pytest.approx(1.0, abs=1e-3)
+
+
+def test_twisted_u2_fields_are_the_closed_form():
+    # A = y M2 dx + x M1 dy and F_xy = M1 - M2 + xy [M2, M1] on a stack of points
+    chart = get_bundle("twisted_u2:su2").chart
+    pts = np.random.default_rng(8).uniform(-1.5, 1.5, (4, 3, 2))
+    x, y = pts[..., 0, None, None], pts[..., 1, None, None]
+    A = chart.potential(pts)
+    assert np.max(np.abs(A[..., 0, :, :] - y * _M2)) <= 1e-15
+    assert np.max(np.abs(A[..., 1, :, :] - x * _M1)) <= 1e-15
+    F = chart.curvature_field(pts)
+    fxy = _M1 - _M2 + x * y * (_M2 @ _M1 - _M1 @ _M2)
+    assert np.max(np.abs(F[..., 0, 1, :, :] - fxy)) <= 1e-15
+    assert np.max(np.abs(F[..., 1, 0, :, :] + fxy)) <= 1e-15
+    assert not np.any(F[..., [0, 1], [0, 1], :, :])
 
 
 def test_twisted_u2_vanishing():
