@@ -56,6 +56,7 @@ from .zoo import (
     PrecisionError,
     flat_bundle,
     frame_bundle_s4,
+    frame_sphere,
     get_bundle,
     hopf_u1,
     quaternionic_section_degrees,

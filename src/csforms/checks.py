@@ -434,24 +434,42 @@ def _obstruction_record(name: str, report: ObstructionReport) -> CheckRecord:
     )
 
 
+# the default quadrature order of a chain by its dimension; its boundary takes twice it
+_DEFAULT_ORDER = {2: 24, 4: 8}
+
+
+def _chain_orders(chain: ParametrizedChain, quad_order: int | None) -> tuple[int, int]:
+    """(N, 2N), the orders of a chain and of its boundary pieces, where N is
+    quad_order or else _DEFAULT_ORDER of the chain's dimension.  Both rules
+    are refused, if at all, here, before any integral."""
+    dim = chain.param_dim
+    if quad_order is None and dim not in _DEFAULT_ORDER:
+        raise ValueError(f"no default quadrature order for a {dim}-dimensional chain; pass quad_order (--quad-order)")
+    order = _DEFAULT_ORDER[dim] if quad_order is None else quad_order
+    _quad_orders(order, dim)
+    if chain.boundary:
+        _quad_orders(2 * order, dim - 1)
+    return order, 2 * order
+
+
 def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
-    """Euler integrals on S^2 and S^4 and the S^2 cap identities, with every chain at
-    quad_order N and the boundary circles at 2N; None means 24 (48) on S^2 and 8 on S^4."""
-    order2, order4 = (24, 8) if quad_order is None else (quad_order, quad_order)
+    """Euler integrals on S^2 and S^4 and the S^2 cap identities, at the
+    orders of _chain_orders."""
+    ut, fs = get_bundle("ut_s2"), get_bundle("frame_s4")
+    order2, boundary2 = _chain_orders(ut.chains["full_sphere"].chain, quad_order)
+    order4, _ = _chain_orders(fs.chains["full_sphere"].chain, quad_order)
     records = []
-    ut = get_bundle("ut_s2")
     e1 = make_polynomial("euler", 1, "so2")
     v = integrate(char_form(ut.chart, e1), ut.chains["full_sphere"].chain, order2)
     records.append(_rec("gauss_bonnet_s2", "Gauss-Bonnet: integral of e(Omega) = 2 on the 2-sphere", v, 2.0, 1e-8))
 
-    fs = get_bundle("frame_s4")
     e2 = make_polynomial("euler", 2, "so4")
     v = integrate(char_form(fs.chart, e2), fs.chains["full_sphere"].chain, order4)
     records.append(_rec("gauss_bonnet_s4", "Gauss-Bonnet: integral of e(Omega) = 2 on the 4-sphere", v, 2.0, 1e-4))
 
     for label in ("cap:pi/6", "cap:pi/3", "cap:pi/2"):
         rep = obstruction_identity_check(
-            ut.chart, e1, ut.chains[label], ut.sections["height_gradient"], order2, 2 * order2
+            ut.chart, e1, ut.chains[label], ut.sections["height_gradient"], order2, boundary2
         )
         records.append(_obstruction_record(f"obstruction_{label}", rep))
     return records
@@ -475,7 +493,7 @@ def _bare_integrand(P) -> Callable[[BundleChart], FormField]:
     def form_at(ch: BundleChart) -> FormField:
         def ev(pt, tangents):
             phi, pp, _, _ = ch.ctx(pt).tables(tangents)
-            return eval_on_forms_indexed(P, [(lambda i: phi[i], 1), (lambda i, j: pp[i, j], 2)], 3)
+            return eval_on_forms_indexed(P, [(phi, 1), (pp, 2)], 3)
 
         return FormField(ch.dim, 3, ev)
 
@@ -629,16 +647,15 @@ def obstruction_checks(
     section: str = "height_gradient",
     quad_order: int | None = None,
 ) -> list[CheckRecord]:
-    """The obstruction identity on one chain and section, at chain order
-    quad_order (24 when None) and boundary order twice that."""
+    """The obstruction identity on one chain and section, at the orders of
+    _chain_orders."""
     bundle = get_bundle(bundle_name)
     for kind, name, known in (("chain", chain, bundle.chains), ("section", section, bundle.sections)):
         if name not in known:
             raise ValueError(f"bundle {bundle_name} has no {kind} {name!r}; known: {sorted(known)}")
-    P = _polynomial_for(bundle, None)
-    order = 24 if quad_order is None else quad_order
+    order, boundary_order = _chain_orders(bundle.chains[chain].chain, quad_order)
     rep = obstruction_identity_check(
-        bundle.chart, P, bundle.chains[chain], bundle.sections[section], order, 2 * order
+        bundle.chart, bundle.polynomial(), bundle.chains[chain], bundle.sections[section], order, boundary_order
     )
     return [_obstruction_record(f"obstruction_{bundle_name}_{chain}_{section}", rep)]
 

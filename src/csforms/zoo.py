@@ -2,7 +2,7 @@
 
 All round-sphere charts are stereographic with conformal factor
 lam = 2/(1 + |x|^2); the chart origin is the north pole and the south pole is
-the excluded point at infinity.  One chart serves S^2 and S^4: its spin
+the excluded point at infinity.  One chart serves every S^n: its spin
 connection and curvature, the hyperspherical angle map of S^(n-1) and its
 Jacobian, and the polar chain builder x = tan(theta/2) angles(psi) take n from
 the last axis of their input.  The polar chains (full sphere, caps about the
@@ -14,21 +14,23 @@ Shipped bundles:
 
     hopf_u1      degree-one U(1) bundle over S^2 (monopole potential),
                  the c_1 = 1 normalization anchor
-    ut_s2        oriented frame/unit-tangent bundle of the round S^2,
-                 SO(2) structure group, Gauss-Bonnet and cap obstruction
-    frame_s4     oriented frame bundle of the round S^4, SO(4) group, with
-                 three associated-bundle variants: the unit sphere bundle
-                 (H = SO(3)), and the two RP^3 bundles attached to the su(2)
-                 ideals (H = H1, H2); the sphere bundle's alternate fiber
-                 lift is the n-generic Householder frame
+    ut_s2        frame_sphere(2), SO(2) structure group, Gauss-Bonnet and
+                 cap obstruction
+    frame_s4     frame_sphere(4), SO(4) group, with two RP^3-bundle variants
+                 frame_s4:b1 and frame_s4:b2 attached to the su(2) ideals
+                 (H = H1, H2)
+    frame_s6     frame_sphere(6), the Euler form at k = 3
     flat:<g>:<n> trivial bundle, zero potential
     linear:<g>:<n> generic chart over R^n from seed 0;
                  linear:u3:6:<h> checks chern_3, where the mixed A_11 enters
     twisted_u2   generic-curvature U(2) chart over R^2 used for the
                  determinant-bundle and odd-sphere-bundle vanishing checks
 
-The last three are one affine chart A_a = C_a + x_b D_ab: flat has C = D = 0,
-linear draws C and D, and twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.
+frame_sphere(n) is the frame bundle of the round S^n, n even, with its unit
+sphere bundle SO(n)/SO(n-1) = S^(n-1): one n-generic Householder frame gives
+its fiber lift and its sections.  The last three are one affine chart
+A_a = C_a + x_b D_ab: flat has C = D = 0, linear draws C and D, and
+twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.
 
 Every chart potential and curvature, chain map and Jacobian, fiber lift and
 section value here broadcasts over leading batch axes (see csforms.bundles),
@@ -44,20 +46,21 @@ assembled transgression forms have fiber integral +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from math import pi
 from typing import Callable
 
 import numpy as np
 
+from ._expm import expm
 from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
 from .calculus import FormField, ParametrizedChain, _box_chain, _stencil_values, integrate
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
     algebra_from_tag,
-    left_mult_matrix,
     random_element,
+    skew_pair,
     so,
     so4_ideal_split,
     so4_to_quaternion_pair,
@@ -70,6 +73,7 @@ __all__ = [
     "PrecisionError",
     "hopf_u1",
     "unit_tangent_s2",
+    "frame_sphere",
     "frame_bundle_s4",
     "flat_bundle",
     "linear_bundle",
@@ -109,6 +113,11 @@ class NamedBundle:
 def _sq(x: np.ndarray) -> np.ndarray:
     """|x|^2 of base points (..., n)."""
     return (x * x).sum(axis=-1)
+
+
+def _rotate(x: np.ndarray) -> np.ndarray:
+    """Jx = (-x_2, x_1, -x_4, x_3, ...) of points (..., n), n even."""
+    return np.stack([-x[..., 1::2], x[..., 0::2]], axis=-1).reshape(x.shape)
 
 
 def _matrix(rows) -> np.ndarray:
@@ -214,28 +223,20 @@ def _polar_chain(n: int, lo: float, hi: float, name: str) -> ParametrizedChain:
 _THETA = {"pi/6": pi / 6, "pi/3": pi / 3, "pi/2": pi / 2}
 
 
-def _polar_chains(
-    n: int, full_zeros: tuple[str, ...], caps: tuple[str, ...] = (), bands: tuple[tuple[str, str], ...] = ()
-) -> dict[str, ChainSpec]:
-    """full_sphere, cap:<theta0> (about the north pole) and band:<theta1>:<theta2>
-    chains of S^n, with polar angles named by the keys of _THETA."""
-    spans = {"full_sphere": (0.0, pi, full_zeros)}
-    spans.update({f"cap:{c}": (0.0, _THETA[c], ("north",)) for c in caps})
-    spans.update({f"band:{a}:{b}": (_THETA[a], _THETA[b], ()) for a, b in bands})
+def _polar_chains(n: int) -> dict[str, ChainSpec]:
+    """The full_sphere, cap:<theta0> (about the north pole) and
+    band:pi/6:pi/3 chains of S^n, with polar angles named by the keys of
+    _THETA, and the section zeros each contains."""
+    spans = {"full_sphere": (0.0, pi, ("north", "south"))}
+    spans.update({f"cap:{c}": (0.0, theta, ("north",)) for c, theta in _THETA.items()})
+    spans["band:pi/6:pi/3"] = (pi / 6, pi / 3, ())
     return {name: ChainSpec(_polar_chain(n, lo, hi, name), zeros) for name, (lo, hi, zeros) in spans.items()}
-
-
-def _s2_chains() -> dict[str, ChainSpec]:
-    return _polar_chains(2, ("north", "south"), ("pi/6", "pi/3", "pi/2"), (("pi/6", "pi/3"),))
 
 
 # --- Hopf / monopole bundle ---------------------------------------------------
 
-_E12 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # the pattern of a curvature on a 2-dimensional base: F_01 = -F_10, F_00 = F_11 = 0
-_PAIR2 = _E12[:, :, None, None]
-# (-x_1, x_0) = x[..., ::-1] * _SWAP_SIGNS, the rotational field u dv - v du
-_SWAP_SIGNS = np.array([-1.0, 1.0])
+_PAIR2 = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None]
 
 
 def hopf_u1() -> NamedBundle:
@@ -245,7 +246,7 @@ def hopf_u1() -> NamedBundle:
     def potential(x):
         d = 1.0 + _sq(x)
         # A = i (u dv - v du) / (1 + r^2)
-        return 1j * (x[..., ::-1] * _SWAP_SIGNS / d[..., None])[..., None, None]
+        return 1j * (_rotate(x) / d[..., None])[..., None, None]
 
     def curvature(x):
         f = 2.0 / (1.0 + _sq(x)) ** 2
@@ -262,80 +263,67 @@ def hopf_u1() -> NamedBundle:
         name="hopf_u1",
         chart=chart,
         fiber=fiber,
-        chains=_s2_chains(),
+        chains=_polar_chains(2),
         default_poly=("chern_j", 1),
     )
 
 
-# --- unit tangent bundle of S^2 ----------------------------------------------
+# --- frame bundles of the even spheres -----------------------------------------
 
-def _rot2(a: np.ndarray) -> np.ndarray:
-    """exp(a * _E12), the plane rotation, for angles a (...)."""
-    c, s = np.cos(a), np.sin(a)
-    return _matrix([[c, s], [-s, c]])
-
-
-def _ut_s2_section(field: Callable[[np.ndarray], np.ndarray], zeros: tuple[Zero, ...], name: str) -> Section:
-    def value(x):
-        v = field(x)
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        # frame columns (v, Jv) in the conformal orthonormal gauge
-        return _matrix([[v[..., 0], -v[..., 1]], [v[..., 1], v[..., 0]]])
-
-    return Section(name=name, value=value, zeros=zeros)
-
-
-def unit_tangent_s2() -> NamedBundle:
-    """Oriented orthonormal frame bundle of round S^2 (equals its unit
-    tangent bundle), Levi-Civita potential in the conformal gauge; at n = 2
-    it is w12 = 2(u dv - v du)/(1+r^2)."""
-    chart = BundleChart(2, so(2), _sphere_potential, _sphere_curvature, split=None, name="ut_s2")
-    fiber = FiberModel(
-        name="so2_fiber",
-        intervals=_angle_box(1),
-        lift=lambda s: _rot2(s[..., 0]),
-        lift_alt=lambda s: _rot2(s[..., 0] + 0.25 * np.sin(2 * s[..., 0])),
-    )
-    sections = {
-        "height_gradient": _ut_s2_section(
-            lambda x: -x, (Zero("north", 1), Zero("south", 1)), "height_gradient"
-        ),
-        "rotational": _ut_s2_section(
-            lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-            (Zero("north", 1), Zero("south", 1)),
-            "rotational",
-        ),
-    }
-    return NamedBundle(
-        name="ut_s2",
-        chart=chart,
-        fiber=fiber,
-        sections=sections,
-        chains=_s2_chains(),
-        default_poly=("euler", 1),
-    )
-
-
-# --- frame bundle of S^4 ------------------------------------------------------
-
-_I4 = np.eye(4)
-
-
-def _quat_lift(psis: np.ndarray) -> np.ndarray:
-    # smooth global lift of the sphere-bundle fiber: left multiplication by v
-    return left_mult_matrix(_angles(psis))
-
-
-def _householder_lift(psis: np.ndarray) -> np.ndarray:
-    """A frame in SO(n) with first column v = _angles(psis), n = v.shape[-1]:
-    the reflection I - 2 w w^T / |w|^2, w = v - e_1, which maps e_1 to v,
-    with its last column negated.  Smooth away from v = e_1, which no
-    Gauss node reaches."""
-    v = _angles(psis)
-    w = v - np.eye(v.shape[-1])[0]
+def _householder_frame(v: np.ndarray) -> np.ndarray:
+    """A frame in SO(n) with first column u = v/|v| for v (..., n): the
+    reflection I - 2 w w^T / |w|^2, w = u - e_1, which maps e_1 to u, with
+    its last column negated.  Smooth away from u = e_1."""
+    w = v / np.linalg.norm(v, axis=-1, keepdims=True) - np.eye(v.shape[-1])[0]
     frame = np.eye(v.shape[-1]) - 2.0 * w[..., :, None] * w[..., None, :] / _sq(w)[..., None, None]
     frame[..., :, -1] *= -1.0
     return frame
+
+
+def _householder_lift(psis: np.ndarray) -> np.ndarray:
+    """The Householder frame over the fiber point _angles(psis) of S^(n-1);
+    only psi_0 = 0, never a Gauss node, maps to e_1."""
+    return _householder_frame(_angles(psis))
+
+
+def frame_sphere(n: int, name: str) -> NamedBundle:
+    """Oriented frame bundle of the round S^n, n even and >= 2, with its unit
+    sphere bundle F = SO(n)/SO(n-1) = S^(n-1), named name.
+
+    The fiber lift is the Householder frame over the fiber point, and the
+    alternate lift right-translates it by exp(a E_2n), a parameter-dependent
+    element of H (E_2n = 0 at n = 2).  The sections height_gradient and
+    rotational, the Householder frames over -x and Jx, have index-1 zeros at
+    both poles.  Default polynomial: the Euler form of degree n/2.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"frame_sphere needs an even n >= 2, got {n}")
+    split, e_2n = standard_split(f"so{n}", f"so{n - 1}"), skew_pair(n, 1, n - 1)
+    fiber = FiberModel(
+        name=f"s{n - 1}_fiber",
+        intervals=_angle_box(n - 1),
+        lift=_householder_lift,
+        lift_alt=lambda s: _householder_lift(s) @ expm(0.7 * np.sin(s[..., 0] + s[..., -1])[..., None, None] * e_2n),
+        orientation=-1,
+    )
+    zeros = (Zero("north", 1), Zero("south", 1))
+    fields = {"height_gradient": np.negative, "rotational": _rotate}
+    return NamedBundle(
+        name=name,
+        chart=BundleChart(n, so(n), _sphere_potential, _sphere_curvature, split, name=name),
+        fiber=fiber,
+        sections={s: Section(s, lambda x, f=f: _householder_frame(f(x)), zeros) for s, f in fields.items()},
+        chains=_polar_chains(n),
+        default_poly=("euler", n // 2),
+    )
+
+
+def unit_tangent_s2() -> NamedBundle:
+    """frame_sphere(2), the frame bundle of the round S^2, which is its unit
+    tangent bundle.  H is trivial, so the alternate lift reparametrizes the
+    circle instead."""
+    b = frame_sphere(2, "ut_s2")
+    return replace(b, fiber=replace(b.fiber, lift_alt=lambda s: _householder_lift(s + 0.25 * np.sin(2 * s))))
 
 
 def _ideal_exp(angle: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -347,7 +335,7 @@ def _ideal_exp(angle: np.ndarray, unit: np.ndarray) -> np.ndarray:
     to cos(angle/2) I + 2 sin(angle/2) unit.
     """
     half = 0.5 * np.asarray(angle)[..., None, None]
-    return np.cos(half) * _I4 + 2.0 * np.sin(half) * unit
+    return np.cos(half) * np.eye(4) + 2.0 * np.sin(half) * unit
 
 
 def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray]:
@@ -360,55 +348,26 @@ def _ball_lift(basis: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarr
     return lift
 
 
-def frame_bundle_s4(variant: str = "sphere") -> NamedBundle:
-    """Oriented frame bundle of the round S^4 with a chosen associated bundle.
-
-    variant: "sphere" (H = SO(3), unit sphere bundle), or "b1" or "b2" (the
-    two RP^3 bundles of the su(2) ideal decomposition).
-    """
-    if variant == "sphere":
-        split = standard_split("so4", "so3")
-        fiber = FiberModel(
-            name="s3_fiber",
-            intervals=_angle_box(3),
-            lift=_quat_lift,
-            lift_alt=_householder_lift,
-            orientation=-1,
-        )
-        poly = ("euler", 2)
-    elif variant in ("b1", "b2"):
-        split1, split2 = so4_ideal_split()
-        split = split1 if variant == "b1" else split2
-        lift = _ball_lift(split.p_basis)
-        h_elt = split.h_basis[0]
-        fiber = FiberModel(
-            name=f"rp3_{variant}_fiber",
-            # the rotation angle, then the box of the axis direction on S^2
-            intervals=((0.0, pi),) + _angle_box(2),
-            lift=lift,
-            # right-translate by a parameter-dependent H element
-            lift_alt=lambda s: lift(s) @ _ideal_exp(0.7 * np.sin(s[..., 0] + s[..., 2]), h_elt),
-            orientation=-1,
-        )
-        poly = ("pontryagin_1", 2)
-    else:
+def frame_bundle_s4(variant: str) -> NamedBundle:
+    """frame_sphere(4) with one of the two RP^3 bundles of the su(2) ideal
+    decomposition, variant "b1" or "b2" (H = H1 or H2), in place of its
+    unit sphere bundle; it has no sections."""
+    if variant not in ("b1", "b2"):
         raise ValueError(f"unknown frame_s4 variant {variant!r}")
-
-    chart = BundleChart(4, so(4), _sphere_potential, _sphere_curvature, split=split, name=f"frame_s4:{variant}")
-    # the conformal-gauge potential vanishes on radial directions, so
-    # parallel transport along meridians is trivial and the quaternionic
-    # sections are the constant identity coset in this chart
-    def identity(x):
-        return np.broadcast_to(_I4, np.shape(x)[:-1] + (4, 4))
-
-    sections = {"sigma1": Section("sigma1", identity, ()), "sigma2": Section("sigma2", identity, ())}
-    return NamedBundle(
-        name=f"frame_s4:{variant}" if variant != "sphere" else "frame_s4",
-        chart=chart,
-        fiber=fiber,
-        sections=sections,
-        chains=_polar_chains(4, ("south",)),
-        default_poly=poly,
+    split = so4_ideal_split()[variant == "b2"]
+    lift = _ball_lift(split.p_basis)
+    fiber = FiberModel(
+        name=f"rp3_{variant}_fiber",
+        # the rotation angle, then the box of the axis direction on S^2
+        intervals=((0.0, pi),) + _angle_box(2),
+        lift=lift,
+        # right-translate by a parameter-dependent H element
+        lift_alt=lambda s: lift(s) @ _ideal_exp(0.7 * np.sin(s[..., 0] + s[..., 2]), split.h_basis[0]),
+        orientation=-1,
+    )
+    b = frame_sphere(4, f"frame_s4:{variant}")
+    return replace(
+        b, chart=replace(b.chart, split=split), fiber=fiber, sections={}, default_poly=("pontryagin_1", 2)
     )
 
 
@@ -483,9 +442,10 @@ def twisted_u2(hsub: str = "su2") -> NamedBundle:
 _CATALOG: dict[str, Callable[[], NamedBundle]] = {
     "hopf_u1": hopf_u1,
     "ut_s2": unit_tangent_s2,
-    "frame_s4": partial(frame_bundle_s4, "sphere"),
+    "frame_s4": partial(frame_sphere, 4, "frame_s4"),
     "frame_s4:b1": partial(frame_bundle_s4, "b1"),
     "frame_s4:b2": partial(frame_bundle_s4, "b2"),
+    "frame_s6": partial(frame_sphere, 6, "frame_s6"),
     "twisted_u2:su2": partial(twisted_u2, "su2"),
     "twisted_u2:u1": partial(twisted_u2, "u1"),
 }

@@ -91,6 +91,15 @@ def test_criterion_3_heterotic_identity_at_degree_3():
     _assert_all("criterion 3: heterotic identity at k = 3, 3 points x 2 splits", records, budget=60, elapsed=time.time() - t0)
 
 
+def test_criterion_3_euler_at_degree_3_on_the_round_s6():
+    # the Euler form at k = 3 on the frame bundle of S^6 and its unit sphere bundle
+    t0 = time.time()
+    records = checks.heterotic_sweep("frame_s6", points=3)
+    assert [(r.name, r.tolerance) for r in records] == [("heterotic_frame_s6_euler", 1e-4)]
+    assert records[0].extra["scale"] >= checks.NONVACUITY_FLOOR
+    _assert_all("criterion 3: Euler form at k = 3 on S^6, 3 points", records, budget=60, elapsed=time.time() - t0)
+
+
 def test_criterion_4_naturally_associated_vanishing():
     t0 = time.time()
     records = [

@@ -108,6 +108,31 @@ def test_obstruction_cli(capsys):
     assert "obstruction" in out
 
 
+def test_obstruction_cli_on_the_s4_cap(capsys, monkeypatch):
+    # a 4-D chain defaults to order 8 and its boundary to 16
+    seen = []
+    original = checks.obstruction_identity_check
+
+    def recording(chart, P, chainspec, section, quad_order, boundary_quad_order):
+        seen.append((quad_order, boundary_quad_order))
+        return original(chart, P, chainspec, section, quad_order, boundary_quad_order)
+
+    monkeypatch.setattr(checks, "obstruction_identity_check", recording)
+    code, out = run(capsys, "obstruction", "--bundle", "frame_s4", "--chain", "cap:pi/3")
+    assert code == 0 and "obstruction_frame_s4_cap:pi/3_height_gradient" in out
+    assert seen == [(8, 16)]
+
+
+def test_obstruction_refuses_its_orders_before_any_integral(capsys, monkeypatch):
+    # the 8^6-node chain rule is allowed, its 16^5-node boundary rule exceeds the node cap
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated before refusing the boundary order")
+
+    monkeypatch.setattr(checks, "obstruction_identity_check", fail)
+    assert main(["obstruction", "--bundle", "frame_s6", "--quad-order", "8"]) == 2
+    assert "nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["obstruction", "gauss-bonnet"])
 def test_quad_order_sets_the_boundary_order(capsys, monkeypatch, command):
     # --quad-order N reaches the boundary circles too, at 2N (24 -> 48 by default)
@@ -179,13 +204,15 @@ def test_fiber_norm_all_pass(capsys):
         # a 4-form on the 3-dimensional ut_s2 total space; an undocumented name
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "p1"],
         ["heterotic-check", "--bundle", "ut_s2", "--poly", "trace_power_2"],
-        # the zero-free quaternionic sections against a chain that expects the south zero
+        # a section frame_s4 does not have
         ["obstruction", "--bundle", "frame_s4", "--chain", "full_sphere", "--section", "sigma1"],
         # a 1-D order within the node cap whose rule alone would need 75 GiB
         ["fiber-norm", "--bundle", "ut_s2", "--quad-order", "100000"],
         # a flat or linear bundle whose base dimension is not an integer
         ["heterotic-check", "--bundle", "flat:so4:x"],
         ["heterotic-check", "--bundle", "linear:u3:x"],
+        # a 6-D chain has no default order
+        ["obstruction", "--bundle", "frame_s6"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

@@ -1,6 +1,7 @@
 """Bundle zoo: named charts, global integrals, sections, windings, degrees."""
 
 import sys
+from dataclasses import replace
 from math import pi
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from csforms.zoo import (
     PrecisionError,
     bundle_names,
     flat_bundle,
+    frame_sphere,
     get_bundle,
     linear_bundle,
     quaternionic_section_degrees,
@@ -54,10 +56,10 @@ def test_bundle_and_chart_keep_the_name_they_are_built_from(name):
     # a family name keeps its split suffix :<h>, as the catalog names do
     b = get_bundle(name)
     assert b.name == name
-    assert b.chart.name == (name if name != "frame_s4" else "frame_s4:sphere")
+    assert b.chart.name == name
 
 
-@pytest.mark.parametrize("name", ["hopf_u1", "ut_s2", "frame_s4", "twisted_u2:su2", "flat:so4:2"])
+@pytest.mark.parametrize("name", [*_CATALOG, "flat:so4:2"])
 def test_every_bundle_passes_curvature_cross_check(name):
     b = get_bundle(name)
     x = rng.uniform(-1.0, 1.0, b.chart.base_dim)
@@ -217,18 +219,38 @@ def test_fiber_normalizations():
 
 
 def test_s3_fiber_integral_agrees_along_the_quaternionic_and_householder_lifts():
-    # the integrand is basic, so the two lifts of the S^3 fiber give one value
-    from csforms.zoo import _householder_lift, _quat_lift
+    # the integrand is basic, so every lift of the S^3 fiber gives one value:
+    # the quaternionic lift (left multiplication by the fiber point), the
+    # Householder frame and its right translate by H
+    from csforms.liealg import left_mult_matrix
+    from csforms.zoo import _angles, _householder_lift
 
     fs = get_bundle("frame_s4")
-    assert fs.fiber.lift is _quat_lift and fs.fiber.lift_alt is _householder_lift
+    assert fs.fiber.lift is _householder_lift
     e2 = make_polynomial("euler", 2, "so4")
+    quaternionic = replace(fs.fiber, lift=lambda psi: left_mult_matrix(_angles(psi)))
     vals = [
-        fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), np.zeros(4), fs.fiber, 8, use_alt_lift=alt)
-        for alt in (False, True)
+        fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), np.zeros(4), fiber, 8, use_alt_lift=alt)
+        for fiber, alt in ((quaternionic, False), (fs.fiber, False), (fs.fiber, True))
     ]
-    assert vals[0] == pytest.approx(vals[1], abs=1e-6)
+    assert max(vals) - min(vals) < 1e-6
     assert vals[1] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_householder_frame_is_the_old_circle_frame_at_n_2():
+    # at n = 2 the Householder frame of a unit v is the rotation with columns (v, Jv)
+    from csforms.zoo import _householder_frame
+
+    v = np.random.default_rng(3).standard_normal((4, 5, 2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    old = np.stack([np.stack([v[..., 0], -v[..., 1]], axis=-1), np.stack([v[..., 1], v[..., 0]], axis=-1)], axis=-2)
+    assert np.max(np.abs(_householder_frame(v) - old)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
+def test_frame_sphere_needs_an_even_dimension(n):
+    with pytest.raises(ValueError, match="even n >= 2"):
+        frame_sphere(n, "bad")
 
 
 def test_fiber_integral_away_from_origin():
@@ -257,6 +279,30 @@ def test_obstruction_identity_band_and_full():
     assert rep.index_sum == 0 and rep.residual < 1e-4
     rep = obstruction_identity_check(b.chart, e1, b.chains["full_sphere"], b.sections["rotational"])
     assert rep.index_sum == 2 and rep.boundary_term == 0.0 and rep.residual < 1e-4
+
+
+def test_s4_obstruction_identity_on_a_cap_and_a_band():
+    # lhs = 2 (2/3 - cos t + cos^3 t / 3) / (4/3) on the cap theta <= t; its
+    # boundary term is far from 0, so the identity is not vacuous
+    b = get_bundle("frame_s4")
+    e2 = b.polynomial()
+    t = pi / 3
+    for sec in ("height_gradient", "rotational"):
+        rep = obstruction_identity_check(b.chart, e2, b.chains["cap:pi/3"], b.sections[sec], (8, 8, 8, 1), 8)
+        assert rep.lhs == pytest.approx(2 * (2 / 3 - np.cos(t) + np.cos(t) ** 3 / 3) / (4 / 3), abs=1e-8)
+        assert abs(rep.boundary_term) > 0.5
+        assert rep.index_sum == 1 and rep.residual < 1e-4
+    rep = obstruction_identity_check(
+        b.chart, e2, b.chains["band:pi/6:pi/3"], b.sections["height_gradient"], (8, 8, 8, 1), 8
+    )
+    assert rep.index_sum == 0 and rep.residual < 1e-4
+
+
+def test_obstruction_identity_refuses_a_section_without_the_chains_zeros():
+    b = get_bundle("frame_s4")
+    zero_free = replace(b.sections["height_gradient"], zeros=())
+    with pytest.raises(ValueError, match="zeros"):
+        obstruction_identity_check(b.chart, b.polynomial(), b.chains["full_sphere"], zero_free)
 
 
 # winding_degree evaluates its map on the stack of all nodes and stencil
@@ -339,8 +385,7 @@ def test_quaternionic_section_degrees():
 
 def test_meridian_transport_is_trivial():
     # A(r d)(d) = 0 on every ray from the chart origin, so parallel transport
-    # along the meridians is the identity: the constant sections sigma1 and
-    # sigma2 of frame_s4 rest on this
+    # along the meridians is the identity in this gauge
     for name, n in (("frame_s4", 4), ("ut_s2", 2)):
         potential = get_bundle(name).chart.potential
         for _ in range(5):
