@@ -25,12 +25,14 @@ evaluates its nodes one chunk of at most calculus._CHUNK nodes per call,
 and a finite-difference d its whole stencil.  A fiber integral is a form
 on the fiber's parameter box, integrated by calculus.integrate.  A fiber
 lift or a section is differentiated by central differences on one stencil
-stack (2p+1, ..., p) of the points x, x + h v_i and x - h v_i, in one call
+stack (2p+1, ..., p) of the points x + h v_i, x - h v_i and x, in one call
 (_recentered).  The residuals that take d of a chart form (heterotic,
 transgression, covariant-derivative and connection-curvature) make one
-chart context on the stencil stack and one at the point, so each calls the
-chart's potential and curvature once per context.  At t = 0 and on base
-tangents the connection-curvature residual checks F = dA + [A, A] itself.
+chart context, on the d stencil of calculus._d_stencil together with its
+center row, so each calls the chart's potential and curvature once; the
+stencil rows give d by calculus._d_combine and the center row the values
+at the point.  At t = 0 and on base tangents the connection-curvature
+residual checks F = dA + [A, A] itself.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
 as w = phi + psi with phi = pr_p(w) and psi = pr_h(w) (fixed projections in
@@ -65,8 +67,9 @@ from .calculus import (
     FormField,
     ParametrizedChain,
     _box_chain,
+    _d_combine,
+    _d_stencil,
     _stencil_values,
-    exterior_derivative,
     integrate,
 )
 from .invariants import InvariantPolynomial, eval_on_forms_indexed
@@ -345,15 +348,48 @@ def phi_p_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
     Without a split this is tp_form (phi = w, Psi = 0): the j > 0 terms drop
     and A_i0 = A_i.
     """
+    split = chart.split is not None
+    return FormField(chart.dim, 2 * P.degree - 1, lambda pt, tg: _phi_p_value(P, split, *chart.ctx(pt).tables(tg)))
+
+
+def _phi_p_value(P: InvariantPolynomial, split: bool, phi, pp, psi, om):
+    """PhiP on the (phi, 2[phi, phi], Psi, Omega) tables of 2k - 1 tangents,
+    in one shuffle evaluation; without a split only the j = 0 terms."""
     k = P.degree
-    coeff = [((i, j), a) for (i, j), a in _phi_coefficients(k) if chart.split is not None or j == 0]
+    terms = [
+        (a, [(phi, 1)] + [(pp, 2)] * i + [(psi, 2)] * j + [(om, 2)] * (k - 1 - i - j))
+        for (i, j), a in _phi_coefficients(k)
+        if split or j == 0
+    ]
+    return eval_on_forms_indexed(P, terms, 2 * k - 1)
 
-    def ev(pt, tangents):
-        phi, pp, ps, om = chart.ctx(pt).tables(tangents)
-        terms = [(a, [(phi, 1)] + [(pp, 2)] * i + [(ps, 2)] * j + [(om, 2)] * (k - 1 - i - j)) for (i, j), a in coeff]
-        return eval_on_forms_indexed(P, terms, 2 * k - 1)
 
-    return FormField(chart.dim, 2 * k - 1, ev)
+def _char_difference(P: InvariantPolynomial, psi, om):
+    """P(Omega) - P(Psi) on the Psi and Omega tables of 2k tangents, in one
+    shuffle evaluation."""
+    k = P.degree
+    return eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k)
+
+
+def _heterotic_sides(
+    chart: BundleChart, P: InvariantPolynomial, point: np.ndarray, tangents: Sequence[np.ndarray], fd_step: float
+):
+    """(d PhiP, P(Omega) - P(Psi)) on 2k tangents at one point.
+
+    One chart context on the d stencil and its center (calculus._d_stencil)
+    and one tables call on its 2k tangents serve both sides: PhiP on the
+    first 2k - 1 tangents of the stencil rows, differenced by _d_combine,
+    and P(Omega) - P(Psi) on the center row.
+    """
+    k = P.degree
+    if len(tangents) != 2 * k:
+        raise ValueError(f"need {2 * k} tangents, got {len(tangents)}")
+    points, rows = _d_stencil(point, tangents, fd_step)
+    phi, pp, psi, om = chart.ctx(points).tables(rows)
+    n = 2 * k - 1
+    stencil = (phi[:n, :-1], pp[:n, :n, :-1], psi[:n, :n, :-1], om[:n, :n, :-1])
+    lhs = _d_combine(_phi_p_value(P, chart.split is not None, *stencil), fd_step)
+    return lhs, _char_difference(P, psi[:, :, -1], om[:, :, -1])
 
 
 def heterotic_residual(
@@ -363,20 +399,17 @@ def heterotic_residual(
     tangents: Sequence[np.ndarray],
     fd_step: float = 1e-4,
 ) -> float:
-    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point."""
-    if len(tangents) != 2 * P.degree:
-        raise ValueError(f"need {2 * P.degree} tangents, got {len(tangents)}")
-    tangents = list(tangents)
-    lhs = exterior_derivative(phi_p_form(chart, P), fd_step)(point, tangents)
-    return abs(lhs - heterotic_rhs(chart, P, point, tangents))
+    """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point, from
+    one chart context (_heterotic_sides)."""
+    lhs, rhs = _heterotic_sides(chart, P, point, tangents, fd_step)
+    return abs(lhs - rhs)
 
 
 def heterotic_rhs(chart: BundleChart, P: InvariantPolynomial, point: np.ndarray, tangents: Sequence[np.ndarray]) -> float:
     """P(Omega) - P(Psi) on 2k tangents, from the tables of one chart context
     at the point, in one shuffle evaluation."""
-    k = P.degree
     _, _, psi, om = chart.ctx(point).tables(tangents)
-    return eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k)
+    return _char_difference(P, psi, om)
 
 
 def transgression_residual(
@@ -396,18 +429,22 @@ def covariant_derivative_residual(
     tangents: Sequence[np.ndarray],
     fd_step: float = 1e-4,
 ) -> float:
-    """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents)."""
+    """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents).
+
+    One chart context on the d stencil of (X, Y, Z) and its center row:
+    d Omega from the stencil rows, every value at the point from the center.
+    """
     if len(tangents) != 3:
         raise ValueError("need 3 tangents")
-    tangents = list(tangents)
-    dom = exterior_derivative(curvature_form(chart), fd_step)(point, tangents)
-    # every value at the point from one omegas and one curvs call on (X, Y, Z)
-    ctx = chart.ctx(point)
-    w = ctx.omegas(tangents)
+    points, rows = _d_stencil(point, tangents, fd_step)
+    ctx = chart.ctx(points)
+    curvs = ctx.curvs(rows)
+    dom = _d_combine(curvs[0, 1, :-1], fd_step)
+    w = ctx.omegas(rows)[:, -1]
+    om = curvs[:, :, -1]
     split = chart.split
     phi = w if split is None else split.project_p(w)
     psi = np.zeros_like(w) if split is None else split.project_h(w)
-    om = ctx.curvs(tangents)
 
     def br_one_two(one):
         # [1-form, 2-form] on (X, Y, Z), shuffle convention
@@ -430,12 +467,13 @@ def connection_curvature_fd_residual(
     Y: np.ndarray,
     fd_step: float = 1e-4,
 ) -> float:
-    """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD."""
-    dw = exterior_derivative(omega_form(chart), fd_step)(point, [X, Y])
-    ctx = chart.ctx(point)
-    w = ctx.omegas([X, Y])
-    fd_val = dw + _comm(w[0], w[1])
-    return float(np.max(np.abs(fd_val - ctx.curvs([X, Y])[0, 1])))
+    """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD,
+    from one chart context on the d stencil of (X, Y) and its center row."""
+    points, rows = _d_stencil(point, [X, Y], fd_step)
+    ctx = chart.ctx(points)
+    w = ctx.omegas(rows)
+    fd_val = _d_combine(w[0, :-1], fd_step) + _comm(w[0, -1], w[1, -1])
+    return float(np.max(np.abs(fd_val - ctx.curvs(rows)[0, 1, -1])))
 
 
 # --- fiber integration and sections ------------------------------------------

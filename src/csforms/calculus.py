@@ -12,9 +12,13 @@ coefficient functions along constant extensions of the given tangents.  Its
 2(p+1) stencil points are stacked ahead of the caller's batch axes and the
 form is called once on the stack, so a form under d always receives one;
 only a form that is evaluated directly at single points may ignore the
-batch axes.  Curvature and the other ingredients of the bundle identities
-are supplied analytically elsewhere, so finite differencing is confined to
-the verification side of each identity.
+batch axes.  _d_stencil builds that stack with the point itself as one
+more row, and the tangents of every row, so that a caller that also needs
+values at the point (the residuals of csforms.bundles) reads them from the
+same evaluation; _d_combine takes the differences.  Curvature and the other
+ingredients of the bundle identities are supplied analytically elsewhere,
+so finite differencing is confined to the verification side of each
+identity.
 
 Integration is Gauss-Legendre product quadrature over interval-box parameter
 domains (spheres are parametrized by angle boxes with measure-zero seams).
@@ -26,10 +30,11 @@ the weighted chunks in node order, so memory stays bounded at any order and
 an integral of at most _CHUNK nodes is one call and one dot product.  The
 central differences of a parametrized map (a chain without a jacobian, a
 fiber lift, a section, a winding map) are taken on one stack (2k+1, ..., d)
-of the points x, x + s_i and x - s_i (_stencil_values), so the map is
-called once per stencil.  integrate pulls a form back through a chain's map
-and tangent frame, both of which take the (N, p) stack of nodes; there is no
-separate pullback of forms.  A chain is oriented by its parametrization
+of the points x + s_i, x - s_i and x (_stencil_values), so the map is
+called once per stencil; _stencil_points builds that stack, for d too.
+integrate pulls a form back through a chain's map and tangent frame, both
+of which take the (N, p) stack of nodes; there is no separate pullback of
+forms.  A chain is oriented by its parametrization
 alone, and each boundary piece carries the sign induced on it in the
 (chain, sign) pairs of ParametrizedChain.boundary.
 """
@@ -144,23 +149,50 @@ def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> Fo
     ahead of the caller's batch axes, (2(p+1), ..., d), each with its p
     remaining tangents stacked the same way, and the form is called once on
     the stack; nested d and d under integrate stack further axes in front.
+    These are the rows of _d_stencil without its center row and without
+    the trailing tangent X_i, and _d_combine takes the differences.
     """
     p = form.degree
 
     def ev(pt, tangents):
-        pt, *tangents = np.broadcast_arrays(pt, *tangents)
-        steps = fd_step * np.stack(tangents)
-        points = np.concatenate([pt + steps, pt - steps])
-        # at stencil row i the j-th remaining tangent is X_j for j < i, else X_{j+1}
-        rest = [np.stack([tangents[j + (j >= i)] for i in range(p + 1)] * 2) for j in range(p)]
-        values = form(points, rest)
-        diff = (values[: p + 1] - values[p + 1 :]) / (2 * fd_step)
-        total = diff[0]
-        for i in range(1, p + 1):
-            total = total + (-1) ** i * diff[i]
-        return total
+        points, rows = _d_stencil(pt, tangents, fd_step)
+        return _d_combine(form(points[:-1], list(rows[:p, :-1])), fd_step)
 
     return FormField(form.dim, p + 1, ev, algebra=form.algebra)
+
+
+@lru_cache(maxsize=None)
+def _d_rows(n: int) -> np.ndarray:
+    """Tangent indices (n, 2n + 1) of the d stencil of n tangents: column i
+    and column n + i list 0..^i..n-1 and then i, the last column 0..n-1."""
+    rows = [[*range(i), *range(i + 1, n), i] for i in range(n)]
+    return np.array(rows * 2 + [list(range(n))]).T
+
+
+def _d_stencil(point: np.ndarray, tangents: Sequence[np.ndarray], fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil of d on the p+1 tangents X_i at the point x (..., d).
+
+    Returns the points (2(p+1)+1, ..., d), first x + h X_i, then x - h X_i,
+    then x itself, and a tangent stack (p+1, 2(p+1)+1, ..., d): stencil row
+    i and row p+1+i carry X_0..^X_i..X_p followed by X_i, the center row
+    X_0..X_p.  A form of degree q <= p read on the first q tangents of
+    every row is one evaluation of the whole stencil and of the center.
+    """
+    point = np.asarray(point, dtype=float)
+    _, *tangents = np.broadcast_arrays(point, *tangents)
+    tangents = np.stack(tangents)
+    return _stencil_points(point, fd_step * tangents), tangents[_d_rows(len(tangents))]
+
+
+def _d_combine(values: np.ndarray, fd_step: float):
+    """sum_i (-1)^i (a(x + h X_i) - a(x - h X_i)) / 2h from the values
+    (2(p+1), ...) at the stencil rows of _d_stencil, center row dropped."""
+    n = len(values) // 2
+    diff = (values[:n] - values[n:]) / (2 * fd_step)
+    total = diff[0]
+    for i in range(1, n):
+        total = total + (-1) ** i * diff[i]
+    return total
 
 
 @dataclass(frozen=True)
@@ -195,22 +227,28 @@ class ParametrizedChain:
         return list((plus - minus) / (2 * fd_step))
 
 
-def _stencil_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps: np.ndarray):
-    """f at x, at x + s_i and at x - s_i for k steps s (k, ..., d).
-
-    The point axes of the steps broadcast against those of x (..., d),
-    aligned on the right as in numpy.  f is called once, on the stack
-    (2k+1, ..., d) of x, the k points x + s_i and the k points x - s_i;
-    returns (f(x), the k values at x + s_i, the k values at x - s_i).
-    """
+def _stencil_points(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The stack (2k+1, ..., d) of the k points x + s_i, the k points
+    x - s_i and x itself, for k steps s (k, ..., d) whose point axes
+    broadcast against those of x (..., d), aligned on the right as in numpy."""
     k = len(steps)
     steps = steps.reshape((k,) + (1,) * (x.ndim + 1 - steps.ndim) + steps.shape[1:])
     stack = np.empty((2 * k + 1,) + np.broadcast(x, steps[0]).shape)
-    stack[0] = x
-    np.add(x, steps, out=stack[1 : k + 1])
-    np.subtract(x, steps, out=stack[k + 1 :])
-    values = np.asarray(f(stack))
-    return values[0], values[1 : k + 1], values[k + 1 :]
+    np.add(x, steps, out=stack[:k])
+    np.subtract(x, steps, out=stack[k : 2 * k])
+    stack[-1] = x
+    return stack
+
+
+def _stencil_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps: np.ndarray):
+    """f at x, at x + s_i and at x - s_i for k steps s (k, ..., d).
+
+    f is called once, on the stack of _stencil_points; returns (f(x), the
+    k values at x + s_i, the k values at x - s_i).
+    """
+    k = len(steps)
+    values = np.asarray(f(_stencil_points(x, steps)))
+    return values[-1], values[:k], values[k : 2 * k]
 
 
 @lru_cache(maxsize=None)

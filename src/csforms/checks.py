@@ -30,12 +30,11 @@ from ._expm import expm
 from .bundles import (
     BundleChart,
     ObstructionReport,
+    _heterotic_sides,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
     fiber_integral,
-    heterotic_residual,
-    heterotic_rhs,
     obstruction_identity_check,
     phi_p_form,
     psi_horizontal_part,
@@ -362,7 +361,10 @@ def _polynomial_for(bundle: NamedBundle, poly: str | None):
     if poly not in POLY_NAMES:
         raise ValueError(f"unknown polynomial {poly!r}; known: {', '.join(POLY_NAMES)}")
     name, k = POLY_NAMES[poly]
-    return make_polynomial(name, bundle.chart.algebra.n // 2 if k is None else k, bundle.chart.algebra.tag)
+    alg = bundle.chart.algebra
+    if k is None and not (alg.name == "so" and alg.n >= 2):
+        raise ValueError(f"{name} needs so(2k) with k >= 1; {bundle.name} has {alg.tag}")
+    return make_polynomial(name, alg.n // 2 if k is None else k, alg.tag)
 
 
 def heterotic_sweep(
@@ -382,7 +384,9 @@ def heterotic_sweep(
         )
 
     def residual(ch, pt, tg):
-        return heterotic_residual(ch, P, pt, tg, fd_step), heterotic_rhs(ch, P, pt, tg)
+        # the residual and the size of the right-hand side from one pass
+        lhs, rhs = _heterotic_sides(ch, P, pt, tg, fd_step)
+        return lhs - rhs, rhs
 
     worst, scale = _sweep(bundle, rng, points, 2 * P.degree, residual)
     return [

@@ -33,14 +33,22 @@ from .zoo import PrecisionError, bundle_names
 SCHEMA_VERSION = 1
 
 
-def _positive(kind, zero_ok: bool = False):
+# the largest --fd-step: a step of the size of the charts themselves, past
+# which a difference quotient says nothing (far above it, at 1e100, the
+# round-sphere potentials overflow)
+MAX_FD_STEP = 1.0
+
+
+def _positive(kind, zero_ok: bool = False, at_most: float = float("inf")):
     """argparse type: a finite number of the given kind that is > 0 (>= 0
-    with zero_ok)."""
+    with zero_ok) and at most at_most."""
     bound = ">= 0" if zero_ok else "> 0"
+    if at_most < float("inf"):
+        bound += f" and <= {at_most:g}"
 
     def parse(text: str):
         v = kind(text)
-        if not ((0 <= v if zero_ok else 0 < v) and v < float("inf")):
+        if not ((0 <= v if zero_ok else 0 < v) and v <= at_most and v < float("inf")):
             raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
         return v
 
@@ -51,7 +59,11 @@ def _positive(kind, zero_ok: bool = False):
 _TUNING = {
     "seed": dict(type=_positive(int, zero_ok=True), default=0, help="seed for random sweeps (>= 0)"),
     "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
-    "fd-step": dict(type=_positive(float), default=1e-4, help="finite-difference step (> 0)"),
+    "fd-step": dict(
+        type=_positive(float, at_most=MAX_FD_STEP),
+        default=1e-4,
+        help=f"finite-difference step (> 0 and <= {MAX_FD_STEP:g})",
+    ),
     "quad-order": dict(
         type=_positive(int),
         default=None,

@@ -212,10 +212,14 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
 
     name is one of "euler", "chern_j" (degree j passed as k), "pontryagin_1"
     (k must be 2), "trace_power_<k>" (any k >= 1, the suffix equal to k).
-    Compatibility between name, degree and algebra is checked.
+    Compatibility between name, degree and algebra is checked; every
+    degree must be an integer k >= 1.
     """
     from .liealg import algebra_from_tag
 
+    if k != int(k) or k < 1:
+        raise ValueError(f"{name} of degree {k}: the degree must be an integer >= 1")
+    k = int(k)
     alg = algebra_from_tag(algebra_tag)
 
     if name == "euler":

@@ -30,6 +30,7 @@ from csforms.bundles import (
     omega_form,
     phi_p_form,
     section_pullback_form,
+    transgression_residual,
 )
 from csforms._expm import expm
 from csforms.calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
@@ -232,11 +233,17 @@ def test_chart_fields_are_called_once_per_context_on_the_whole_stack():
         residual(counting_chart(fs.chart, calls).at(g0), *args)
         return calls
 
-    # d PhiP on the stencil stack of 2(3 + 1) points, then P(Omega) - P(Psi) at the point
-    assert calls_of(heterotic_residual, P, point, tangents) == {"potential": [(8, *n), n], "curvature": [(8, *n), n]}
-    # d Omega reads no potential; the brackets at the point read both fields
-    assert calls_of(covariant_derivative_residual, point, tangents[:3]) == {"potential": [n], "curvature": [(6, *n), n]}
-    assert calls_of(connection_curvature_fd_residual, point, *tangents[:2]) == {"potential": [(4, *n), n], "curvature": [n]}
+    def once_on(rows):
+        return {"potential": [(rows, *n)], "curvature": [(rows, *n)]}
+
+    # one context on the 2(p + 1) stencil points of d and the point itself:
+    # d PhiP from the stencil rows, P(Omega) - P(Psi) from the center row
+    assert calls_of(heterotic_residual, P, point, tangents) == once_on(2 * 4 + 1)
+    assert calls_of(transgression_residual, P, point, tangents) == once_on(2 * 4 + 1)
+    # d Omega and the brackets at the point
+    assert calls_of(covariant_derivative_residual, point, tangents[:3]) == once_on(2 * 3 + 1)
+    # d w + [w, w] and the analytic Omega at the point
+    assert calls_of(connection_curvature_fd_residual, point, *tangents[:2]) == once_on(2 * 2 + 1)
 
 
 def test_skew_checks_decide_per_matrix():

@@ -12,6 +12,7 @@ from csforms.bundles import (
     connection_curvature_fd_residual,
     covariant_derivative_residual,
     heterotic_residual,
+    heterotic_rhs,
     phi_p_form,
     psi_horizontal_part,
     tp_form,
@@ -22,7 +23,7 @@ from csforms._expm import expm_maurer_cartan
 from csforms.calculus import FormField, exterior_derivative, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, so
-from csforms.zoo import flat_bundle, get_bundle
+from csforms.zoo import _CATALOG, flat_bundle, get_bundle
 
 rng = np.random.default_rng(23)
 
@@ -267,6 +268,22 @@ def test_heterotic_residual_flat_is_tiny():
     pt = ch.point(rng.uniform(-1, 1, 3))
     tg = [rng.standard_normal(9) for _ in range(4)]
     assert heterotic_residual(ch, e2, pt, tg) < 1e-8
+
+
+@pytest.mark.parametrize("name", [*_CATALOG, "linear:u3:6:u2", "linear:u3:6:su3"])
+def test_fused_residuals_match_the_generic_d(name):
+    # the one-context residuals against d PhiP by exterior_derivative and
+    # P(Omega) - P(Psi) from a context at the point, off t = 0 on the stencil
+    b = get_bundle(name)
+    P = b.polynomial()
+    gen = np.random.default_rng(11)
+    for _ in range(2):
+        ch = b.chart.at(random_group_element(b.chart.algebra, gen, 0.7))
+        pt = ch.point(gen.uniform(-1.2, 1.2, ch.base_dim))
+        tg = [gen.standard_normal(ch.dim) for _ in range(2 * P.degree)]
+        for residual, chart in ((heterotic_residual, ch), (transgression_residual, replace(ch, split=None))):
+            oracle = abs(exterior_derivative(phi_p_form(chart, P))(pt, tg) - heterotic_rhs(chart, P, pt, tg))
+            assert abs(residual(ch, P, pt, tg) - oracle) <= 1e-12 * oracle
 
 
 def test_char_form_psi_requires_nothing_when_trivial():

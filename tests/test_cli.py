@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from csforms import checks
-from csforms.cli import build_parser, main
+from csforms.cli import MAX_FD_STEP, build_parser, main
 
 
 def run(capsys, *argv):
@@ -232,8 +233,13 @@ def test_rejected_input_exits_2(capsys, argv):
         (["algebra", "--dump", "u2x"], "cannot parse algebra tag 'u2x': expected so<n>, su<n> or u<n>"),
         (["heterotic-check", "--bundle", "linear:so:3"], "cannot parse algebra tag 'so': expected so<n>"),
         (["identities", "--seed", "-1"], "argument --seed: must be a finite number >= 0, got -1"),
+        (["heterotic-check", "--bundle", "hopf_u1", "--poly", "euler"], "euler needs so(2k) with k >= 1; hopf_u1 has u(1)"),
+        (
+            ["heterotic-check", "--bundle", "frame_s4", "--fd-step", repr(MAX_FD_STEP * (1 + 1e-15))],
+            f"argument --fd-step: must be a finite number > 0 and <= {MAX_FD_STEP:g}, got",
+        ),
     ],
-    ids=["dump-no-size", "dump-bad-size", "bundle-no-size", "negative-seed"],
+    ids=["dump-no-size", "dump-bad-size", "bundle-no-size", "negative-seed", "euler-off-so", "fd-step-above-bound"],
 )
 def test_rejected_input_names_what_was_wrong(capsys, argv, message):
     try:
@@ -243,6 +249,18 @@ def test_rejected_input_names_what_was_wrong(capsys, argv, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["heterotic-check", "--bundle", "frame_s4"], ["suite-all", "--points", "20"]], ids=["heterotic", "suite"]
+)
+def test_fd_step_at_its_bound_runs_without_warnings(capsys, argv):
+    # a step this large fails the checks, but every value stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--fd-step", repr(MAX_FD_STEP)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_fiber_norm_refuses_its_orders_before_the_first_integral(capsys, monkeypatch):

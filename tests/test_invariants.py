@@ -112,6 +112,16 @@ def test_make_polynomial_compatibility_errors():
         make_polynomial("trace_power_2", 1, "so2")
 
 
+@pytest.mark.parametrize(
+    "name, k, tag",
+    [("chern_j", 0, "u1"), ("chern_j", -1, "u1"), ("trace_power_0", 0, "u2"), ("euler", 0, "so2")],
+    ids=["chern_0", "chern_-1", "trace_power_0", "euler_0"],
+)
+def test_make_polynomial_rejects_degrees_below_one(name, k, tag):
+    with pytest.raises(ValueError, match=f"{name} of degree {k}: the degree must be an integer >= 1"):
+        make_polynomial(name, k, tag)
+
+
 def test_polarization_diagonal_and_symmetry():
     P = make_polynomial("euler", 2, "so4")
     x = random_element(so(4), rng)
