@@ -497,17 +497,21 @@ class FiberModel:
     orientation: int = 1
 
 
-def _recentered(chart: BundleChart, gmap: Callable, x: np.ndarray, tangents: Sequence[np.ndarray], fd_step: float):
+# the central-difference step of a fiber lift or a section
+_MAP_FD_STEP = 1e-6
+
+
+def _recentered(chart: BundleChart, gmap: Callable, x: np.ndarray, tangents: Sequence[np.ndarray]):
     """The chart re-centered at the group elements g = gmap(x), and the
     fiber coordinates (p, ..., dim g) of g^-1 dg along each of p tangents.
 
     gmap is called once, on the stencil stack (2p+1, ..., k) of the
     parameters x (..., k) and the points x +- h v_i.
     """
-    steps = fd_step * np.asarray(np.broadcast_arrays(*tangents))
+    steps = _MAP_FD_STEP * np.asarray(np.broadcast_arrays(*tangents))
     g, plus, minus = _stencil_values(gmap, x, steps)
     ginv = g.conj().swapaxes(-1, -2)
-    return chart.at(g), chart.algebra.coords(ginv @ ((plus - minus) / (2 * fd_step)))
+    return chart.at(g), chart.algebra.coords(ginv @ ((plus - minus) / (2 * _MAP_FD_STEP)))
 
 
 def fiber_integral(
@@ -517,7 +521,6 @@ def fiber_integral(
     fiber: FiberModel,
     quad_order: int | Sequence[int],
     use_alt_lift: bool = False,
-    fd_step: float = 1e-6,
 ) -> float:
     """Integrate a (dim fiber)-form over the fiber above a base point.
 
@@ -535,7 +538,7 @@ def fiber_integral(
     base = np.asarray(base_point, dtype=float)
 
     def ev(params, tangents):
-        ch, vts = _recentered(chart, lift, params, tangents, fd_step)
+        ch, vts = _recentered(chart, lift, params, tangents)
         form = form_at(ch)
         if form.degree != p:
             raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
@@ -575,7 +578,6 @@ def section_pullback_form(
     chart: BundleChart,
     P: InvariantPolynomial,
     section: Section,
-    fd_step: float = 1e-6,
 ) -> FormField:
     """s*(PhiP) as a (2k-1)-form on the base chart.
 
@@ -585,7 +587,7 @@ def section_pullback_form(
     """
 
     def ev(x, tangents):
-        ch, vts = _recentered(chart, section.value, x, tangents, fd_step)
+        ch, vts = _recentered(chart, section.value, x, tangents)
         return phi_p_form(ch, P)(ch.point(x), [ch.point(v, vt) for v, vt in zip(tangents, vts)])
 
     return FormField(chart.base_dim, 2 * P.degree - 1, ev)

@@ -28,15 +28,15 @@ integrated over the box as a chain (_box_chain).  integrate evaluates the
 integrand on chunks of at most _CHUNK nodes, one call per chunk, and sums
 the weighted chunks in node order, so memory stays bounded at any order and
 an integral of at most _CHUNK nodes is one call and one dot product.  The
-central differences of a parametrized map (a chain without a jacobian, a
-fiber lift, a section, a winding map) are taken on one stack (2k+1, ..., d)
-of the points x + s_i, x - s_i and x (_stencil_values), so the map is
-called once per stencil; _stencil_points builds that stack, for d too.
-integrate pulls a form back through a chain's map and tangent frame, both
-of which take the (N, p) stack of nodes; there is no separate pullback of
-forms.  A chain is oriented by its parametrization
-alone, and each boundary piece carries the sign induced on it in the
-(chain, sign) pairs of ParametrizedChain.boundary.
+central differences of a parametrized map (a fiber lift, a section, a
+winding map) are taken on one stack (2k+1, ..., d) of the points x + s_i,
+x - s_i and x (_stencil_values), so the map is called once per stencil;
+_stencil_points builds that stack, for d too.  A chain is one map,
+ParametrizedChain.frame, which returns the points and the exact tangents
+of an (N, p) stack of nodes in one call; integrate pulls a form back
+through it, and there is no separate pullback of forms.  A chain is
+oriented by its parametrization alone, and each boundary piece carries the
+sign induced on it in the (chain, sign) pairs of ParametrizedChain.boundary.
 """
 
 from __future__ import annotations
@@ -199,32 +199,19 @@ def _d_combine(values: np.ndarray, fd_step: float):
 class ParametrizedChain:
     """Oriented chain given by one smooth parametrization over an interval box.
 
-    mapping takes parameters (..., p) to chart points (..., chart_dim) and
-    jacobian to (..., chart_dim, p).
+    frame takes parameters (..., p) to the chart points (..., d) and their
+    tangents (..., d, p), the columns of the map's Jacobian, in one call.
     """
 
     name: str
     intervals: tuple[tuple[float, float], ...]
-    mapping: Callable[[np.ndarray], np.ndarray]
-    chart_dim: int
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # boundary pieces as (chain, sign) with the sign induced by this chain
     boundary: tuple[tuple["ParametrizedChain", int], ...] = ()
 
     @property
     def param_dim(self) -> int:
         return len(self.intervals)
-
-    def point(self, params: np.ndarray) -> np.ndarray:
-        return np.asarray(self.mapping(np.asarray(params, dtype=float)), dtype=float)
-
-    def tangent_frame(self, params: np.ndarray, fd_step: float = 1e-6) -> list[np.ndarray]:
-        params = np.asarray(params, dtype=float)
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian(params))
-            return [jac[..., i] for i in range(self.param_dim)]
-        _, plus, minus = _stencil_values(self.point, params, fd_step * np.eye(self.param_dim))
-        return list((plus - minus) / (2 * fd_step))
 
 
 def _stencil_points(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -305,20 +292,23 @@ def _box_chain(name: str, intervals: Sequence[tuple[float, float]]) -> Parametri
     """The interval box as a chain in its own coordinates: the identity map
     and, at every node, the coordinate axes as tangents."""
     p = len(intervals)
-    return ParametrizedChain(name, tuple(intervals), lambda x: x, p, lambda x: np.broadcast_to(np.eye(p), x.shape + (p,)))
+    return ParametrizedChain(name, tuple(intervals), lambda x: (x, np.broadcast_to(np.eye(p), x.shape + (p,))))
 
 
 def integrate(form: FormField, chain: ParametrizedChain, quad_order: int | Sequence[int]) -> float:
     """Gauss-Legendre product quadrature of the pulled-back density.
 
-    The chain's map and tangent frame and the form are evaluated once per
-    chunk of at most _CHUNK nodes, and the weighted chunks summed in node
-    order.
+    The chain's frame and the form are evaluated once per chunk of at most
+    _CHUNK nodes, and the weighted chunks summed in node order.
     """
     if chain.param_dim != form.degree:
         raise ValueError(
             f"chain parameter dimension {chain.param_dim} != form degree {form.degree}"
         )
     nodes, weights = gauss_product(chain.intervals, quad_order)
-    chunks = (slice(start, start + _CHUNK) for start in range(0, len(weights), _CHUNK))
-    return reduce(add, (float(weights[c] @ form(chain.point(nodes[c]), chain.tangent_frame(nodes[c]))) for c in chunks))
+
+    def chunk(c):
+        points, tangents = chain.frame(nodes[c])
+        return float(weights[c] @ form(points, [tangents[..., i] for i in range(form.degree)]))
+
+    return reduce(add, (chunk(slice(start, start + _CHUNK)) for start in range(0, len(weights), _CHUNK)))

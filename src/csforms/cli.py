@@ -11,8 +11,8 @@ the tuning flags it reads (seed, points, finite-difference step, quadrature
 order, tolerance); any other flag is a usage error.
 
 Exit codes: 0 all checks passed, 1 at least one failed or a numerical failure
-(ArithmeticError), 2 usage error, 3 a numerically ambiguous integer
-computation (degree rounding).
+(ArithmeticError), 2 usage error or an --out path that cannot be written, 3 a
+numerically ambiguous integer computation (degree rounding).
 """
 
 from __future__ import annotations
@@ -283,8 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = _to_text(report, elapsed) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.command == "algebra":

@@ -5,10 +5,12 @@ lam = 2/(1 + |x|^2); the chart origin is the north pole and the south pole is
 the excluded point at infinity.  One chart serves every S^n: its spin
 connection and curvature, the hyperspherical angle map of S^(n-1) and its
 Jacobian, and the polar chain builder x = tan(theta/2) angles(psi) take n from
-the last axis of their input.  The polar chains (full sphere, caps about the
-north pole, bands) keep every pulled-back characteristic form smooth on the
-closed parameter box even though the potential itself blows up toward the
-excluded pole; each boundary piece is the sphere at a fixed polar angle.
+the last axis of their input.  A polar chain's frame, its points and
+tangents, comes from one pass over the angle factors (_angles_jac).  The
+polar chains (full sphere, caps about the north pole, bands) keep every
+pulled-back characteristic form smooth on the closed parameter box even
+though the potential itself blows up toward the excluded pole; each boundary
+piece is the sphere at a fixed polar angle.
 
 Shipped bundles:
 
@@ -32,10 +34,10 @@ its fiber lift and its sections.  The last three are one affine chart
 A_a = C_a + x_b D_ab: flat has C = D = 0, linear draws C and D, and
 twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.
 
-Every chart potential and curvature, chain map and Jacobian, fiber lift and
-section value here broadcasts over leading batch axes (see csforms.bundles),
-so calculus.integrate evaluates them on a whole chunk of nodes at once, and
-a lift or section on the stencil stack (2p+1, ..., p) of its central
+Every chart potential and curvature, chain frame, fiber lift and section
+value here broadcasts over leading batch axes (see csforms.bundles), so
+calculus.integrate evaluates them on a whole chunk of nodes at once, and a
+lift or section on the stencil stack (2p+1, ..., p) of its central
 differences.  A winding degree is a d-form on the angle box of S^d,
 integrated by calculus.integrate as well.
 
@@ -191,13 +193,7 @@ def _angles_jac(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sphere_at(n: int, theta: float) -> ParametrizedChain:
     """The (n-1)-sphere at polar angle theta of S^n, in angle parameters."""
     r = np.tan(0.5 * theta)
-    return ParametrizedChain(
-        name=f"sphere:{theta:.6f}",
-        intervals=_angle_box(n - 1),
-        mapping=lambda psi: r * _angles(psi),
-        chart_dim=n,
-        jacobian=lambda psi: r * _angles_jac(psi)[1],
-    )
+    return ParametrizedChain(f"sphere:{theta:.6f}", _angle_box(n - 1), lambda psi: tuple(r * a for a in _angles_jac(psi)))
 
 
 def _polar_chain(n: int, lo: float, hi: float, name: str) -> ParametrizedChain:
@@ -206,18 +202,15 @@ def _polar_chain(n: int, lo: float, hi: float, name: str) -> ParametrizedChain:
     Its boundary is the sphere at hi with sign +1 and the sphere at lo with
     sign -1, each only where theta is not a pole."""
 
-    def mapping(params):
-        return np.tan(0.5 * params[..., :1]) * _angles(params[..., 1:])
-
-    def jacobian(params):
+    def frame(params):
         th, psi = params[..., 0], params[..., 1:]
         r = np.tan(0.5 * th)
         dr = 0.5 / np.cos(0.5 * th) ** 2
         v, dv = _angles_jac(psi)
-        return np.concatenate([(dr[..., None] * v)[..., None], r[..., None, None] * dv], axis=-1)
+        return r[..., None] * v, np.concatenate([(dr[..., None] * v)[..., None], r[..., None, None] * dv], axis=-1)
 
     boundary = tuple((_sphere_at(n, th), sign) for th, sign in ((hi, +1), (lo, -1)) if 0.0 < th < pi)
-    return ParametrizedChain(name, ((lo, hi),) + _angle_box(n - 1), mapping, n, jacobian, boundary)
+    return ParametrizedChain(name, ((lo, hi),) + _angle_box(n - 1), frame, boundary)
 
 
 _THETA = {"pi/6": pi / 6, "pi/3": pi / 3, "pi/2": pi / 2}
@@ -476,11 +469,11 @@ def get_bundle(name: str) -> NamedBundle:
 # --- degrees -------------------------------------------------------------------
 
 _SPHERE_VOLUMES = {1: 2 * pi, 3: 2 * pi**2}
+# the central-difference step of a winding map
+_WINDING_FD_STEP = 1e-5
 
 
-def _volume_pullback_integral(
-    f: Callable[[np.ndarray], np.ndarray], d: int, quad_order, fd_step: float, align_signs: bool
-) -> float:
+def _volume_pullback_integral(f: Callable[[np.ndarray], np.ndarray], d: int, quad_order, align_signs: bool) -> float:
     """Integral of f*(volume form of S^d) over the angle box of S^d: a
     d-form on the box, integrated by calculus.integrate, with f called once
     per chunk of C nodes, on the stack (2d+1, C, d) of the nodes and their
@@ -491,11 +484,11 @@ def _volume_pullback_integral(
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     def ev(params, tangents):
-        center, vp, vm = _stencil_values(unit, params, fd_step * np.asarray(tangents))
+        center, vp, vm = _stencil_values(unit, params, _WINDING_FD_STEP * np.asarray(tangents))
         if align_signs:
             vp = np.where(np.sum(vp * center, axis=-1, keepdims=True) < 0, -vp, vp)
             vm = np.where(np.sum(vm * center, axis=-1, keepdims=True) < 0, -vm, vm)
-        cols = np.concatenate([center[None], (vp - vm) / (2 * fd_step)])
+        cols = np.concatenate([center[None], (vp - vm) / (2 * _WINDING_FD_STEP)])
         return np.linalg.det(np.moveaxis(cols, 0, -1))
 
     return integrate(FormField(d, d, ev), _box_chain(f"S^{d}", _angle_box(d)), quad_order)
@@ -506,7 +499,6 @@ def winding_degree(
     d: int,
     quad_order: int | tuple[int, ...] = 24,
     target_volume: float | None = None,
-    fd_step: float = 1e-5,
     align_signs: bool = False,
 ) -> int:
     """Degree of a map into S^d given on source-sphere angle parameters.
@@ -528,7 +520,7 @@ def winding_degree(
     if d not in (1, 3):
         raise ValueError("winding_degree supports d in {1, 3}")
     vol = target_volume if target_volume is not None else _SPHERE_VOLUMES[d]
-    deg = _volume_pullback_integral(f, d, quad_order, fd_step, align_signs) / vol
+    deg = _volume_pullback_integral(f, d, quad_order, align_signs) / vol
     nearest = round(deg)
     if abs(deg - nearest) > 0.1:
         raise PrecisionError(

@@ -189,7 +189,7 @@ def test_criterion_9_flat_closedness():
 
 def test_criterion_10_quaternionic_degrees():
     t0 = time.time()
-    records = checks.degree_checks(quad_order=(12, 12, 16))
+    records = checks.degree_checks()
     _assert_all("criterion 10: quaternionic section degrees {+2, -2}", records, budget=600, elapsed=time.time() - t0)
 
 

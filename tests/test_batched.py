@@ -14,6 +14,7 @@ replace, kept here as references.
 """
 
 from dataclasses import replace
+from functools import partial
 from math import pi
 
 import numpy as np
@@ -33,11 +34,12 @@ from csforms.bundles import (
     transgression_residual,
 )
 from csforms._expm import expm
-from csforms.calculus import FormField, ParametrizedChain, exterior_derivative, gauss_product, integrate
-from csforms.checks import _random_polynomial_form
+from csforms.calculus import FormField, ParametrizedChain, _box_chain, exterior_derivative, gauss_product, integrate
+from csforms.checks import _affine_edge, _random_polynomial_form
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, rot4, so, so4_to_quaternion_pair, u
 from csforms.zoo import (
+    _WINDING_FD_STEP,
     _angles,
     _householder_lift,
     _volume_pullback_integral,
@@ -55,7 +57,8 @@ def close(batched, looped):
 def loop_integrate(form, chain, quad_order):
     total = 0.0
     for params, weight in zip(*gauss_product(chain.intervals, quad_order)):
-        total += weight * form(chain.point(params), chain.tangent_frame(params))
+        points, tangents = chain.frame(params)
+        total += weight * form(points, list(np.moveaxis(tangents, -1, 0)))
     return total
 
 
@@ -114,8 +117,8 @@ def test_integrate_s4_hemisphere(lower):
 
 def test_integrate_stokes_square():
     form = _random_polynomial_form(2, 1, np.random.default_rng(4))
-    square = ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
-    edge = ParametrizedChain("edge", ((0.0, 1.0),), lambda s: np.array([1.0, 0.0]) + s[..., :1] * np.array([0.0, 1.0]), 2)
+    square = _box_chain("square", ((0.0, 1.0), (0.0, 1.0)))
+    edge = ParametrizedChain("edge", ((0.0, 1.0),), partial(_affine_edge, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     dform = exterior_derivative(form)
     assert close(integrate(dform, square, 24), loop_integrate(dform, square, 24))
     assert close(integrate(form, edge, 24), loop_integrate(form, edge, 24))
@@ -184,7 +187,7 @@ def test_winding_degree_quaternionic_map():
     def a1(params):
         return so4_to_quaternion_pair(south_transition_frame(_angles(params)))[0]
 
-    order, fd_step, d = (6, 6, 4), 1e-5, 3
+    order, fd_step, d = (6, 6, 4), _WINDING_FD_STEP, 3
     intervals = ((0.0, pi), (0.0, pi), (0.0, 2 * pi))
     looped = 0.0
     for s, weight in zip(*gauss_product(intervals, order)):
@@ -197,7 +200,7 @@ def test_winding_degree_quaternionic_map():
             vp, vm = (v if v @ center >= 0 else -v for v in (vp, vm))
             cols.append((vp - vm) / (2 * fd_step))
         looped += weight * np.linalg.det(np.column_stack(cols))
-    batched = _volume_pullback_integral(a1, d, order, fd_step, align_signs=True)
+    batched = _volume_pullback_integral(a1, d, order, align_signs=True)
     assert close(batched, looped)
     assert batched / pi**2 == pytest.approx(round(batched / pi**2), abs=1e-4)
 

@@ -111,8 +111,14 @@ def test_dd_zero_scalar_function():
     assert abs(val) < 1e-6
 
 
+def affine_chain(name, intervals, matrix, origin=(0.0, 0.0)):
+    """The chain p -> origin + matrix p, with its constant frame."""
+    matrix, origin = np.asarray(matrix, dtype=float), np.asarray(origin, dtype=float)
+    return ParametrizedChain(name, intervals, lambda p: (origin + p @ matrix.T, np.broadcast_to(matrix, p.shape[:-1] + matrix.shape)))
+
+
 def unit_square():
-    return ParametrizedChain("square", ((0.0, 1.0), (0.0, 1.0)), lambda p: p.copy(), 2)
+    return affine_chain("square", ((0.0, 1.0), (0.0, 1.0)), np.eye(2))
 
 
 # integrate evaluates forms and chain maps on the stack of all nodes, so the
@@ -136,7 +142,7 @@ def test_integrate_dx_dy_over_square():
     dxdy = FormField(2, 2, lambda pt, tg: area_element(tg))
     assert integrate(dxdy, unit_square(), 8) == pytest.approx(1.0)
     # the orientation is the parametrization's: swapping the axes flips it
-    swapped = ParametrizedChain("square:swapped", ((0.0, 1.0), (0.0, 1.0)), lambda p: p[..., ::-1].copy(), 2)
+    swapped = affine_chain("square:swapped", ((0.0, 1.0), (0.0, 1.0)), [[0.0, 1.0], [1.0, 0.0]])
     assert integrate(dxdy, swapped, 8) == pytest.approx(-1.0)
 
 
@@ -147,12 +153,16 @@ def test_sphere_area_form():
 
     area = FormField(2, 2, lambda pt, tg: lam2(pt) * area_element(tg))
 
-    def mp(p):
+    # x = tan(th/2) (cos ph, sin ph) and its frame, written out here rather
+    # than taken from the zoo's polar chains
+    def frame(p):
         th, ph = p[..., 0], p[..., 1]
-        r = np.tan(th / 2)
-        return np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
+        r, dr = np.tan(th / 2), 0.5 / np.cos(th / 2) ** 2
+        c, s = np.cos(ph), np.sin(ph)
+        tangents = np.stack([np.stack([dr * c, -r * s], axis=-1), np.stack([dr * s, r * c], axis=-1)], axis=-2)
+        return np.stack([r * c, r * s], axis=-1), tangents
 
-    chain = ParametrizedChain("s2", ((0.0, pi), (0.0, 2 * pi)), mp, 2)
+    chain = ParametrizedChain("s2", ((0.0, pi), (0.0, 2 * pi)), frame)
     assert integrate(area, chain, 24) / (4 * pi) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -167,14 +177,12 @@ def test_stokes_on_square():
 
         form = FormField(2, 1, ev)
         area = integrate(exterior_derivative(form), unit_square(), 24)
-        edges = [
-            (lambda s: np.stack([s[..., 0], np.zeros_like(s[..., 0])], axis=-1), +1),
-            (lambda s: np.stack([np.ones_like(s[..., 0]), s[..., 0]], axis=-1), +1),
-            (lambda s: np.stack([s[..., 0], np.ones_like(s[..., 0])], axis=-1), -1),
-            (lambda s: np.stack([np.zeros_like(s[..., 0]), s[..., 0]], axis=-1), -1),
-        ]
+        # edges as (origin, direction, sign)
+        edges = [((0.0, 0.0), [[1.0], [0.0]], +1), ((1.0, 0.0), [[0.0], [1.0]], +1),
+                 ((0.0, 1.0), [[1.0], [0.0]], -1), ((0.0, 0.0), [[0.0], [1.0]], -1)]
         boundary = sum(
-            sign * integrate(form, ParametrizedChain("e", ((0.0, 1.0),), mp, 2), 24) for mp, sign in edges
+            sign * integrate(form, affine_chain("e", ((0.0, 1.0),), direction, origin), 24)
+            for origin, direction, sign in edges
         )
         assert area == pytest.approx(boundary, abs=1e-6)
 

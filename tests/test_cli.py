@@ -72,6 +72,16 @@ def test_out_file(tmp_path, capsys):
     assert {recs["quaternionic_degrees_pair"]["extra"]["a1"], recs["quaternionic_degrees_pair"]["extra"]["a2"]} == {2, -2}
 
 
+@pytest.mark.parametrize("where", ["missing_dir/report.json", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    # a missing directory, and a path that is a directory
+    path = tmp_path / where
+    code = main(["coeffs", "--k", "2", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and str(path) in err
+
+
 def test_heterotic_check_cli(capsys):
     code, out = run(capsys, "heterotic-check", "--bundle", "ut_s2", "--points", "5")
     assert code == 0

@@ -2,8 +2,9 @@
 
 gauss_product is checked bit for bit against a meshgrid construction of the
 same rule, and its node cap at the boundary.  Every central difference of a
-parametrized map (a fiber lift, a section, a chain without a jacobian) is
-one call of the map on the stacked stencil.  integrate is the one
+parametrized map (a fiber lift, a section, a winding map) is one call of
+the map on the stacked stencil, and a chain's frame is one call per chunk
+of nodes, with no differences at all.  integrate is the one
 quadrature driver: fiber integrals and winding degrees each call it once,
 on a box chain, and it evaluates its nodes in chunks of at most
 calculus._CHUNK.  The call counts and the shapes the callbacks receive are
@@ -21,7 +22,7 @@ import pytest
 
 from csforms import bundles, calculus, zoo
 from csforms.bundles import Section, char_form, fiber_integral, phi_p_form, section_pullback_form
-from csforms.calculus import MAX_QUAD_NODES, MAX_QUAD_ORDER, FormField, ParametrizedChain, _box_chain, gauss_product, integrate
+from csforms.calculus import MAX_QUAD_NODES, MAX_QUAD_ORDER, FormField, _box_chain, gauss_product, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import so4_to_quaternion_pair
 from csforms.zoo import _angles, _volume_pullback_integral, get_bundle, south_transition_frame, winding_degree
@@ -86,13 +87,11 @@ def test_gauss_product_caps_the_order_of_each_axis():
 
 def test_box_chain_is_the_box_in_its_own_coordinates():
     box = _box_chain("box", ((0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)))
-    assert box.param_dim == box.chart_dim == 3
+    assert box.param_dim == 3
     nodes = np.random.default_rng(5).uniform(-1, 1, (7, 3))
-    assert np.array_equal(box.point(nodes), nodes)
-    frame = box.tangent_frame(nodes)
-    assert len(frame) == 3
-    for e, tangent in zip(np.eye(3), frame):
-        assert tangent.shape == (7, 3) and np.array_equal(tangent, np.broadcast_to(e, (7, 3)))
+    points, tangents = box.frame(nodes)
+    assert np.array_equal(points, nodes)
+    assert tangents.shape == (7, 3, 3) and np.array_equal(tangents, np.broadcast_to(np.eye(3), (7, 3, 3)))
 
 
 # --- one call per stencil ------------------------------------------------------
@@ -160,18 +159,19 @@ def test_section_called_once_per_form_evaluation():
     assert calls == [(3, 48, 2)]
 
 
-def test_chain_without_jacobian_maps_once_per_tangent_frame():
-    calls = []
-
-    def mapping(p):
-        return np.stack([np.sin(p[..., 0]) * p[..., 1], p[..., 0] ** 2, np.cos(p[..., 1])], axis=-1)
-
-    chain = ParametrizedChain("patch", ((0.0, 1.0), (0.0, 2.0)), counting(mapping, calls), 3)
-    params = np.random.default_rng(3).uniform(0, 1, (4, 2))
-    frame = chain.tangent_frame(params, fd_step=1e-6)
-    assert calls == [(5, 4, 2)]
-    for e, tangent in zip(np.eye(2), frame):
-        assert np.array_equal(tangent, (mapping(params + 1e-6 * e) - mapping(params - 1e-6 * e)) / 2e-6)
+def test_polar_chain_frames_each_chunk_once(monkeypatch):
+    # one frame call per chunk of nodes, and in it one pass over the angle factors
+    ut = get_bundle("ut_s2")
+    frames, factors = [], []
+    chain = ut.chains["full_sphere"].chain
+    chain = replace(chain, frame=counting(chain.frame, frames))
+    monkeypatch.setattr(zoo, "_angle_factors", counting(zoo._angle_factors, factors))
+    monkeypatch.setattr(calculus, "_CHUNK", 200)
+    # 24 x 24 = 576 nodes in chunks of 200, 200 and 176
+    v = integrate(char_form(ut.chart, make_polynomial("euler", 1, "so2")), chain, 24)
+    assert frames == [(200, 2), (200, 2), (176, 2)]
+    assert factors == [(200, 1), (200, 1), (176, 1)]
+    assert abs(v - 2.0) < 1e-8
 
 
 # --- node chunks ---------------------------------------------------------------
@@ -227,9 +227,9 @@ def test_chunked_winding_degree_matches_one_chunk(monkeypatch):
         return so4_to_quaternion_pair(south_transition_frame(_angles(params)))[0]
 
     order = (6, 6, 4)
-    whole = _volume_pullback_integral(a1, 3, order, 1e-5, align_signs=True)
+    whole = _volume_pullback_integral(a1, 3, order, align_signs=True)
     monkeypatch.setattr(calculus, "_CHUNK", 11)
-    chunked = _volume_pullback_integral(a1, 3, order, 1e-5, align_signs=True)
+    chunked = _volume_pullback_integral(a1, 3, order, align_signs=True)
     assert abs(chunked - whole) <= REL * abs(whole)
     assert winding_degree(a1, 3, order, target_volume=pi**2, align_signs=True) == round(whole / pi**2)
 
