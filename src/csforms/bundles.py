@@ -26,12 +26,17 @@ and a finite-difference d its whole stencil.  A fiber integral is a form
 on the fiber's parameter box, integrated by calculus.integrate.  A fiber
 lift or a section is differentiated by central differences on one stencil
 stack (2p+1, ..., p) of the points x + h v_i, x - h v_i and x, in one call
-(_recentered).  The residuals that take d of a chart form (heterotic,
-transgression, covariant-derivative and connection-curvature) make one
-chart context, on the d stencil of calculus._d_stencil together with its
-center row, so each calls the chart's potential and curvature once; the
-stencil rows give d by calculus._d_combine and the center row the values
-at the point.  At t = 0 and on base tangents the connection-curvature
+(_recentered).
+
+Every value comes from the stacked methods of one chart context
+(_ChartContext.omegas, phis, curvs and tables).  The functions that take d
+of a chart form (heterotic_sides and its residual, the covariant-derivative
+and the connection-curvature residuals) make one context, on the d stencil
+of calculus._d_stencil together with its center row, so each calls the
+chart's potential and curvature once; the stencil rows give d by
+calculus._d_combine and the center row the values at the point.  The
+transgression identity d TP = P(Omega) is heterotic_sides on the chart
+without its split.  At t = 0 and on base tangents the connection-curvature
 residual checks F = dA + [A, A] itself.
 
 When the chart carries a reductive split g = h + p, the connection decomposes
@@ -64,6 +69,7 @@ import numpy as np
 
 from ._expm import eigh_skew, expm, expm_maurer_cartan
 from .calculus import (
+    DEFAULT_FD_STEP,
     FormField,
     ParametrizedChain,
     _box_chain,
@@ -83,26 +89,16 @@ __all__ = [
     "ChainSpec",
     "ObstructionReport",
     "covariant_derivative_residual",
-    "omega_form",
-    "curvature_form",
     "char_form",
     "tp_form",
     "phi_p_form",
+    "heterotic_sides",
     "heterotic_residual",
-    "heterotic_rhs",
     "fiber_integral",
     "section_pullback_form",
     "obstruction_identity_check",
-    "vertical_tangent",
-    "psi_horizontal_part",
-    "ad_coords_matrix",
     "connection_curvature_fd_residual",
 ]
-
-
-def ad_coords_matrix(algebra: MatrixLieAlgebra, h: np.ndarray) -> np.ndarray:
-    """Coordinate matrix of X -> h^-1 X h in the stored basis."""
-    return algebra.coords(h.conj().T @ np.array(algebra.basis()) @ h).T
 
 
 @dataclass(frozen=True)
@@ -180,10 +176,10 @@ class _ChartContext:
     (omegas, phis, curvs, tables) take a list of m tangents (..., d) and
     compute each value once, the Omega pair table in two batched products
     (_pair_table).  The tangent indices come first: phi is (m, ..., N, N)
-    and a pair table (m, m, ..., N, N).  The single-value methods are views
-    of them.  Without a reference element (g0 None) and at t = 0 the group
-    element is the identity, and Ad_{g^-1} is skipped (_conj), as the
-    exponential is.
+    and a pair table (m, m, ..., N, N); one tangent's value is row 0 of a
+    one-tangent call.  Without a reference element (g0 None) and at t = 0
+    the group element is the identity, and Ad_{g^-1} is skipped (_conj), as
+    the exponential is.
     """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
@@ -267,54 +263,9 @@ class _ChartContext:
             psi = self.chart.split.project_h(om - comm)
         return phi, 2 * comm, psi, om
 
-    def omega(self, v: np.ndarray) -> np.ndarray:
-        return self.omegas([v])[0]
-
-    def curv(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.curvs([v, w])[0, 1]
-
-    def phi(self, v: np.ndarray) -> np.ndarray:
-        return self.phis([v])[0]
-
-    def psi(self, v: np.ndarray) -> np.ndarray:
-        w = self.omega(v)
-        if self.chart.split is None:
-            return np.zeros_like(w)
-        return self.chart.split.project_h(w)
-
-
-# --- pointwise operations -----------------------------------------------------
-
-def vertical_tangent(chart: BundleChart, point: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Coordinate tangent whose Maurer-Cartan value is the given algebra element."""
-    ctx = chart.ctx(point)
-    alg = chart.algebra
-    target = alg.coords(value)
-    if ctx.t_is_zero:
-        vt = target
-    else:
-        cols = alg.coords(ctx.maurer_cartan(np.eye(alg.dim)))
-        vt = np.linalg.solve(cols.T, target)
-    return np.concatenate([np.zeros(chart.base_dim), vt])
-
-
-def psi_horizontal_part(chart: BundleChart, point: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Subtract the vertical part so that psi vanishes on the result."""
-    ctx = chart.ctx(point)
-    v = np.asarray(tangent, float)
-    y = ctx.psi(v)
-    return v - vertical_tangent(chart, point, y)
 
 
 # --- form fields -------------------------------------------------------------
-
-def omega_form(chart: BundleChart) -> FormField:
-    return FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).omega(tg[0]), algebra=chart.algebra)
-
-
-def curvature_form(chart: BundleChart) -> FormField:
-    return FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curv(tg[0], tg[1]), algebra=chart.algebra)
-
 
 def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega") -> FormField:
     """The 2k-form P(Omega^k) (source="omega") or P(Psi^k) (source="psi")."""
@@ -371,7 +322,7 @@ def _char_difference(P: InvariantPolynomial, psi, om):
     return eval_on_forms_indexed(P, [(1.0, [(om, 2)] * k), (-1.0, [(psi, 2)] * k)], 2 * k)
 
 
-def _heterotic_sides(
+def heterotic_sides(
     chart: BundleChart, P: InvariantPolynomial, point: np.ndarray, tangents: Sequence[np.ndarray], fd_step: float
 ):
     """(d PhiP, P(Omega) - P(Psi)) on 2k tangents at one point.
@@ -379,7 +330,8 @@ def _heterotic_sides(
     One chart context on the d stencil and its center (calculus._d_stencil)
     and one tables call on its 2k tangents serve both sides: PhiP on the
     first 2k - 1 tangents of the stencil rows, differenced by _d_combine,
-    and P(Omega) - P(Psi) on the center row.
+    and P(Omega) - P(Psi) on the center row.  On the chart without its split
+    the pair is (d TP, P(Omega)).
     """
     k = P.degree
     if len(tangents) != 2 * k:
@@ -397,41 +349,24 @@ def heterotic_residual(
     P: InvariantPolynomial,
     point: np.ndarray,
     tangents: Sequence[np.ndarray],
-    fd_step: float = 1e-4,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> float:
     """|d PhiP - (P(Omega) - P(Psi))| on 2k tangents at one point, from
-    one chart context (_heterotic_sides)."""
-    lhs, rhs = _heterotic_sides(chart, P, point, tangents, fd_step)
+    one chart context (heterotic_sides)."""
+    lhs, rhs = heterotic_sides(chart, P, point, tangents, fd_step)
     return abs(lhs - rhs)
-
-
-def heterotic_rhs(chart: BundleChart, P: InvariantPolynomial, point: np.ndarray, tangents: Sequence[np.ndarray]) -> float:
-    """P(Omega) - P(Psi) on 2k tangents, from the tables of one chart context
-    at the point, in one shuffle evaluation."""
-    _, _, psi, om = chart.ctx(point).tables(tangents)
-    return _char_difference(P, psi, om)
-
-
-def transgression_residual(
-    chart: BundleChart,
-    P: InvariantPolynomial,
-    point: np.ndarray,
-    tangents: Sequence[np.ndarray],
-    fd_step: float = 1e-4,
-) -> float:
-    """|d TP - P(Omega)| on 2k tangents: the split-free heterotic residual."""
-    return heterotic_residual(replace(chart, split=None), P, point, tangents, fd_step)
 
 
 def covariant_derivative_residual(
     chart: BundleChart,
     point: np.ndarray,
     tangents: Sequence[np.ndarray],
-    fd_step: float = 1e-4,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents).
 
-    One chart context on the d stencil of (X, Y, Z) and its center row:
+    This is the Bianchi identity d Omega = [Omega, w] split by w = phi + psi,
+    so it holds on every tangent.  One chart context on the d stencil of (X, Y, Z) and its center row:
     d Omega from the stencil rows, every value at the point from the center.
     """
     if len(tangents) != 3:
@@ -465,7 +400,7 @@ def connection_curvature_fd_residual(
     point: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
-    fd_step: float = 1e-4,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD,
     from one chart context on the d stencil of (X, Y) and its center row."""
@@ -607,8 +542,6 @@ class ObstructionReport:
     index_sum: int
     boundary_term: float
     residual: float
-    chain_name: str
-    section_name: str
 
 
 def obstruction_identity_check(
@@ -636,12 +569,4 @@ def obstruction_identity_check(
     boundary_term = 0.0
     for bchain, sign in chainspec.chain.boundary:
         boundary_term += sign * integrate(sform, bchain, boundary_quad_order)
-    residual = abs(lhs - index_sum - boundary_term)
-    return ObstructionReport(
-        lhs=lhs,
-        index_sum=index_sum,
-        boundary_term=boundary_term,
-        residual=residual,
-        chain_name=chainspec.chain.name,
-        section_name=section.name,
-    )
+    return ObstructionReport(lhs, index_sum, boundary_term, abs(lhs - index_sum - boundary_term))

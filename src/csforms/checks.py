@@ -30,16 +30,15 @@ from ._expm import expm
 from .bundles import (
     BundleChart,
     ObstructionReport,
-    _heterotic_sides,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
     fiber_integral,
+    heterotic_sides,
     obstruction_identity_check,
     phi_p_form,
-    psi_horizontal_part,
 )
-from .calculus import FormField, ParametrizedChain, _box_chain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
+from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
 from .invariants import eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
 from .liealg import random_element, random_group_element, so, u
 from .zoo import NamedBundle, get_bundle, quaternionic_section_degrees
@@ -181,7 +180,7 @@ def _affine_edge(start: np.ndarray, direction: np.ndarray, s: np.ndarray) -> tup
     return start + s[..., :1] * direction, np.broadcast_to(direction[:, None], s.shape[:-1] + (len(direction), 1))
 
 
-def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[CheckRecord]:
+def calculus_identity_checks(seed: int = 0, fd_step: float = DEFAULT_FD_STEP) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     records: list[CheckRecord] = []
 
@@ -325,10 +324,8 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = 1e-4) -> list[Check
     records.append(_rec("polarization_diagonal", "polarized P on the diagonal equals P", diag, 0.0, 1e-12))
     records.append(_rec("polarization_symmetry", "polarized P is symmetric", sym, 0.0, 1e-12))
 
-    # covariant derivative identity on the sphere bundles
-    def covariant(ch, pt, tg):
-        return covariant_derivative_residual(ch, pt, [psi_horizontal_part(ch, pt, v) for v in tg], fd_step)
-
+    # covariant derivative identity on the sphere bundles, on raw tangents
+    covariant = partial(covariant_derivative_residual, fd_step=fd_step)
     for bname in ("ut_s2", "frame_s4"):
         worst = _sweep(get_bundle(bname), rng, 3, 3, covariant)
         records.append(_rec(f"covariant_derivative_{bname}", "d Omega + [psi,Omega] = [Omega,phi]", worst, 0.0, 1e-5))
@@ -366,7 +363,7 @@ def heterotic_sweep(
     poly: str | None = None,
     points: int = 100,
     seed: int = 0,
-    fd_step: float = 1e-4,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     bundle = get_bundle(bundle_name)
@@ -379,7 +376,7 @@ def heterotic_sweep(
 
     def residual(ch, pt, tg):
         # the residual and the size of the right-hand side from one pass
-        lhs, rhs = _heterotic_sides(ch, P, pt, tg, fd_step)
+        lhs, rhs = heterotic_sides(ch, P, pt, tg, fd_step)
         return lhs - rhs, rhs
 
     worst, scale = _sweep(bundle, rng, points, 2 * P.degree, residual)
@@ -401,16 +398,16 @@ def vanishing_sweep(points: int = 100, seed: int = 0) -> list[CheckRecord]:
     """|P(Psi)| sweeps for the naturally-associated families."""
     rng = np.random.default_rng(seed)
     cases = [
-        ("ut_s2", None, "euler on the circle-bundle split (h trivial)"),
-        ("frame_s4", None, "euler on the sphere-bundle split"),
-        ("twisted_u2:su2", None, "c1 on the determinant-bundle split"),
-        ("twisted_u2:u1", None, "c2 on the odd-sphere-bundle split"),
-        ("hopf_u1", None, "c1, rank-one frame split (h trivial)"),
+        ("ut_s2", "euler on the circle-bundle split (h trivial)"),
+        ("frame_s4", "euler on the sphere-bundle split"),
+        ("twisted_u2:su2", "c1 on the determinant-bundle split"),
+        ("twisted_u2:u1", "c2 on the odd-sphere-bundle split"),
+        ("hopf_u1", "c1, rank-one frame split (h trivial)"),
     ]
     records = []
-    for bname, poly, label in cases:
+    for bname, label in cases:
         bundle = get_bundle(bname)
-        P = _polynomial_for(bundle, poly)
+        P = bundle.polynomial()
         worst = _sweep(bundle, rng, points, 2 * P.degree, lambda ch, pt, tg: char_form(ch, P, "psi")(pt, tg))
         records.append(
             _rec(f"vanishing_{bname}_{P.name}", f"P(Psi) = 0: {label}", worst, 0.0, 1e-10, points=points)
@@ -457,12 +454,11 @@ def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
     order2, boundary2 = _chain_orders(ut.chains["full_sphere"].chain, quad_order)
     order4, _ = _chain_orders(fs.chains["full_sphere"].chain, quad_order)
     records = []
-    e1 = make_polynomial("euler", 1, "so2")
+    e1 = ut.polynomial()
     v = integrate(char_form(ut.chart, e1), ut.chains["full_sphere"].chain, order2)
     records.append(_rec("gauss_bonnet_s2", "Gauss-Bonnet: integral of e(Omega) = 2 on the 2-sphere", v, 2.0, 1e-8))
 
-    e2 = make_polynomial("euler", 2, "so4")
-    v = integrate(char_form(fs.chart, e2), fs.chains["full_sphere"].chain, order4)
+    v = integrate(char_form(fs.chart, fs.polynomial()), fs.chains["full_sphere"].chain, order4)
     records.append(_rec("gauss_bonnet_s4", "Gauss-Bonnet: integral of e(Omega) = 2 on the 4-sphere", v, 2.0, 1e-4))
 
     for label in ("cap:pi/6", "cap:pi/3", "cap:pi/2"):
@@ -476,9 +472,8 @@ def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
 def chern_number_checks(quad_order: int | None = None) -> list[CheckRecord]:
     """c_1 integral on S^2 at quad_order, 24 when None."""
     hopf = get_bundle("hopf_u1")
-    c1 = make_polynomial("chern_j", 1, "u1")
     order = 24 if quad_order is None else quad_order
-    v = integrate(char_form(hopf.chart, c1), hopf.chains["full_sphere"].chain, order)
+    v = integrate(char_form(hopf.chart, hopf.polynomial()), hopf.chains["full_sphere"].chain, order)
     return [_rec("chern_number_s2", "degree-one line bundle has c_1 integral 1", v, 1.0, 1e-8)]
 
 
@@ -510,29 +505,29 @@ def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) 
         for order in (quad_order_1d, 2 * quad_order_1d) if name == "ut_s2" else (quad_order_3d,):
             _quad_orders(order, len(get_bundle(name).fiber.intervals))
 
-    def on_fiber(name, form_at, order, **kw):
+    def on_fiber(name, order, bare=False, **kw):
+        # the fiber integral of PhiP, or of the bare integrand, for the bundle's polynomial
         b = get_bundle(name)
+        P = b.polynomial()
+        form_at = _bare_integrand(P) if bare else lambda ch: phi_p_form(ch, P)
         return fiber_integral(b.chart, form_at, np.zeros(b.chart.base_dim), b.fiber, order, **kw)
 
     records = []
     if "ut_s2" in wanted:
-        e1 = make_polynomial("euler", 1, "so2")
-        v = on_fiber("ut_s2", lambda ch: phi_p_form(ch, e1), quad_order_1d)
+        v = on_fiber("ut_s2", quad_order_1d)
         records.append(_rec("fiber_norm_circle", "circle-fiber integral of Phi-e is 1", v, 1.0, 1e-8))
-        v_alt = on_fiber("ut_s2", lambda ch: phi_p_form(ch, e1), 2 * quad_order_1d, use_alt_lift=True)
+        v_alt = on_fiber("ut_s2", 2 * quad_order_1d, use_alt_lift=True)
         records.append(_rec("fiber_lift_independence_circle", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
 
     if "frame_s4" in wanted:
-        e2 = make_polynomial("euler", 2, "so4")
-        v = on_fiber("frame_s4", lambda ch: phi_p_form(ch, e2), quad_order_3d)
+        v = on_fiber("frame_s4", quad_order_3d)
         records.append(_rec("fiber_norm_s3", "3-sphere-fiber integral of Phi-e is 1", v, 1.0, 1e-4))
-        v_alt = on_fiber("frame_s4", lambda ch: phi_p_form(ch, e2), quad_order_3d, use_alt_lift=True)
+        v_alt = on_fiber("frame_s4", quad_order_3d, use_alt_lift=True)
         records.append(_rec("fiber_lift_independence_s3", "fiber integral is lift-independent", abs(v - v_alt), 0.0, 1e-6))
 
-    p1 = make_polynomial("pontryagin_1", 2, "so4")
     for name in ("frame_s4:b1", "frame_s4:b2"):
         if name in wanted:
-            v = on_fiber(name, lambda ch: phi_p_form(ch, p1), quad_order_3d)
+            v = on_fiber(name, quad_order_3d)
             records.append(
                 _rec(f"fiber_norm_{name.split(':')[1]}", "projective-fiber integral of Phi-P1 is 1", v, 1.0, 1e-4)
             )
@@ -540,7 +535,7 @@ def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) 
     # bare fiber integrand P1(phi, [phi,phi]): on a fiber Omega = Psi = 0, so
     # the Phi-P1 integral above is A_10 times this one, which is 1/A_10 = -6
     if "frame_s4:b1" in wanted:
-        v = on_fiber("frame_s4:b1", _bare_integrand(p1), quad_order_3d)
+        v = on_fiber("frame_s4:b1", quad_order_3d, bare=True)
         records.append(
             _rec(
                 "fiber_norm_b1_literal_integrand",
@@ -560,11 +555,11 @@ def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) 
     return records
 
 
-def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -> list[CheckRecord]:
+def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = DEFAULT_FD_STEP) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     b1 = get_bundle("frame_s4:b1")
     b2 = get_bundle("frame_s4:b2")
-    p1 = make_polynomial("pontryagin_1", 2, "so4")
+    p1 = b1.polynomial()
 
     def split(ch, pt, tg):
         ch2 = b2.chart.at(ch.reference())
@@ -572,8 +567,8 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -
 
     def sum_rule(ch, pt, tg):
         ch2 = b2.chart.at(ch.reference())
-        d1, _ = _heterotic_sides(ch, p1, pt, tg, fd_step)
-        d2, _ = _heterotic_sides(ch2, p1, pt, tg, fd_step)
+        d1, _ = heterotic_sides(ch, p1, pt, tg, fd_step)
+        d2, _ = heterotic_sides(ch2, p1, pt, tg, fd_step)
         return d1 + d2 - char_form(ch, p1, "omega")(pt, tg)
 
     worst_split = _sweep(b1, rng, points, 4, split)
@@ -602,7 +597,7 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = 1e-4) -
     return records
 
 
-def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = 1e-4) -> list[CheckRecord]:
+def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = DEFAULT_FD_STEP) -> list[CheckRecord]:
     """Flat-bundle closedness of TP and PhiP for naturally-associated pairs."""
     rng = np.random.default_rng(seed)
     records = []
@@ -616,7 +611,7 @@ def closedness_checks(points: int = 20, seed: int = 0, fd_step: float = 1e-4) ->
 
         def d_tp_phi(ch, pt, tg):
             # d TP is d PhiP on the chart without its split
-            return tuple(_heterotic_sides(c, P, pt, tg, fd_step)[0] for c in (replace(ch, split=None), ch))
+            return tuple(heterotic_sides(c, P, pt, tg, fd_step)[0] for c in (replace(ch, split=None), ch))
 
         worst_tp, worst_phi = _sweep(bundle, rng, points, 2 * k, d_tp_phi)
         records.append(_rec(f"flat_closed_tp_{name}", "TP is closed when P(Omega) = 0", worst_tp, 0.0, 1e-8))
@@ -662,7 +657,7 @@ def obstruction_checks(
 def suite_all(
     seed: int = 0,
     points: int = 100,
-    fd_step: float = 1e-4,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> list[CheckRecord]:
     """Every acceptance criterion, in order."""
     records: list[CheckRecord] = []

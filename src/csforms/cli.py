@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__, checks, rationals
-from .calculus import MAX_QUAD_NODES, MAX_QUAD_ORDER
+from .calculus import DEFAULT_FD_STEP, MAX_QUAD_NODES, MAX_QUAD_ORDER
 from .liealg import algebra_from_tag
 from .zoo import PrecisionError, bundle_names
 
@@ -61,7 +61,7 @@ _TUNING = {
     "points": dict(type=_positive(int), default=100, help="random points per sweep (>= 1)"),
     "fd-step": dict(
         type=_positive(float, at_most=MAX_FD_STEP),
-        default=1e-4,
+        default=DEFAULT_FD_STEP,
         help=f"finite-difference step (> 0 and <= {MAX_FD_STEP:g})",
     ),
     "quad-order": dict(

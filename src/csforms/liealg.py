@@ -32,6 +32,10 @@ __all__ = [
 
 _TOL = 1e-12
 
+# the largest matrix size n of an algebra: a basis holds about n^2/2 dense
+# n x n matrices, so its memory grows as n^4; the shipped bundles stop at n = 6
+MAX_MATRIX_SIZE = 16
+
 
 def _e(n: int, a: int, b: int, dtype=float) -> np.ndarray:
     m = np.zeros((n, n), dtype=dtype)
@@ -52,8 +56,8 @@ class MatrixLieAlgebra:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"matrix size must be >= 0, got {self.name}({self.n})")
+        if not 0 <= self.n <= MAX_MATRIX_SIZE:
+            raise ValueError(f"matrix size must be >= 0 and <= {MAX_MATRIX_SIZE}, got {self.name}({self.n})")
 
     @property
     def tag(self) -> str:
@@ -225,40 +229,21 @@ def _split_from_h(algebra: MatrixLieAlgebra, h_raw: list[np.ndarray], label: str
 def standard_split(gtag: str, htag: str) -> ReductiveSplit:
     """Reductive splits for the shipped naturally-associated families.
 
-    Supported pairs (case-insensitive):
+    Supported pairs (case-insensitive), h in the lower-right block:
       (SO(n), SO(n-1))   stabilizer of e1, sphere-bundle case
       (U(n),  U(n-1))    stabilizer block, odd-sphere-bundle case
       (U(n),  SU(n))     determinant-bundle case, p = the center i*I
-      (U(n),  U(j))      Stiefel case, h = 0_{n-j} + u(j) in the lower block
+      (U(n),  U(j))      Stiefel case, h = 0_{n-j} + u(j); j = n gives h = g
     """
-    g = algebra_from_tag(gtag)
-    hs = htag.lower().replace("(", "").replace(")", "").strip()
-    if g.name == "so":
-        if not hs.startswith("so") or int(hs[2:]) != g.n - 1:
-            raise ValueError(f"unsupported split ({gtag}, {htag})")
-        n = g.n
-        h_raw = [skew_pair(n, a, b) for a in range(1, n) for b in range(a + 1, n)]
-        return _split_from_h(g, h_raw, f"so({n})/so({n - 1})")
-    if g.name == "u":
-        n = g.n
-        if hs == f"su{n}":
-            h_raw = [b for b in su(n).basis()]
-            # promote su(n) matrices into the u(n) container (same shape)
-            return _split_from_h(g, h_raw, f"u({n})/su({n})")
-        if hs.startswith("u"):
-            j = int(hs[1:])
-            if not 0 <= j <= n:  # j = n is the degenerate h = g case
-                raise ValueError(f"unsupported split ({gtag}, {htag})")
-            off = n - j
-            h_raw = []
-            for a in range(off, n):
-                h_raw.append(1j * _e(n, a, a, complex))
-            for a in range(off, n):
-                for b in range(a + 1, n):
-                    h_raw.append(_e(n, a, b, complex) - _e(n, b, a, complex))
-                    h_raw.append(1j * (_e(n, a, b, complex) + _e(n, b, a, complex)))
-            return _split_from_h(g, h_raw, f"u({n})/u({j})")
-    raise ValueError(f"unsupported split ({gtag}, {htag})")
+    g, h = algebra_from_tag(gtag), algebra_from_tag(htag)
+    if (g.name, h.name) == ("so", "so"):
+        supported = h.n == g.n - 1
+    else:
+        supported = g.name == "u" and ((h.name, h.n) == ("su", g.n) or (h.name == "u" and h.n <= g.n))
+    if not supported:
+        raise ValueError(f"unsupported split ({gtag}, {htag})")
+    off = g.n - h.n
+    return _split_from_h(g, [np.pad(b, ((off, 0), (off, 0))) for b in h.basis()], f"{g.tag}/{h.tag}")
 
 
 # --- the so(4) ideal decomposition -----------------------------------------

@@ -498,8 +498,7 @@ def winding_degree(
     f: Callable[[np.ndarray], np.ndarray],
     d: int,
     quad_order: int | tuple[int, ...] = 24,
-    target_volume: float | None = None,
-    align_signs: bool = False,
+    projective: bool = False,
 ) -> int:
     """Degree of a map into S^d given on source-sphere angle parameters.
 
@@ -508,19 +507,17 @@ def winding_degree(
     finite-difference stencil points.  The degree is the integral of the
     pulled-back normalized volume form.
 
-    For maps whose values are only defined up to overall sign
-    (projective-space lifts), pass align_signs=True: the finite-difference
-    stencil is sign-aligned around each node, which the volume pullback does
-    not feel.
-
-    target_volume overrides the normalization (e.g. the volume of RP^3 when f
-    lifts a projective-valued map and the covering count is wanted).  Raises
-    PrecisionError when the integral is farther than 0.1 from an integer.
+    projective=True reads f as the lift of a map into RP^d, whose values are
+    defined only up to overall sign: the finite-difference stencil is
+    sign-aligned around each node, which the volume pullback does not feel,
+    and the integral is normalized by vol(RP^d) = vol(S^d)/2, so the degree
+    is the covering count.  Raises PrecisionError when the integral is
+    farther than 0.1 from an integer.
     """
     if d not in (1, 3):
         raise ValueError("winding_degree supports d in {1, 3}")
-    vol = target_volume if target_volume is not None else _SPHERE_VOLUMES[d]
-    deg = _volume_pullback_integral(f, d, quad_order, align_signs) / vol
+    vol = _SPHERE_VOLUMES[d] / 2 if projective else _SPHERE_VOLUMES[d]
+    deg = _volume_pullback_integral(f, d, quad_order, projective) / vol
     nearest = round(deg)
     if abs(deg - nearest) > 0.1:
         raise PrecisionError(
@@ -568,7 +565,7 @@ def quaternionic_section_degrees(
 
         return f
 
-    a1 = winding_degree(section_map(1), 3, quad_order, target_volume=pi**2, align_signs=True)
-    a2 = winding_degree(section_map(2), 3, quad_order, target_volume=pi**2, align_signs=True)
+    a1 = winding_degree(section_map(1), 3, quad_order, projective=True)
+    a2 = winding_degree(section_map(2), 3, quad_order, projective=True)
     return a1, a2
 

@@ -156,7 +156,7 @@ def test_criterion_7_literal_bare_integrand():
     def literal(ch):
         def ev(pt, tangents):
             ctx = ch.ctx(pt)
-            pv = [ctx.phi(v) for v in tangents]
+            pv = ctx.phis(tangents)
 
             def f1(i):
                 return pv[i]

@@ -25,13 +25,10 @@ from csforms.bundles import (
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
-    curvature_form,
     fiber_integral,
     heterotic_residual,
-    omega_form,
     phi_p_form,
     section_pullback_form,
-    transgression_residual,
 )
 from csforms._expm import expm
 from csforms.calculus import FormField, ParametrizedChain, _box_chain, exterior_derivative, gauss_product, integrate
@@ -242,7 +239,7 @@ def test_chart_fields_are_called_once_per_context_on_the_whole_stack():
     # one context on the 2(p + 1) stencil points of d and the point itself:
     # d PhiP from the stencil rows, P(Omega) - P(Psi) from the center row
     assert calls_of(heterotic_residual, P, point, tangents) == once_on(2 * 4 + 1)
-    assert calls_of(transgression_residual, P, point, tangents) == once_on(2 * 4 + 1)
+    assert calls_of(lambda ch, *a: heterotic_residual(replace(ch, split=None), *a), P, point, tangents) == once_on(2 * 4 + 1)
     # d Omega and the brackets at the point
     assert calls_of(covariant_derivative_residual, point, tangents[:3]) == once_on(2 * 3 + 1)
     # d w + [w, w] and the analytic Omega at the point
@@ -349,24 +346,40 @@ def test_identity_reference_is_not_conjugated(name):
             assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
 
 
+def connection_forms(chart):
+    """w and Omega as a 1-form and a 2-form, each value from a context of its own."""
+    w = FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).omegas(tg)[0], algebra=chart.algebra)
+    om = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curvs(tg)[0, 1], algebra=chart.algebra)
+    return w, om
+
+
 def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
-    """d Omega + [psi, Omega] - [Omega, phi] from the single-value methods."""
-    dom = exterior_derivative(curvature_form(chart), fd_step)(point, list(tangents))
-    ctx = chart.ctx(point)
+    """d Omega + [psi, Omega] - [Omega, phi] with d by one form call per
+    stencil point and each value at the point from one tangent or pair."""
+    w_form, om_form = connection_forms(chart)
+    dom = loop_exterior_derivative(om_form, fd_step)(point, list(tangents))
     X, Y, Z = [np.asarray(v, float) for v in tangents]
+    split = chart.split
 
-    def br_one_two(one_val, pair):
-        return _comm(one_val(X), pair(Y, Z)) - _comm(one_val(Y), pair(X, Z)) + _comm(one_val(Z), pair(X, Y))
+    def br_one_two(one_val):
+        return (
+            _comm(one_val(X), om_form(point, [Y, Z]))
+            - _comm(one_val(Y), om_form(point, [X, Z]))
+            + _comm(one_val(Z), om_form(point, [X, Y]))
+        )
 
-    resid = dom + br_one_two(ctx.psi, ctx.curv) + br_one_two(ctx.phi, ctx.curv)
+    def part(project):
+        return lambda v: project(w_form(point, [v]))
+
+    resid = dom + br_one_two(part(split.project_h)) + br_one_two(part(split.project_p))
     return float(np.max(np.abs(resid)))
 
 
 def loop_connection_curvature_fd_residual(chart, point, X, Y, fd_step=1e-4):
-    """d w + (1/2)[w, w] - Omega from the single-value methods."""
-    dw = exterior_derivative(omega_form(chart), fd_step)(point, [X, Y])
-    ctx = chart.ctx(point)
-    return float(np.max(np.abs(dw + _comm(ctx.omega(X), ctx.omega(Y)) - ctx.curv(X, Y))))
+    """d w + (1/2)[w, w] - Omega, each value from a context of its own."""
+    w_form, om_form = connection_forms(chart)
+    dw = loop_exterior_derivative(w_form, fd_step)(point, [X, Y])
+    return float(np.max(np.abs(dw + _comm(w_form(point, [X]), w_form(point, [Y])) - om_form(point, [X, Y]))))
 
 
 @pytest.mark.parametrize("name", ["ut_s2", "frame_s4:b1"])

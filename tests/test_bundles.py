@@ -7,25 +7,35 @@ import pytest
 from scipy.linalg import expm
 
 from csforms.bundles import (
-    ad_coords_matrix,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
     heterotic_residual,
-    heterotic_rhs,
+    heterotic_sides,
     phi_p_form,
-    psi_horizontal_part,
     tp_form,
-    transgression_residual,
-    vertical_tangent,
 )
 from csforms._expm import expm_maurer_cartan
-from csforms.calculus import FormField, exterior_derivative, integrate
+from csforms.calculus import DEFAULT_FD_STEP, FormField, exterior_derivative, integrate
 from csforms.invariants import make_polynomial
 from csforms.liealg import random_element, random_group_element, so
 from csforms.zoo import _CATALOG, flat_bundle, get_bundle
 
 rng = np.random.default_rng(23)
+
+
+def ad_coords(alg, h):
+    """Coordinate matrix of X -> h^-1 X h in the stored basis."""
+    return alg.coords(h.conj().T @ np.array(alg.basis()) @ h).T
+
+
+def vertical_at_t0(chart, value):
+    """The tangent at a t = 0 point whose Maurer-Cartan value is value."""
+    return np.concatenate([np.zeros(chart.base_dim), chart.algebra.coords(value)])
+
+
+def comm(a, b):
+    return a @ b - b @ a
 
 
 def test_expm_tangent_matches_fd():
@@ -40,7 +50,7 @@ def test_connection_reproduces_fiber_velocity_at_identity():
     b = get_bundle("ut_s2")
     pt = b.chart.point(np.array([0.4, -0.2]))
     xi = np.array([0.0, 0.0, 0.7])  # pure fiber velocity in exp coordinates
-    val = b.chart.ctx(pt).omega(xi)
+    val = b.chart.ctx(pt).omegas([xi])[0]
     assert np.allclose(val, b.chart.algebra.from_coords([0.7]))
 
 
@@ -50,12 +60,11 @@ def test_flat_connection_is_maurer_cartan():
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, 3))
     v = rng.standard_normal(5)
-    ctx = ch.ctx(pt)
-    w = ctx.omega(v)
     # base part of the tangent contributes nothing when A = 0
     v2 = v.copy()
     v2[:2] = 0.0
-    assert np.allclose(w, ctx.omega(v2))
+    w, w2 = ch.ctx(pt).omegas([v, v2])
+    assert np.allclose(w, w2)
 
 
 def test_connection_equivariance():
@@ -65,13 +74,13 @@ def test_connection_equivariance():
         g = random_group_element(alg, rng, 0.6)
         h = random_group_element(alg, rng, 0.6)
         ch1, ch2 = b.chart.at(g), b.chart.at(g @ h)
-        adm = ad_coords_matrix(alg, h)
+        adm = ad_coords(alg, h)
         x = rng.uniform(-1, 1, 4)
         pt = ch1.point(x)
         v = rng.standard_normal(10)
         v2 = np.concatenate([v[:4], adm @ v[4:]])
-        w1 = ch1.ctx(pt).omega(v)
-        w2 = ch2.ctx(ch2.point(x)).omega(v2)
+        w1 = ch1.ctx(pt).omegas([v])[0]
+        w2 = ch2.ctx(ch2.point(x)).omegas([v2])[0]
         hinv = h.conj().T
         assert np.max(np.abs(w2 - hinv @ w1 @ h)) < 1e-8
 
@@ -81,9 +90,9 @@ def test_curvature_kills_verticals_and_matches_fd():
     g0 = random_group_element(b.chart.algebra, rng, 0.5)
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 4))
-    vert = vertical_tangent(ch, pt, random_element(b.chart.algebra, rng))
+    vert = vertical_at_t0(ch, random_element(b.chart.algebra, rng))
     x = rng.standard_normal(10)
-    om = ch.ctx(pt).curv(vert, x)
+    om = ch.ctx(pt).curvs([vert, x])[0, 1]
     assert np.max(np.abs(om)) < 1e-12
     assert connection_curvature_fd_residual(ch, pt, x, rng.standard_normal(10)) < 1e-5
 
@@ -112,9 +121,9 @@ def test_decompose_trivial_subgroup():
     pt = chart.point(np.array([0.2, 0.1]), np.array([0.4]))
     v = rng.standard_normal(3)
     ctx = chart.ctx(pt)
-    phi, psi = ctx.phi(v), ctx.psi(v)
-    assert np.max(np.abs(psi)) == 0.0
-    assert np.allclose(phi, ctx.omega(v))
+    w, phi = ctx.omegas([v])[0], ctx.phis([v])[0]
+    assert np.max(np.abs(chart.split.project_h(w))) == 0.0
+    assert np.allclose(phi, w)
 
 
 def test_decompose_h_equals_g():
@@ -123,7 +132,7 @@ def test_decompose_h_equals_g():
     assert b.chart.split.dim_p == 0
     pt = b.chart.point(np.zeros(2), rng.uniform(-0.2, 0.2, 4))
     v = rng.standard_normal(6)
-    phi = b.chart.ctx(pt).phi(v)
+    phi = b.chart.ctx(pt).phis([v])[0]
     assert np.max(np.abs(phi)) < 1e-12
 
 
@@ -133,14 +142,13 @@ def test_decompose_lands_in_subspaces():
     g0 = random_group_element(b.chart.algebra, rng, 0.7)
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 4))
-    for _ in range(5):
-        v = rng.standard_normal(10)
-        ctx = ch.ctx(pt)
-        phi, psi = ctx.phi(v), ctx.psi(v)
-        assert np.max(np.abs(s.project_h(phi))) < 1e-12
-        assert np.max(np.abs(s.project_p(psi))) < 1e-12
-        w = ctx.omega(v)
-        assert np.max(np.abs(phi + psi - w)) < 1e-12
+    vs = [rng.standard_normal(10) for _ in range(5)]
+    ctx = ch.ctx(pt)
+    w, phi = ctx.omegas(vs), ctx.phis(vs)
+    psi = s.project_h(w)
+    assert np.max(np.abs(s.project_h(phi))) < 1e-12
+    assert np.max(np.abs(s.project_p(psi))) < 1e-12
+    assert np.max(np.abs(phi + psi - w)) < 1e-12
 
 
 def test_psi_curvature_fd_cross_check():
@@ -151,14 +159,15 @@ def test_psi_curvature_fd_cross_check():
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 4))
     X, Y = rng.standard_normal(10), rng.standard_normal(10)
-    psi = FormField(ch.dim, 1, lambda p, tg: ch.ctx(p).psi(tg[0]), algebra=ch.algebra)
-    dpsi = exterior_derivative(psi, 1e-4)(pt, [X, Y])
+    psi_form = FormField(ch.dim, 1, lambda p, tg: ch.split.project_h(ch.ctx(p).omegas(tg)[0]), algebra=ch.algebra)
+    dpsi = exterior_derivative(psi_form, 1e-4)(pt, [X, Y])
     ctx = ch.ctx(pt)
-    fd_val = dpsi + (ctx.psi(X) @ ctx.psi(Y) - ctx.psi(Y) @ ctx.psi(X))
-    analytic = ctx.tables([X, Y])[2][0, 1]
-    assert np.max(np.abs(fd_val - analytic)) < 1e-5
+    psi = ch.split.project_h(ctx.omegas([X, Y]))
+    fd_val = dpsi + comm(psi[0], psi[1])
+    phi, _, analytic, om = ctx.tables([X, Y])
+    assert np.max(np.abs(fd_val - analytic[0, 1])) < 1e-5
     # the bracket term it corrects for is genuinely nonzero here
-    wrong_sign = ch.split.project_h(ctx.curv(X, Y) + (ctx.phi(X) @ ctx.phi(Y) - ctx.phi(Y) @ ctx.phi(X)))
+    wrong_sign = ch.split.project_h(om[0, 1] + comm(phi[0], phi[1]))
     assert np.max(np.abs(fd_val - wrong_sign)) > 1e-3
 
 
@@ -168,8 +177,8 @@ def test_psi_curvature_ideal_split_is_curvature_projection():
     ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
     pt = ch.point(rng.uniform(-1, 1, 4))
     X, Y = rng.standard_normal(10), rng.standard_normal(10)
-    ctx = ch.ctx(pt)
-    assert np.max(np.abs(ctx.tables([X, Y])[2][0, 1] - ch.split.project_h(ctx.curv(X, Y)))) < 1e-12
+    _, _, psi, om = ch.ctx(pt).tables([X, Y])
+    assert np.max(np.abs(psi[0, 1] - ch.split.project_h(om[0, 1]))) < 1e-12
 
 
 def test_psi_trivial_cases():
@@ -180,12 +189,14 @@ def test_psi_trivial_cases():
 
 
 def test_covariant_derivative_identity():
-    for name in ("ut_s2", "frame_s4"):
+    # the Bianchi identity split by w = phi + psi holds on every tangent
+    for name in _CATALOG:
         b = get_bundle(name)
-        ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
-        pt = ch.point(rng.uniform(-0.8, 0.8, b.chart.base_dim))
-        tg = [psi_horizontal_part(ch, pt, rng.standard_normal(ch.dim)) for _ in range(3)]
-        assert covariant_derivative_residual(ch, pt, tg) < 1e-5
+        for _ in range(3):
+            ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
+            pt = ch.point(rng.uniform(-0.8, 0.8, b.chart.base_dim))
+            tg = [rng.standard_normal(ch.dim) for _ in range(3)]
+            assert covariant_derivative_residual(ch, pt, tg) < 1e-5, name
 
 
 def test_covariant_derivative_flat():
@@ -212,7 +223,7 @@ def test_tp_form_k1_is_p_of_omega():
     form = tp_form(b.chart, c1)
     pt = b.chart.point(np.array([0.4, 0.3]), np.array([0.5]))
     v = rng.standard_normal(3)
-    w = b.chart.ctx(pt).omega(v)
+    w = b.chart.ctx(pt).omegas([v])[0]
     assert form(pt, [v]) == pytest.approx(c1(w))
 
 
@@ -224,7 +235,8 @@ def test_transgression_identity_nonabelian():
         ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.6))
         pt = ch.point(rng.uniform(-1, 1, 4))
         tg = [rng.standard_normal(10) for _ in range(4)]
-        worst = max(worst, transgression_residual(ch, e2, pt, tg))
+        # d TP = P(Omega) is the heterotic identity without the split
+        worst = max(worst, heterotic_residual(replace(ch, split=None), e2, pt, tg))
     assert worst < 1e-5
 
 
@@ -246,14 +258,14 @@ def test_phi_p_horizontality_and_invariance():
     pt = b.chart.point(rng.uniform(-1, 1, 4))
     for _ in range(50):
         xh = b.chart.split.project_h(random_element(alg, rng))
-        vert = vertical_tangent(b.chart, pt, xh)
+        vert = vertical_at_t0(b.chart, xh)
         tg = [vert, rng.standard_normal(10), rng.standard_normal(10)]
         assert abs(form(pt, tg)) < 1e-8
     for _ in range(20):
         g = random_group_element(alg, rng, 0.6)
         hc = rng.standard_normal(3)
         h = expm(sum(c * m for c, m in zip(hc, b.chart.split.h_basis)))
-        adm = ad_coords_matrix(alg, h)
+        adm = ad_coords(alg, h)
         ch1, ch2 = b.chart.at(g), b.chart.at(g @ h)
         p = ch1.point(rng.uniform(-1, 1, 4))
         tg = [rng.standard_normal(10) for _ in range(3)]
@@ -272,8 +284,11 @@ def test_heterotic_residual_flat_is_tiny():
 
 @pytest.mark.parametrize("name", [*_CATALOG, "linear:u3:6:u2", "linear:u3:6:su3"])
 def test_fused_residuals_match_the_generic_d(name):
-    # the one-context residuals against d PhiP by exterior_derivative and
-    # P(Omega) - P(Psi) from a context at the point, off t = 0 on the stencil
+    # the one-context sides against d PhiP by exterior_derivative and
+    # P(Omega) - P(Psi) as two char_form values at the point, off t = 0 on
+    # the stencil; with and without the split (d TP = P(Omega)).  d is
+    # pinned to within 1e-12 of the residual, the right-hand side, computed
+    # in two shuffle evaluations instead of one, to within 1e-12 of itself.
     b = get_bundle(name)
     P = b.polynomial()
     gen = np.random.default_rng(11)
@@ -281,9 +296,13 @@ def test_fused_residuals_match_the_generic_d(name):
         ch = b.chart.at(random_group_element(b.chart.algebra, gen, 0.7))
         pt = ch.point(gen.uniform(-1.2, 1.2, ch.base_dim))
         tg = [gen.standard_normal(ch.dim) for _ in range(2 * P.degree)]
-        for residual, chart in ((heterotic_residual, ch), (transgression_residual, replace(ch, split=None))):
-            oracle = abs(exterior_derivative(phi_p_form(chart, P))(pt, tg) - heterotic_rhs(chart, P, pt, tg))
-            assert abs(residual(ch, P, pt, tg) - oracle) <= 1e-12 * oracle
+        for chart in (ch, replace(ch, split=None)):
+            lhs, rhs = heterotic_sides(chart, P, pt, tg, DEFAULT_FD_STEP)
+            d_generic = exterior_derivative(phi_p_form(chart, P))(pt, tg)
+            rhs_generic = char_form(chart, P, "omega")(pt, tg) - char_form(chart, P, "psi")(pt, tg)
+            assert abs(lhs - d_generic) <= 1e-12 * abs(d_generic - rhs_generic)
+            assert abs(rhs - rhs_generic) <= 1e-12 * abs(rhs_generic)
+            assert heterotic_residual(chart, P, pt, tg) == abs(lhs - rhs)
 
 
 def test_char_form_psi_requires_nothing_when_trivial():

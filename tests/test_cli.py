@@ -12,6 +12,7 @@ import pytest
 
 from csforms import checks
 from csforms.cli import MAX_FD_STEP, build_parser, main
+from csforms.liealg import MAX_MATRIX_SIZE
 
 
 def run(capsys, *argv):
@@ -242,6 +243,10 @@ def test_rejected_input_exits_2(capsys, argv):
         (["algebra", "--dump", "so"], "cannot parse algebra tag 'so': expected so<n>, su<n> or u<n>"),
         (["algebra", "--dump", "u2x"], "cannot parse algebra tag 'u2x': expected so<n>, su<n> or u<n>"),
         (["heterotic-check", "--bundle", "linear:so:3"], "cannot parse algebra tag 'so': expected so<n>"),
+        (["heterotic-check", "--bundle", "flat:so4:3:sox"], "cannot parse algebra tag 'sox': expected so<n>"),
+        (["heterotic-check", "--bundle", "flat:so4:3:so3x"], "cannot parse algebra tag 'so3x': expected so<n>"),
+        (["algebra", "--dump", "so17"], f"matrix size must be >= 0 and <= {MAX_MATRIX_SIZE}, got so(17)"),
+        (["heterotic-check", "--bundle", "flat:so17:3"], f"matrix size must be >= 0 and <= {MAX_MATRIX_SIZE}, got so(17)"),
         (["identities", "--seed", "-1"], "argument --seed: must be a finite number >= 0, got -1"),
         (["heterotic-check", "--bundle", "hopf_u1", "--poly", "euler"], "euler needs so(2k) with k >= 1; hopf_u1 has u(1)"),
         (
@@ -249,7 +254,18 @@ def test_rejected_input_exits_2(capsys, argv):
             f"argument --fd-step: must be a finite number > 0 and <= {MAX_FD_STEP:g}, got",
         ),
     ],
-    ids=["dump-no-size", "dump-bad-size", "bundle-no-size", "negative-seed", "euler-off-so", "fd-step-above-bound"],
+    ids=[
+        "dump-no-size",
+        "dump-bad-size",
+        "bundle-no-size",
+        "split-no-size",
+        "split-bad-size",
+        "dump-above-max-size",
+        "bundle-above-max-size",
+        "negative-seed",
+        "euler-off-so",
+        "fd-step-above-bound",
+    ],
 )
 def test_rejected_input_names_what_was_wrong(capsys, argv, message):
     try:

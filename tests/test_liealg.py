@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csforms.liealg import (
+    MAX_MATRIX_SIZE,
     inner_raw,
     left_mult_matrix,
     quat_conj,
@@ -69,11 +70,27 @@ def test_algebra_membership():
 
 @pytest.mark.parametrize(
     "g,h,dim_h,dim_p",
-    [("so4", "so3", 3, 3), ("u2", "u1", 1, 3), ("u2", "su2", 3, 1), ("so2", "so1", 0, 1)],
+    [("so4", "so3", 3, 3), ("u2", "u1", 1, 3), ("u2", "su2", 3, 1), ("so2", "so1", 0, 1), ("so5", "so4", 6, 4), ("u3", "u2", 4, 5)],
 )
 def test_standard_split_dimensions(g, h, dim_h, dim_p):
     s = standard_split(g, h)
     assert (s.dim_h, s.dim_p) == (dim_h, dim_p)
+    # h sits in the lower-right block
+    off = s.algebra.n - int(h[-1])
+    assert not any(np.any(b[:off]) or np.any(b[:, :off]) for b in s.h_basis)
+
+
+@pytest.mark.parametrize("g,h", [("so4", "so2"), ("so4", "su3"), ("u2", "u3"), ("u2", "su1"), ("u2", "so1"), ("su2", "su2")])
+def test_unsupported_splits_are_refused(g, h):
+    with pytest.raises(ValueError, match="unsupported split"):
+        standard_split(g, h)
+
+
+def test_matrix_size_is_bounded():
+    assert so(MAX_MATRIX_SIZE).dim == MAX_MATRIX_SIZE * (MAX_MATRIX_SIZE - 1) // 2
+    for family in (so, u, su):
+        with pytest.raises(ValueError, match=f"<= {MAX_MATRIX_SIZE}, got"):
+            family(MAX_MATRIX_SIZE + 1)
 
 
 def test_determinant_bundle_p_is_center():

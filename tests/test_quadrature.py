@@ -231,7 +231,7 @@ def test_chunked_winding_degree_matches_one_chunk(monkeypatch):
     monkeypatch.setattr(calculus, "_CHUNK", 11)
     chunked = _volume_pullback_integral(a1, 3, order, align_signs=True)
     assert abs(chunked - whole) <= REL * abs(whole)
-    assert winding_degree(a1, 3, order, target_volume=pi**2, align_signs=True) == round(whole / pi**2)
+    assert winding_degree(a1, 3, order, projective=True) == round(whole / pi**2)
 
 
 def test_fiber_integral_memory_is_bounded():

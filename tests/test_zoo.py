@@ -148,7 +148,7 @@ def test_flat_bundle_is_flat_and_closed():
     ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
     pt = ch.point(rng.uniform(-1, 1, 3))
     tg4 = [rng.standard_normal(9) for _ in range(4)]
-    assert np.max(np.abs(ch.ctx(pt).curv(tg4[0], tg4[1]))) == 0.0
+    assert np.max(np.abs(ch.ctx(pt).curvs(tg4[:2])[0, 1])) == 0.0
     from csforms.calculus import exterior_derivative
 
     assert abs(exterior_derivative(tp_form(ch, e2))(pt, tg4)) < 1e-8
