@@ -21,12 +21,10 @@ from .liealg import (
     so,
     so4_ideal_split,
     standard_split,
-    su,
     u,
 )
 from .invariants import (
     InvariantPolynomial,
-    eval_on_forms,
     invariance_identity_residual,
     make_polynomial,
     pfaffian,
@@ -49,7 +47,6 @@ from .bundles import (
     heterotic_residual,
     obstruction_identity_check,
     phi_p_form,
-    tp_form,
 )
 from .zoo import (
     NamedBundle,

@@ -19,7 +19,6 @@ keeps the largest |residual|.  Byte-identical reports depend on that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -132,7 +131,7 @@ def coefficient_checks(k_max: int = 12) -> list[CheckRecord]:
             top_row += 1
         worst_rel += sum(1 for r in rationals.verify_linear_relations(k) if r.residual != 0)
         fc = rationals.fiber_constant(k)
-        closed = Fraction(k, (2 * k - 1) * 2 ** (k - 1))
+        closed = rationals.fiber_constant_closed_form(k)
         records.append(
             _rec(
                 f"fiber_constant_k{k}",
@@ -268,23 +267,25 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = DEFAULT_FD_STEP) ->
         worst = max(worst, connection_curvature_fd_residual(ch, ptf, X, Y, fd_step))
     records.append(_rec("maurer_cartan", "d theta + (1/2)[theta, theta] = 0", worst, 0.0, 1e-6))
 
-    # invariance identity residuals on so(4)
+    # invariance identity residuals on so(4), the toy forms as tables on 4 tangents
     for pname, k in (("pontryagin_1", 2), ("euler", 2)):
         P = make_polynomial(pname, k, "so4")
         worst = 0.0
         for _ in range(3):
             vals = [random_element(alg, rng) for _ in range(8)]
+            tg = np.array([rng.standard_normal(4) for _ in range(4)])
 
             def one_form(m1, m2):
-                return lambda v: v[0] * m1 + v[1] * m2
+                return tg[:, 0, None, None] * m1 + tg[:, 1, None, None] * m2
 
             def two_form(m1, m2):
-                return lambda v, w: (v[0] * w[1] - v[1] * w[0]) * m1 + (v[2] * w[3] - v[3] * w[2]) * m2
+                def area(a, b):
+                    return (np.outer(tg[:, a], tg[:, b]) - np.outer(tg[:, b], tg[:, a]))[..., None, None]
+
+                return area(0, 1) * m1 + area(2, 3) * m2
 
             forms = [(one_form(vals[0], vals[1]), 1), (two_form(vals[2], vals[3]), 2)]
-            phi = one_form(vals[4], vals[5])
-            tg = [rng.standard_normal(4) for _ in range(4)]
-            worst = max(worst, abs(invariance_identity_residual(P, forms, phi, tg)))
+            worst = max(worst, abs(invariance_identity_residual(P, forms, one_form(vals[4], vals[5]))))
         records.append(_rec(f"invariance_residual_{pname}", "Ad-invariance alternating sum", worst, 0.0, 1e-10))
 
     # infinitesimal Ad-invariance by finite differences, every shipped polynomial
@@ -548,9 +549,7 @@ def fiber_norm_checks(quad_order: int | None = None, bundle: str | None = None) 
         )
 
     # exact coefficient identity backing the fiber reduction
-    ok = all(
-        rationals.fiber_constant(k) == Fraction(k, (2 * k - 1) * 2 ** (k - 1)) for k in range(1, 13)
-    )
+    ok = all(rationals.fiber_constant(k) == rationals.fiber_constant_closed_form(k) for k in range(1, 13))
     records.append(_rec("fiber_constant_identity", "antidiagonal sum = k/((2k-1) 2^(k-1))", 0.0 if ok else 1.0, 0.0, 0.0))
     return records
 

@@ -2,8 +2,10 @@
 
 A degree-k invariant polynomial carries two evaluators: the homogeneous one,
 P(X), and its symmetric multilinear form on g^k, with which it is applied to
-Lie-algebra-valued alternating tensors of degrees p_1..p_k.  That gives a
-scalar (p_1+...+p_k)-form through the shuffle convention
+Lie-algebra-valued alternating tensors of degrees p_1..p_k.  A tensor is a
+table of its values on n tangents: a degree-p table has p leading index
+axes of length n.  That gives a scalar (p_1+...+p_k)-form through the
+shuffle convention
 
     P(a_1,...,a_k)(X_1..X_p) =
         (1/(p_1! ... p_k!)) sum_{s in S_p} sgn(s) P(a_1(X_s..), ..., a_k(X_s..)),
@@ -11,7 +13,8 @@ scalar (p_1+...+p_k)-form through the shuffle convention
 the same normalization under which dx^dy has value 1 on (e_x, e_y).  Since
 every a_i is alternating, each shuffle (increasing index blocks) stands for
 p_1!...p_k! equal terms, so the sum is taken once per shuffle with weight 1;
-calculus.wedge and calculus.bracket_wedge use the same shuffles.  As P is
+bracket_tables, the graded bracket of two tables, and calculus.wedge and
+calculus.bracket_wedge, on callable forms, use the same shuffles.  As P is
 symmetric, eval_on_forms_indexed merges the shuffles that differ only by
 permuting the blocks among slots holding one argument (one table, one
 degree) into one row, weighted by the sum of their signs (two blocks of
@@ -19,7 +22,9 @@ degree p swap with sign (-1)^p): P(Omega^k) takes 3 rows, not 6, at k = 2
 and 15, not 90, at k = 3.  It stacks the rows of several weighted argument
 lists, such as the A_ij terms of PhiP or P(Omega) - P(Psi), and evaluates
 them in one P.multilinear call, each slot gathered from its tables by one
-take per run of rows.  All shipped normalizations are fixed here once:
+take per run of rows.  invariance_identity_residual, the Ad-invariance
+identity on tables, is one such weighted call.  All shipped normalizations
+are fixed here once:
 
     euler        e(X)   = Pf(X) / (2 pi)^k           on so(2k)
     chern_j      c_j(X) = [det(I - (i/2 pi) X)]_j    on u(n)
@@ -56,7 +61,7 @@ __all__ = [
     "pfaffian",
     "make_polynomial",
     "polarize_eval",
-    "eval_on_forms",
+    "bracket_tables",
     "eval_on_forms_indexed",
     "invariance_identity_residual",
 ]
@@ -321,6 +326,20 @@ def _shuffles(degs: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], 
     return tuple(rec(tuple(range(sum(degs))), degs))
 
 
+def bracket_tables(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
+    """Graded bracket [a, b] of a degree-p table a (n,)*p + (..., N, N) and a
+    degree-q table b over the same n tangents: the table (n,)*(p+q) + (...,
+    N, N) of sum over (p, q) shuffles of sgn [a(X_A), b(X_B)], with a's index
+    axes laid onto the output axes A and b's onto B."""
+    n = a.shape[0]
+    total = 0.0
+    for sign, (ia, ib) in _shuffles((p, q)):
+        x = a.reshape(tuple(n if i in ia else 1 for i in range(p + q)) + a.shape[p:])
+        y = b.reshape(tuple(n if i in ib else 1 for i in range(p + q)) + b.shape[q:])
+        total = total + sign * (x @ y - y @ x)
+    return total
+
+
 @lru_cache(maxsize=1024)
 def _stack_plan(terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...], n: int):
     """(weights, runs) of weighted argument lists terms[t] = (c, ((source,
@@ -346,20 +365,9 @@ def _stack_plan(terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...], n:
     return np.array([terms[t][0] * w for (t, _), w in rows.items()]), [[(i, np.array(f)) for i, f in slot] for slot in runs]
 
 
-def _row_table(a, p: int, n: int) -> np.ndarray:
-    """Argument a of degree p as a table (n^p, ...) over the flat index of
-    its first p axes; a callable fills the rows of increasing index tuples."""
-    if callable(a):
-        blocks = list(combinations(range(n), p))
-        values = np.stack([np.asarray(a(*b)) for b in blocks])
-        a = np.zeros((n,) * p + values.shape[1:], values.dtype)
-        a[tuple(np.array(blocks).T)] = values
-    return a.reshape((-1,) + a.shape[p:])
-
-
 def eval_on_forms_indexed(
     P: InvariantPolynomial,
-    args: Sequence[tuple[object, int]] | Sequence[tuple[float, Sequence[tuple[object, int]]]],
+    args: Sequence[tuple[np.ndarray, int]] | Sequence[tuple[float, Sequence[tuple[np.ndarray, int]]]],
     n_tangents: int,
 ) -> float | np.ndarray:
     """Shuffle-alternating evaluation with indexed arguments.
@@ -367,70 +375,35 @@ def eval_on_forms_indexed(
     ``args`` is one argument list [(a, p), ...] or weighted ones [(c, [(a,
     p), ...]), ...], whose c-weighted sum is returned.  An argument a is an
     alternating p-tensor on tangents number i_1..i_p: a table whose first p
-    axes, each of length n_tangents, are those indices, or a callable
-    f(i_1..i_p), called on increasing index tuples only.  Its values are
+    axes, each of length n_tangents, are those indices.  Its values are
     matrices or stacks (..., n, n), the result a scalar or (...).
     """
     terms = [(1.0, args)] if not np.isscalar(args[0][0]) else args
-    ids: dict[tuple[int, int], tuple[int, object]] = {}  # (id, degree) -> (source, argument)
+    ids: dict[tuple[int, int], tuple[int, np.ndarray]] = {}  # (id, degree) -> (source, table)
     key = tuple((float(c), tuple((ids.setdefault((id(a), p), (len(ids), a))[0], p) for a, p in slots)) for c, slots in terms)
     weights, runs = _stack_plan(key, n_tangents)
-    tables = [_row_table(a, p, n_tangents) for (_, p), (_, a) in ids.items()]
+    # each table as rows (n^p, ...) over the flat index of its first p axes
+    tables = [a.reshape((-1,) + a.shape[p:]) for (_, p), (_, a) in ids.items()]
     stacks = [np.concatenate([tables[i].take(rows, axis=0) for i, rows in slot]) for slot in runs]
     values = np.asarray(polarize_eval(P, stacks))
     return weights @ values if values.ndim <= 2 else np.tensordot(weights, values, 1)
 
 
-def eval_on_forms(
-    P: InvariantPolynomial,
-    args: Sequence[tuple[Callable[..., np.ndarray], int]],
-    tangents: Sequence[np.ndarray],
-) -> float:
-    """As eval_on_forms_indexed but with callables taking tangent vectors."""
-    wrapped = [(lambda *idx, f=f: f(*[tangents[i] for i in idx]), p) for f, p in args]
-    return eval_on_forms_indexed(P, wrapped, len(tangents))
-
-
 def invariance_identity_residual(
-    P: InvariantPolynomial,
-    forms: Sequence[tuple[Callable[..., np.ndarray], int]],
-    phi: Callable[[np.ndarray], np.ndarray],
-    tangents: Sequence[np.ndarray],
-) -> float:
+    P: InvariantPolynomial, forms: Sequence[tuple[np.ndarray, int]], phi: np.ndarray
+) -> float | np.ndarray:
     """Alternating sum expressing infinitesimal Ad-invariance of P on forms.
 
         sum_i (-1)^(p_1+...+p_i) P(a_1, ..., [a_i, phi], ..., a_k)
 
-    for a g-valued 1-form phi.  Vanishes identically when P is invariant;
-    the returned value is the signed sum evaluated on the given tangents
-    (one more tangent than the base degree sum).
+    for g-valued tables a_i of degree p_i and a 1-form table phi, all on
+    n = p_1+...+p_k + 1 tangents; one weighted eval_on_forms_indexed call.
+    Vanishes identically when P is invariant.
     """
-    k = len(forms)
-    total = 0.0
-    for i in range(k):
-        degs_prefix = sum(p for _, p in forms[: i + 1])
-        sign = (-1) ** degs_prefix
-        new_args: list[tuple[Callable[..., np.ndarray], int]] = []
-        for slot, (f, p) in enumerate(forms):
-            if slot != i:
-                new_args.append((f, p))
-            else:
-                new_args.append((_bracket_with_one_form(f, p, phi), p + 1))
-        total += sign * eval_on_forms(P, new_args, tangents)
-    return total
-
-
-def _bracket_with_one_form(
-    f: Callable[..., np.ndarray], p: int, phi: Callable[[np.ndarray], np.ndarray]
-) -> Callable[..., np.ndarray]:
-    """[a, phi] for a of degree p and phi of degree 1, shuffle convention."""
-
-    def ev(*vecs: np.ndarray) -> np.ndarray:
-        assert len(vecs) == p + 1
-        total = 0.0
-        for sign, (rest, (last,)) in _shuffles((p, 1)):
-            a, b = f(*(vecs[i] for i in rest)), phi(vecs[last])
-            total = total + sign * (a @ b - b @ a)
-        return total
-
-    return ev
+    n = phi.shape[0]
+    terms = []
+    for i, (a, p) in enumerate(forms):
+        slots = list(forms)
+        slots[i] = (bracket_tables(a, p, phi, 1), p + 1)
+        terms.append(((-1.0) ** sum(q for _, q in forms[: i + 1]), slots))
+    return eval_on_forms_indexed(P, terms, n)

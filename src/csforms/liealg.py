@@ -22,15 +22,12 @@ __all__ = [
     "ReductiveSplit",
     "so",
     "u",
-    "su",
     "algebra_from_tag",
     "standard_split",
     "so4_ideal_split",
     "random_element",
     "random_group_element",
 ]
-
-_TOL = 1e-12
 
 # the largest matrix size n of an algebra: a basis holds about n^2/2 dense
 # n x n matrices, so its memory grows as n^4; the shipped bundles stop at n = 6
@@ -126,10 +123,6 @@ def u(n: int) -> MatrixLieAlgebra:
     return MatrixLieAlgebra("u", n)
 
 
-def su(n: int) -> MatrixLieAlgebra:
-    return MatrixLieAlgebra("su", n)
-
-
 def algebra_from_tag(tag: str) -> MatrixLieAlgebra:
     """Parse tags like "so4", "so(4)", "u2", "su2"; a size below 0 raises
     ValueError, size 0 (and so(1)) gives the zero algebra."""
@@ -204,14 +197,6 @@ class ReductiveSplit:
 
     def project_p(self, m: np.ndarray) -> np.ndarray:
         return self._p_frame.combine(self._p_frame.coords(m))
-
-    @property
-    def dim_h(self) -> int:
-        return len(self.h_basis)
-
-    @property
-    def dim_p(self) -> int:
-        return len(self.p_basis)
 
 
 def _split_from_h(algebra: MatrixLieAlgebra, h_raw: list[np.ndarray], label: str) -> ReductiveSplit:

@@ -36,6 +36,7 @@ __all__ = [
     "build_table_by_recursion",
     "verify_linear_relations",
     "fiber_constant",
+    "fiber_constant_closed_form",
 ]
 
 
@@ -178,15 +179,17 @@ def verify_linear_relations(k: int) -> list[RelationResidual]:
 def fiber_constant(k: int) -> Fraction:
     """The exact sum over the top antidiagonal, sum_i A_{i,k-1-i} 2^{-(k-1-i)}.
 
-    Equals k / ((2k-1) 2^(k-1)); both sides are computed independently and the
-    identity is asserted, so a silent coefficient regression cannot pass.
+    It equals fiber_constant_closed_form(k); the fiber-constant records of
+    csforms.checks compare the two, so a coefficient regression fails them.
     """
     _check_k(k)
-    total = sum(
+    return sum(
         (phi_coefficient(k, i, k - 1 - i) / Fraction(2 ** (k - 1 - i)) for i in range(k)),
         Fraction(0),
     )
-    closed = Fraction(k, (2 * k - 1) * 2 ** (k - 1))
-    if total != closed:
-        raise ConsistencyError(f"fiber constant mismatch for k={k}: {total} != {closed}", (k,))
-    return total
+
+
+def fiber_constant_closed_form(k: int) -> Fraction:
+    """k / ((2k-1) 2^(k-1)), the value the fiber constant must take."""
+    _check_k(k)
+    return Fraction(k, (2 * k - 1) * 2 ** (k - 1))

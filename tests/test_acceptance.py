@@ -157,14 +157,9 @@ def test_criterion_7_literal_bare_integrand():
         def ev(pt, tangents):
             ctx = ch.ctx(pt)
             pv = ctx.phis(tangents)
-
-            def f1(i):
-                return pv[i]
-
-            def f2(i, j):
-                return 2 * (pv[i] @ pv[j] - pv[j] @ pv[i])
-
-            return eval_on_forms_indexed(p1, [(f1, 1), (f2, 2)], 3)
+            # [phi, phi] on every pair (i, j): 2 [phi(X_i), phi(X_j)]
+            pp = 2 * (pv[:, None] @ pv[None, :] - pv[None, :] @ pv[:, None])
+            return eval_on_forms_indexed(p1, [(pv, 1), (pp, 2)], 3)
 
         return FormField(ch.dim, 3, ev)
 

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from csforms.bundles import (
-    _comm,
     char_form,
     connection_curvature_fd_residual,
     covariant_derivative_residual,
@@ -353,6 +352,10 @@ def connection_forms(chart):
     return w, om
 
 
+def commutator(x, y):
+    return x @ y - y @ x
+
+
 def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
     """d Omega + [psi, Omega] - [Omega, phi] with d by one form call per
     stencil point and each value at the point from one tangent or pair."""
@@ -363,9 +366,9 @@ def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
 
     def br_one_two(one_val):
         return (
-            _comm(one_val(X), om_form(point, [Y, Z]))
-            - _comm(one_val(Y), om_form(point, [X, Z]))
-            + _comm(one_val(Z), om_form(point, [X, Y]))
+            commutator(one_val(X), om_form(point, [Y, Z]))
+            - commutator(one_val(Y), om_form(point, [X, Z]))
+            + commutator(one_val(Z), om_form(point, [X, Y]))
         )
 
     def part(project):
@@ -379,7 +382,7 @@ def loop_connection_curvature_fd_residual(chart, point, X, Y, fd_step=1e-4):
     """d w + (1/2)[w, w] - Omega, each value from a context of its own."""
     w_form, om_form = connection_forms(chart)
     dw = loop_exterior_derivative(w_form, fd_step)(point, [X, Y])
-    return float(np.max(np.abs(dw + _comm(w_form(point, [X]), w_form(point, [Y])) - om_form(point, [X, Y]))))
+    return float(np.max(np.abs(dw + commutator(w_form(point, [X]), w_form(point, [Y])) - om_form(point, [X, Y]))))
 
 
 @pytest.mark.parametrize("name", ["ut_s2", "frame_s4:b1"])

@@ -13,7 +13,6 @@ from csforms.bundles import (
     heterotic_residual,
     heterotic_sides,
     phi_p_form,
-    tp_form,
 )
 from csforms._expm import expm_maurer_cartan
 from csforms.calculus import DEFAULT_FD_STEP, FormField, exterior_derivative, integrate
@@ -129,7 +128,7 @@ def test_decompose_trivial_subgroup():
 def test_decompose_h_equals_g():
     # split with h = g: phi = 0
     b = flat_bundle("u2", 2, "u2")
-    assert b.chart.split.dim_p == 0
+    assert len(b.chart.split.p_basis) == 0
     pt = b.chart.point(np.zeros(2), rng.uniform(-0.2, 0.2, 4))
     v = rng.standard_normal(6)
     phi = b.chart.ctx(pt).phis([v])[0]
@@ -220,7 +219,7 @@ def test_char_form_omega_never_evaluates_the_potential():
 def test_tp_form_k1_is_p_of_omega():
     b = get_bundle("hopf_u1")
     c1 = make_polynomial("chern_j", 1, "u1")
-    form = tp_form(b.chart, c1)
+    form = phi_p_form(replace(b.chart, split=None), c1)
     pt = b.chart.point(np.array([0.4, 0.3]), np.array([0.5]))
     v = rng.standard_normal(3)
     w = b.chart.ctx(pt).omegas([v])[0]
@@ -243,7 +242,7 @@ def test_transgression_identity_nonabelian():
 def test_h_trivial_collapse():
     b = get_bundle("hopf_u1")
     c1 = make_polynomial("chern_j", 1, "u1")
-    tp, pp = tp_form(b.chart, c1), phi_p_form(b.chart, c1)
+    tp, pp = phi_p_form(replace(b.chart, split=None), c1), phi_p_form(b.chart, c1)
     for _ in range(10):
         pt = b.chart.point(rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 1))
         v = [rng.standard_normal(3)]

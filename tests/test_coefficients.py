@@ -116,3 +116,21 @@ def test_out_of_domain_lookup_is_zero(k, data):
     if i < 0 or j < 0 or i + j > k - 1:
         assert table[i, j] == 0
         assert phi_coefficient(k, i, j) == 0
+
+
+def test_wrong_coefficient_fails_the_fiber_constant_record(monkeypatch, capsys):
+    # a scaled A_{0,k-1} must fail the records and the CLI, not raise
+    from csforms import checks, rationals
+    from csforms.cli import main
+
+    k, exact = 3, rationals.phi_coefficient
+
+    def scaled(kk, i, j):
+        return exact(kk, i, j) * (2 if (kk, i, j) == (k, 0, k - 1) else 1)
+
+    monkeypatch.setattr(rationals, "phi_coefficient", scaled)
+    records = {r.name: r for r in checks.coefficient_checks(k)}
+    assert not records[f"fiber_constant_k{k}"].passed
+    assert records[f"fiber_constant_k{k - 1}"].passed
+    assert main(["coeffs", "--k", str(k)]) == 1
+    assert "Traceback" not in capsys.readouterr().err

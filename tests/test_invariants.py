@@ -1,6 +1,6 @@
 """Invariant polynomial tests, including the perfect-matching Pfaffian oracle."""
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, pi
 
 import numpy as np
@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from csforms.calculus import FormField, bracket_wedge, wedge
 from csforms.invariants import (
-    eval_on_forms,
+    InvariantPolynomial,
+    bracket_tables,
     eval_on_forms_indexed,
     invariance_identity_residual,
     make_polynomial,
@@ -200,64 +201,79 @@ def test_infinitesimal_ad_invariance():
             assert abs(d) < 1e-8
 
 
-def _const_forms(alg, count, degree_list):
-    mats = [random_element(alg, rng) for _ in range(count)]
+def table_on(f, p, tangents):
+    """The table (n,)*p + value shape of f on every index tuple of the n tangents."""
+    n = len(tangents)
+    values = np.array([f(*[tangents[i] for i in idx]) for idx in product(range(n), repeat=p)])
+    return values.reshape((n,) * p + values.shape[1:])
 
-    def one(m):
-        return lambda v: v[0] * m
 
-    def two(m):
-        return lambda v, w: (v[0] * w[1] - v[1] * w[0]) * m
-
-    out = []
-    i = 0
-    for p in degree_list:
-        out.append((one(mats[i], ) if p == 1 else two(mats[i]), p))
-        i += 1
-    return out
+def _const_forms(alg, degree_list, tangents):
+    """Tables of constant-coefficient forms of the given degrees on the
+    tangents, each a sum of two generic alternating terms."""
+    dim = len(tangents[0])
+    return [(table_on(_alternating_tensor(dim, p, [random_element(alg, rng) for _ in range(2)]), p, tangents), p) for p in degree_list]
 
 
 def test_eval_on_forms_single_argument():
     P = make_polynomial("chern_j", 1, "u1")
     m = np.array([[1j * 0.6]])
-    f = [(lambda v: v[2] * m, 1)]
     tangents = [np.array([0.0, 0.0, 2.0])]
-    assert eval_on_forms(P, f, tangents) == pytest.approx(2 * 0.6 / (2 * pi))
+    assert eval_on_forms_indexed(P, [(table_on(lambda v: v[2] * m, 1, tangents), 1)], 1) == pytest.approx(2 * 0.6 / (2 * pi))
 
 
 def test_eval_on_forms_alternation():
     P = make_polynomial("pontryagin_1", 2, "so4")
     m1, m2 = random_element(so(4), rng), random_element(so(4), rng)
-    args = [(lambda v: v[0] * m1, 1), (lambda v, w: (v[1] * w[2] - v[2] * w[1]) * m2, 2)]
     x = rng.standard_normal(4)
     # repeated tangent vector kills the alternating sum
-    assert eval_on_forms(P, args, [x, x, rng.standard_normal(4)]) == pytest.approx(0.0, abs=1e-12)
+    tangents = [x, x, rng.standard_normal(4)]
+    a = table_on(lambda v: v[0] * m1, 1, tangents)
+    b = table_on(lambda v, w: (v[1] * w[2] - v[2] * w[1]) * m2, 2, tangents)
+    assert eval_on_forms_indexed(P, [(a, 1), (b, 2)], 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_on_forms_abelian_square_vanishes():
     P = make_polynomial("trace_power_2", 2, "u1")
     m = np.array([[0.9j]])
-    alpha = (lambda v: v[0] * m, 1)
-    tangents = [rng.standard_normal(2) for _ in range(2)]
-    assert eval_on_forms(P, [alpha, alpha], tangents) == pytest.approx(0.0, abs=1e-14)
+    alpha = table_on(lambda v: v[0] * m, 1, [rng.standard_normal(2) for _ in range(2)])
+    assert eval_on_forms_indexed(P, [(alpha, 1), (alpha, 1)], 2) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_invariance_identity_residual_vanishes():
     for P in (make_polynomial("pontryagin_1", 2, "so4"), make_polynomial("euler", 2, "so4")):
-        alg = so(4)
-        forms = _const_forms(alg, 2, [1, 2])
-        phi_m = random_element(alg, rng)
-        phi = lambda v: v[3] * phi_m
         tangents = [rng.standard_normal(4) for _ in range(4)]
-        assert abs(invariance_identity_residual(P, forms, phi, tangents)) < 1e-10
+        forms = _const_forms(so(4), [1, 2], tangents)
+        phi_m = random_element(so(4), rng)
+        phi = table_on(lambda v: v[3] * phi_m, 1, tangents)
+        assert abs(invariance_identity_residual(P, forms, phi)) < 1e-10
+        # each term alone is far from zero
+        (a, _), (b, _) = forms
+        assert abs(eval_on_forms_indexed(P, [(a, 1), (bracket_tables(b, 2, phi, 1), 3)], 4)) > 1e-3
 
 
 def test_invariance_identity_zero_phi():
     P = make_polynomial("pontryagin_1", 2, "so4")
-    forms = _const_forms(so(4), 2, [1, 2])
-    phi = lambda v: np.zeros((4, 4))
+    forms = _const_forms(so(4), [1, 2], [rng.standard_normal(4) for _ in range(4)])
+    assert invariance_identity_residual(P, forms, np.zeros((4, 4, 4))) == 0.0
+
+
+def test_invariance_identity_fails_for_a_non_invariant_form():
+    # -tr(X D Y) is bilinear but not Ad-invariant: the residual must show it
+    D = np.diag([1.0, 2.0, 3.0, 4.0])
+
+    def skewed(args):
+        x, y = args
+        return -np.einsum("...ij,jk,...ki->...", x, D, y)
+
+    bad = InvariantPolynomial("skewed", 2, "so4", lambda x: skewed([x, x]), skewed)
+    p1 = make_polynomial("pontryagin_1", 2, "so4")
     tangents = [rng.standard_normal(4) for _ in range(4)]
-    assert invariance_identity_residual(P, forms, phi, tangents) == 0.0
+    forms = _const_forms(so(4), [1, 2], tangents)
+    phi_m = random_element(so(4), rng)
+    phi = table_on(lambda v: v[3] * phi_m, 1, tangents)
+    assert abs(invariance_identity_residual(p1, forms, phi)) < 1e-10
+    assert abs(invariance_identity_residual(bad, forms, phi)) > 1e-10
 
 
 # --- the literal S_n sum as reference for the shuffle kernel --------------------
@@ -311,13 +327,17 @@ def test_shuffle_sum_matches_literal_sn_sum(pname, k, tag, degs):
     n = sum(degs)
     tangents = [rng.standard_normal(6) for _ in range(n)]
     tensors = [_alternating_tensor(6, p, [random_element(alg, rng) for _ in range(2)]) for p in degs]
-    args = [(lambda *idx, f=f: f(*[tangents[i] for i in idx]), p) for f, p in zip(tensors, degs)]
-    expected = literal_alternating_sum(degs, lambda blocks: polarize_eval(P, [f(*b) for (f, _), b in zip(args, blocks)]))
+    args = [(table_on(f, p, tangents), p) for f, p in zip(tensors, degs)]
+
+    def at(blocks):
+        return polarize_eval(P, [f(*[tangents[i] for i in b]) for f, b in zip(tensors, blocks)])
+
+    expected = literal_alternating_sum(degs, at)
     assert abs(expected) > 1e-6
     assert eval_on_forms_indexed(P, args, n) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("degs", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("degs", [(1, 2), (2, 2), (1, 1), (2, 1)])
 def test_wedge_and_bracket_match_literal_sn_sum(degs):
     dim = 5
     tangents = [rng.standard_normal(dim) for _ in range(sum(degs))]
@@ -339,6 +359,10 @@ def test_wedge_and_bracket_match_literal_sn_sum(degs):
     expected = literal_alternating_sum(degs, commutator)
     scale = max(1.0, np.max(np.abs(expected)))
     assert np.max(np.abs(bracket_wedge(la, lb)(pt, tangents) - expected)) < 1e-12 * scale
+    # the same bracket on tables: the entry of the tangents in their own order
+    (ta, p), (tb, q) = ((table_on(f, p, tangents), p) for f, p in zip(lie, degs))
+    got = bracket_tables(ta, p, tb, q)[tuple(range(sum(degs)))]
+    assert np.max(np.abs(got - expected)) < 1e-12 * scale
 
 
 # --- merged shuffles: identical slots evaluated once ------------------------------
@@ -419,17 +443,3 @@ def test_weighted_lists_are_one_weighted_sum():
     expected = sum(c * eval_on_forms_indexed(P, args, 5) for c, args in zip(coeffs, lists))
     got = eval_on_forms_indexed(P, list(zip(coeffs, lists)), 5)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
-
-
-def test_callables_and_tables_give_one_value():
-    # a callable is read on increasing index tuples only, a table directly
-    P = make_polynomial("euler", 2, "so4")
-    A = _random_table(so(4), 4, 2)
-    seen = []
-
-    def f(i, j):
-        seen.append((i, j))
-        return A[i, j]
-
-    assert eval_on_forms_indexed(P, [(f, 2), (f, 2)], 4) == pytest.approx(eval_on_forms_indexed(P, [(A, 2), (A, 2)], 4), abs=0)
-    assert seen and all(i < j for i, j in seen)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csforms.liealg import (
+    algebra_from_tag,
     MAX_MATRIX_SIZE,
     inner_raw,
     left_mult_matrix,
@@ -16,7 +17,6 @@ from csforms.liealg import (
     so4_ideal_split,
     so4_to_quaternion_pair,
     standard_split,
-    su,
     u,
 )
 
@@ -59,13 +59,13 @@ def test_jacobi_identity_so4():
 def test_basis_dimensions():
     assert so(4).dim == 6
     assert u(2).dim == 4
-    assert su(2).dim == 3
+    assert algebra_from_tag("su2").dim == 3
 
 
 def test_algebra_membership():
     assert contains(so(3), skew_pair(3, 0, 2))
     assert contains(u(2), 1j * np.eye(2))
-    assert not contains(su(2), 1j * np.eye(2))
+    assert not contains(algebra_from_tag("su2"), 1j * np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -74,7 +74,7 @@ def test_algebra_membership():
 )
 def test_standard_split_dimensions(g, h, dim_h, dim_p):
     s = standard_split(g, h)
-    assert (s.dim_h, s.dim_p) == (dim_h, dim_p)
+    assert (len(s.h_basis), len(s.p_basis)) == (dim_h, dim_p)
     # h sits in the lower-right block
     off = s.algebra.n - int(h[-1])
     assert not any(np.any(b[:off]) or np.any(b[:, :off]) for b in s.h_basis)
@@ -88,9 +88,9 @@ def test_unsupported_splits_are_refused(g, h):
 
 def test_matrix_size_is_bounded():
     assert so(MAX_MATRIX_SIZE).dim == MAX_MATRIX_SIZE * (MAX_MATRIX_SIZE - 1) // 2
-    for family in (so, u, su):
+    for family in ("so", "u", "su"):
         with pytest.raises(ValueError, match=f"<= {MAX_MATRIX_SIZE}, got"):
-            family(MAX_MATRIX_SIZE + 1)
+            algebra_from_tag(f"{family}{MAX_MATRIX_SIZE + 1}")
 
 
 def test_determinant_bundle_p_is_center():

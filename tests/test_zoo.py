@@ -15,7 +15,6 @@ from csforms.bundles import (
     heterotic_residual,
     obstruction_identity_check,
     phi_p_form,
-    tp_form,
 )
 from csforms.calculus import FormField, _box_chain, gauss_product, integrate
 from csforms.invariants import make_polynomial
@@ -151,7 +150,7 @@ def test_flat_bundle_is_flat_and_closed():
     assert np.max(np.abs(ch.ctx(pt).curvs(tg4[:2])[0, 1])) == 0.0
     from csforms.calculus import exterior_derivative
 
-    assert abs(exterior_derivative(tp_form(ch, e2))(pt, tg4)) < 1e-8
+    assert abs(exterior_derivative(phi_p_form(replace(ch, split=None), e2))(pt, tg4)) < 1e-8
     assert abs(exterior_derivative(phi_p_form(ch, e2))(pt, tg4)) < 1e-8
 
 
