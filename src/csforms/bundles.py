@@ -29,11 +29,22 @@ stack (2p+1, ..., p) of the points x + h v_i, x - h v_i and x, in one call
 (_recentered).
 
 Every value comes from the stacked methods of one chart context
-(_ChartContext.omegas, phis, curvs and tables).  The functions that take d
-of a chart form (heterotic_sides and its residual, the covariant-derivative
-and the connection-curvature residuals) make one context, on the d stencil
-of calculus._d_stencil together with its center row, so each calls the
-chart's potential and curvature once; the stencil rows give d by
+(_ChartContext.omegas, phis, curvs and tables, the last by split_tables,
+which serves any split of the algebra from one context's w and Omega).
+A context skips what its tangents never reach, and the skipped terms are
+exact zeros, not approximations.  Omega is horizontal and A(v_x) is linear
+in the base part v_x, so when no tangent has a nonzero base part (the
+vertical tangents of a fiber integral) w is the Maurer-Cartan term alone,
+Omega is an exact zero table, and the chart's potential, curvature, pair
+table and Ad_{g^-1} are never evaluated.  Base points and tangents (..., n)
+(the chain integrals of basic forms) imply t = 0 and a zero fiber part, and
+no zero fiber coordinates are allocated or scanned for them.
+
+The functions that take d of a chart form (heterotic_sides and its
+residual, the covariant-derivative and the connection-curvature residuals)
+make one context, on the d stencil of calculus._d_stencil together with its
+center row, so each calls the chart's potential and curvature once (when a
+tangent has a base part); the stencil rows give d by
 calculus._d_combine and the center row the values at the point.  Those
 two residuals take their graded brackets from invariants.bracket_tables.
 The transgression form TP is phi_p_form on the chart without its split, and
@@ -94,6 +105,7 @@ __all__ = [
     "phi_p_form",
     "heterotic_sides",
     "heterotic_residual",
+    "split_tables",
     "fiber_integral",
     "section_pullback_form",
     "obstruction_identity_check",
@@ -140,7 +152,8 @@ class BundleChart:
 
 def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
     """sum_ab v_i^a v_j^b F_ab for m tangents v (m, ..., n) and a curvature
-    F (..., n, n, N, N): the table (m, m, ..., N, N).
+    F (..., n, n, N, N) whose point axes broadcast against the tangents':
+    the table (m, m, ..., N, N).
 
     Two batched matrix products over the flattened point axes B: first b of
     F with each v_j, then a with each v_i.  A complex F is read as real
@@ -149,9 +162,6 @@ def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
     m, n, N = v.shape[0], v.shape[-1], F.shape[-1]
     batch = v.shape[1:-1]
     if F.shape[:-4] != batch:
-        # point axes broadcast as in einsum's "...": pad v's on the left
-        batch = np.broadcast_shapes(batch, F.shape[:-4])
-        v = np.broadcast_to(v.reshape(m, *(1,) * (len(batch) + 2 - v.ndim), *v.shape[1:]), (m, *batch, n))
         F = np.broadcast_to(F, (*batch, *F.shape[-4:]))
     cplx = np.iscomplexobj(F)
     if cplx:
@@ -180,6 +190,13 @@ class _ChartContext:
     one-tangent call.  Without a reference element (g0 None) and at t = 0
     the group element is the identity, and Ad_{g^-1} is skipped (_conj), as
     the exponential is.
+
+    Tangents of length base_dim have an implied zero fiber part, and the
+    Maurer-Cartan term is skipped for them.  When the base part of every
+    tangent is exactly zero, omegas returns the Maurer-Cartan values alone
+    and curvs a zero table of the algebra's dtype: A(v_x) is linear in
+    v_x and Omega(v, w) = Ad_{g^-1} F(v_x, w_x), so both terms are exactly
+    zero there, and A and F are never evaluated.
     """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
@@ -188,19 +205,18 @@ class _ChartContext:
         self.x = point[..., :n]
         if point.shape[-1] == n:
             # basic-form evaluation directly over the base: t = 0 implied
-            self.t = np.zeros(point.shape[:-1] + (chart.algebra.dim,))
+            self.t_is_zero = True
         elif point.shape[-1] == n + chart.algebra.dim:
-            self.t = point[..., n:]
+            self.t_is_zero = not np.any(point[..., n:])
         else:
             raise ValueError("point has wrong total-space dimension")
-        self.t_is_zero = not np.any(self.t)
         self._g_is_identity = self.t_is_zero and chart.g0 is None
         g0 = chart.reference()
         if self.t_is_zero:
             self._m = None
             self.g = g0
         else:
-            self._m = chart.algebra.from_coords(self.t)
+            self._m = chart.algebra.from_coords(point[..., n:])
             self._eig = eigh_skew(self._m)
             self.g = g0 @ expm(self._m, self._eig)
         self.ginv = self.g.conj().swapaxes(-1, -2)
@@ -213,14 +229,25 @@ class _ChartContext:
     def F(self) -> np.ndarray:
         return np.asarray(self.chart.curvature_field(self.x))
 
-    def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(base parts (m, ..., n), fiber parts (m, ..., dim g)) of m tangents
-        of one shape (..., d)."""
+        of one shape (..., d), None for a part that is exactly zero: the
+        fiber parts of base tangents (..., n), and the base parts when no
+        tangent has a nonzero one.  Both carry the context's batch axes:
+        tangents shared by a stack of points or reference elements are
+        broadcast against it as in einsum's "...", padded on the left."""
         v = np.asarray(vs, dtype=float)
+        vb = v.shape[1:-1]
+        if vb != self.x.shape[:-1] or self.g.shape[:-2] not in ((), vb):
+            batch = np.broadcast_shapes(vb, self.x.shape[:-1], self.g.shape[:-2])
+            if vb != batch:
+                v = v.reshape(len(v), *(1,) * (len(batch) + 2 - v.ndim), *v.shape[1:])
+                v = np.broadcast_to(v, (len(v), *batch, v.shape[-1]))
         n = self.chart.base_dim
         if v.shape[-1] == n:
-            return v, np.zeros(v.shape[:-1] + (self.chart.algebra.dim,))
-        return v[..., :n], v[..., n:]
+            return v, None
+        vx = v[..., :n]
+        return (vx if vx.any() else None), v[..., n:]
 
     def maurer_cartan(self, vts: np.ndarray) -> np.ndarray:
         """g^-1 dg on a stack (m, ..., dim g) of fiber coordinate tangents."""
@@ -231,9 +258,14 @@ class _ChartContext:
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """w on each of m tangents, (m, ..., N, N)."""
-        vx, vt = self._base_fiber(vs)
-        aval = np.einsum("m...a,...aij->m...ij", vx, self.A)
-        return self._conj(aval) + self.maurer_cartan(vt)
+        return self._omegas(*self._base_fiber(vs))
+
+    def _omegas(self, vx: np.ndarray | None, vt: np.ndarray | None) -> np.ndarray:
+        if vx is None:
+            # vertical tangents: the Maurer-Cartan values alone, A is never evaluated
+            return self.maurer_cartan(vt)
+        w = self._conj(np.einsum("m...a,...aij->m...ij", vx, self.A))
+        return w if vt is None else w + self.maurer_cartan(vt)
 
     def phis(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         w = self.omegas(vs)
@@ -241,7 +273,13 @@ class _ChartContext:
 
     def curvs(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """Omega on each pair of m tangents, (m, m, ..., N, N)."""
-        vx, _ = self._base_fiber(vs)
+        return self._curvs(*self._base_fiber(vs))
+
+    def _curvs(self, vx: np.ndarray | None, vt: np.ndarray | None) -> np.ndarray:
+        if vx is None:
+            # Omega is horizontal: exactly zero on vertical tangents, F is never evaluated
+            N = self.chart.algebra.n
+            return np.zeros((len(vt), *vt.shape[:-1], N, N), dtype=self.chart.algebra.dtype)
         return self._conj(_pair_table(vx, self.F))
 
     def _conj(self, x: np.ndarray) -> np.ndarray:
@@ -249,21 +287,28 @@ class _ChartContext:
         return x if self._g_is_identity else self.ginv @ x @ self.g
 
     def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(phi, [phi, phi], Psi, Omega) on m tangents.
+        """(phi, [phi, phi], Psi, Omega) on m tangents for the chart's split
+        (split_tables)."""
+        parts = self._base_fiber(vs)
+        return split_tables(self._omegas(*parts), self._curvs(*parts), self.chart.split)
 
-        phi[i] is the value on tangent i, the others [i, j] on the pair (i, j);
-        Psi = pr_h(Omega - (1/2)[phi, phi]) is zero without a split.
-        """
-        phi = self.phis(vs)
-        om = self.curvs(vs)
-        # one commutator per pair; bracket_tables' two shuffles give the same values but ran sweep_k2 13-22% slower
-        comm = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
-        if self.chart.split is None:
-            psi = np.zeros_like(om)
-        else:
-            psi = self.chart.split.project_h(om - comm)
-        return phi, 2 * comm, psi, om
 
+def split_tables(
+    w: np.ndarray, om: np.ndarray, split: ReductiveSplit | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(phi, [phi, phi], Psi, Omega) from the connection table w (m, ..., N, N)
+    and the curvature table Omega (m, m, ..., N, N) of m tangents.
+
+    phi[i] is the value on tangent i, the others [i, j] on the pair (i, j);
+    Psi = pr_h(Omega - (1/2)[phi, phi]) is zero without a split.  w and Omega
+    do not depend on the split, so one chart context serves every split of
+    its algebra.
+    """
+    phi = w if split is None else split.project_p(w)
+    # one commutator per pair; bracket_tables' two shuffles give the same values but ran sweep_k2 13-22% slower
+    comm = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
+    psi = np.zeros_like(om) if split is None else split.project_h(om - comm)
+    return phi, 2 * comm, psi, om
 
 
 # --- form fields -------------------------------------------------------------
@@ -447,7 +492,9 @@ def fiber_integral(
     once, on the stencil stack (2p+1, C, p) of the nodes and the points
     +-h e_i about them; the form is built on the chart re-centered at the
     lifted group elements (C, m, m) and evaluated on the chunk in one call,
-    at t = 0 where fiber coordinates equal algebra coordinates.
+    at t = 0 where fiber coordinates equal algebra coordinates.  The fiber
+    tangents have no base part, so the chart contexts of the form evaluate
+    neither the potential nor the curvature field (_ChartContext).
     """
     lift = fiber.lift_alt if use_alt_lift else fiber.lift
     if lift is None:
@@ -460,7 +507,7 @@ def fiber_integral(
         form = form_at(ch)
         if form.degree != p:
             raise ValueError(f"form degree {form.degree} != fiber dimension {p}")
-        # the fiber tangents have no base part
+        # the fiber tangents have no base part: w is g^-1 dg alone and Omega = 0
         zeros = np.zeros(vts.shape[:-1] + (chart.base_dim,))
         return form(ch.point(np.broadcast_to(base, zeros.shape[1:])), list(ch.point(zeros, vts)))
 

@@ -36,6 +36,7 @@ from .bundles import (
     heterotic_sides,
     obstruction_identity_check,
     phi_p_form,
+    split_tables,
 )
 from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
 from .invariants import eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
@@ -560,9 +561,17 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = DEFAULT
     b2 = get_bundle("frame_s4:b2")
     p1 = b1.polynomial()
 
+    def p1_of(table):
+        # P1 on the pair table of the 4 tangents, as char_form evaluates it
+        return eval_on_forms_indexed(p1, [(table, 2)] * p1.degree, 2 * p1.degree)
+
     def split(ch, pt, tg):
-        ch2 = b2.chart.at(ch.reference())
-        return char_form(ch, p1, "psi")(pt, tg) + char_form(ch2, p1, "psi")(pt, tg) - char_form(ch, p1, "omega")(pt, tg)
+        # one context: w and Omega are the same on both splits (b1 and b2
+        # share the frame_s4 chart), and each split reads its Psi from them
+        ctx = ch.ctx(pt)
+        w, om = ctx.omegas(tg), ctx.curvs(tg)
+        psi1, psi2 = (split_tables(w, om, b.chart.split)[2] for b in (b1, b2))
+        return p1_of(psi1) + p1_of(psi2) - p1_of(om)
 
     def sum_rule(ch, pt, tg):
         ch2 = b2.chart.at(ch.reference())

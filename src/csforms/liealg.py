@@ -321,15 +321,19 @@ def so4_to_quaternion_pair(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rot4 is bilinear in (a, b), so the coefficients of R in the basis
     rot4(e_k, e_l) form the rank-one matrix M = a b^T; a is its largest
     column, normalized, and b = M^T a.  R may be a stack (..., 4, 4), split
-    in one pass and checked matrix by matrix.
+    in one pass.  Each matrix is checked: the split raises if any entry of
+    rot4(a, b) - R, in any matrix of the stack, exceeds 1e-8.  The bound is
+    absolute, so one max over the whole stack decides exactly as a max per
+    matrix would.  M, its column norms and b are einsums, not BLAS
+    products, so a matrix splits to the same bits alone as in a stack.
     """
     R = np.asarray(R, dtype=float)
     M = np.einsum("klij,...ij->...kl", _ROT4_BASIS, R) / 4.0
-    col = np.argmax(np.sum(M * M, axis=-2), axis=-1)
+    col = np.argmax(np.einsum("...kl,...kl->...l", M, M), axis=-1)
     a = np.take_along_axis(M, col[..., None, None], axis=-1)[..., 0]
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     b = np.einsum("...kl,...k->...l", M, a)
-    if np.any(np.max(np.abs(rot4(a, b) - R), axis=(-2, -1)) > 1e-8):
+    if np.max(np.abs(rot4(a, b) - R), initial=0.0) > 1e-8:
         raise ValueError("matrix is not in SO(4) within tolerance")
     return a, b
 

@@ -526,7 +526,8 @@ def winding_degree(
     return int(nearest)
 
 
-_CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
+# quaternion conjugation diag(1, -1, -1, -1), as its diagonal
+_CONJ4_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def south_transition_frame(yhat: np.ndarray) -> np.ndarray:
@@ -534,11 +535,11 @@ def south_transition_frame(yhat: np.ndarray) -> np.ndarray:
 
     The north-chart section is the identity frame; re-expressing it in the
     orientation-compatible south stereographic chart multiplies by the frame
-    transition (I - 2 yhat yhat^T) composed with quaternion conjugation;
-    yhat may be a stack (..., 4).
+    transition (I - 2 yhat yhat^T) composed with quaternion conjugation,
+    a sign per column; yhat may be a stack (..., 4).
     """
     yhat = np.asarray(yhat, dtype=float)
-    return (np.eye(4) - 2.0 * yhat[..., :, None] * yhat[..., None, :]) @ _CONJ4
+    return (np.eye(4) - 2.0 * yhat[..., :, None] * yhat[..., None, :]) * _CONJ4_SIGNS
 
 
 def quaternionic_section_degrees(

@@ -7,10 +7,10 @@ computes the same value with a loop that calls the same form or map at
 single (d,) points, one node or stencil point at a time, and asks for
 agreement to 1e-12 relative.  The last tests pin the stacked contract: each
 chart context calls the chart's potential and curvature at most once, on
-its whole point stack, and the checks inside the stacked kernels decide
-matrix by matrix.  The chart context's Omega pair table and the stacked
-covariant-derivative residual are checked against the formulas they
-replace, kept here as references.
+its whole point stack, and not at all when no tangent has a base part; the
+checks inside the stacked kernels decide matrix by matrix.  The chart
+context's Omega pair table and the stacked covariant-derivative residual
+are checked against the formulas they replace, kept here as references.
 """
 
 from dataclasses import replace
@@ -243,6 +243,83 @@ def test_chart_fields_are_called_once_per_context_on_the_whole_stack():
     assert calls_of(covariant_derivative_residual, point, tangents[:3]) == once_on(2 * 3 + 1)
     # d w + [w, w] and the analytic Omega at the point
     assert calls_of(connection_curvature_fd_residual, point, *tangents[:2]) == once_on(2 * 2 + 1)
+
+
+FIBER_BUNDLES = ["ut_s2", "hopf_u1", "frame_s4", "frame_s4:b1", "frame_s4:b2", "frame_s6"]
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("name", FIBER_BUNDLES)
+def test_fiber_integral_evaluates_no_chart_field(name, alt):
+    # the fiber tangents are vertical: w is g^-1 dg alone and Omega is zero
+    b = get_bundle(name)
+    calls = {"potential": [], "curvature": []}
+    base = np.random.default_rng(4).uniform(-1.2, 1.2, b.chart.base_dim)
+    P = b.polynomial()
+    chart = counting_chart(b.chart, calls)
+    value = fiber_integral(chart, lambda ch: phi_p_form(ch, P), base, b.fiber, 2, use_alt_lift=alt)
+    assert np.isfinite(value)
+    assert calls == {"potential": [], "curvature": []}
+
+
+def test_one_nonzero_base_part_evaluates_each_chart_field_once():
+    fs = get_bundle("frame_s4:b1")
+    rng = np.random.default_rng(3)
+    calls = {"potential": [], "curvature": []}
+    chart = counting_chart(fs.chart, calls).at(random_group_element(fs.chart.algebra, rng, 0.7))
+    point = chart.point(rng.uniform(-1, 1, (5, 4)))
+    tangents = [np.concatenate([np.zeros((5, 4)), rng.standard_normal((5, 6))], axis=-1) for _ in range(3)]
+    vertical = [v.copy() for v in tangents]
+    tangents[0][2, 0] = tangents[1][2, 1] = 0.3
+    ctx = chart.ctx(point)
+    w, om = ctx.omegas(tangents), ctx.curvs(tangents)
+    assert calls == {"potential": [(5, 4)], "curvature": [(5, 4)]}
+    # the two base entries reach w and Omega at point 2 alone
+    assert np.any(om[0, 1, 2]) and not np.any(om[:, :, [0, 1, 3, 4]])
+    changed = np.any(w != chart.ctx(point).omegas(vertical), axis=(-2, -1))
+    assert changed[:2, 2].all() and changed.sum() == 2
+
+
+@pytest.mark.parametrize("case", ["t0", "off_t0"])
+@pytest.mark.parametrize("name", ["frame_s4", "hopf_u1"])
+def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
+    # A(0) = 0 and F(0, .) = 0 exactly: the skipped terms are zeros, so the
+    # values equal the full formulas to the last bit
+    chart = get_bundle(name).chart
+    rng = np.random.default_rng(7)
+    chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
+    n, dim_g, N = chart.base_dim, chart.algebra.dim, chart.algebra.n
+    t = rng.uniform(-0.6, 0.6, (5, dim_g)) if case == "off_t0" else None
+    ctx = chart.ctx(chart.point(rng.uniform(-1.2, 1.2, (5, n)), t))
+    # one set of (d,) tangents against the stack of points and reference elements
+    vts = rng.standard_normal((4, dim_g))
+    tangents = [np.concatenate([np.zeros(n), vt]) for vt in vts]
+    w, om = ctx.omegas(tangents), ctx.curvs(tangents)
+    assert w.shape == (4, 5, N, N)
+    assert om.shape == (4, 4, 5, N, N) and om.dtype == np.dtype(chart.algebra.dtype) and not np.any(om)
+    full_w = ctx._conj(np.einsum("ma,...aij->m...ij", np.zeros((4, n)), ctx.A))
+    full_w = full_w + ctx.maurer_cartan(np.broadcast_to(vts[:, None], (4, 5, dim_g)))
+    assert np.array_equal(w, full_w)
+    assert np.array_equal(om, einsum_curvs(ctx, tangents))
+
+
+@pytest.mark.parametrize("g0", [False, True])
+@pytest.mark.parametrize("name", ["frame_s4", "hopf_u1"])
+def test_base_points_and_tangents_match_zero_padded_ones(name, g0):
+    chart = get_bundle(name).chart
+    rng = np.random.default_rng(11)
+    if g0:
+        chart = chart.at(random_group_element(chart.algebra, rng, 0.7))
+    x = rng.uniform(-1.2, 1.2, (5, chart.base_dim))
+    vs = [rng.standard_normal((5, chart.base_dim)) for _ in range(4)]
+    pad = np.zeros((5, chart.algebra.dim))
+    base, padded = chart.ctx(x), chart.ctx(chart.point(x))
+    vpad = [np.concatenate([v, pad], axis=-1) for v in vs]
+    pairs = [(base.omegas(vs), padded.omegas(vpad)), (base.curvs(vs), padded.curvs(vpad))]
+    pairs += list(zip(base.tables(vs), padded.tables(vpad)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_skew_checks_decide_per_matrix():

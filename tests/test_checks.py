@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csforms import checks
+from csforms import bundles, checks
 from csforms.liealg import random_group_element
 from csforms.zoo import get_bundle
 
@@ -64,3 +64,24 @@ def test_vacuous_heterotic_sweep_fails_at_any_tolerance():
 def test_heterotic_sweep_records_its_scale():
     (r,) = checks.heterotic_sweep("ut_s2", points=3)
     assert r.passed and r.extra["scale"] >= 1e-3
+
+
+def test_pontryagin_split_reads_both_splits_from_one_context(monkeypatch):
+    # per split point one context and one Omega pair table serve P1(Psi1),
+    # P1(Psi2) and P1(Omega); the sum rule keeps its three per point
+    counts = {"contexts": 0, "pair_tables": 0}
+    init, pair_table = bundles._ChartContext.__init__, bundles._pair_table
+
+    def counted_init(self, *args):
+        counts["contexts"] += 1
+        init(self, *args)
+
+    def counted_pair_table(*args):
+        counts["pair_tables"] += 1
+        return pair_table(*args)
+
+    monkeypatch.setattr(bundles._ChartContext, "__init__", counted_init)
+    monkeypatch.setattr(bundles, "_pair_table", counted_pair_table)
+    records = checks.pontryagin_checks(points=100)
+    assert all(r.passed for r in records)
+    assert counts == {"contexts": 100 + 3 * 10, "pair_tables": 100 + 3 * 10}
