@@ -1,20 +1,36 @@
 """Exponential of skew-Hermitian matrices and its Maurer-Cartan derivative.
 
 Every matrix csforms exponentiates lies in so(n), u(n) or su(n), so it is
-skew-Hermitian: i X is Hermitian, and one eigh(i X) = U diag(lam) U^H gives
+skew-Hermitian, and both functions here are scaled Taylor series (Higham,
+Functions of Matrices, SIAM 2008, ch. 10; Al-Mohy and Higham, SIAM J. Matrix
+Anal. Appl. 30, 2009):
 
-    exp(X)                  = U diag(e^(-i lam)) U^H
-    exp(-X) dexp_X[dX]      = U (G o U^H dX U) U^H,
-    G_jk = int_0^1 e^(-s (mu_j - mu_k)) ds,   mu = -i lam,
+    exp(X)               = exp(Z)^(2^s),                  Z = X / 2^s
+    exp(-Z) dexp_Z[W]    = phi(ad_Z) W,   phi(a) = (1 - e^-a)/a
+                         = sum_j (-ad_Z)^j W / (j+1)!,
 
-where o is the entrywise product (Daleckii-Krein; Higham, Functions of
-Matrices, SIAM 2008, ch. 3).  With d = lam_j - lam_k the integral is
-e^(i d/2) sin(d/2)/(d/2), which np.sinc evaluates without a case split at
-equal eigenvalues (repeated pairs are the rule on so(4)).
+each truncated after degree q and summed by Horner's rule.  The scaling
+is undone by s squarings for exp, and for the Maurer-Cartan term
+MC(X; W) = exp(-X) dexp_X[W] by s doublings
 
-Both functions take a single matrix (n, n) or a stack (..., n, n); every
-matrix of a stack is checked and exponentiated on its own.  Both take the
-eigh_skew(x) a caller already has, so exp and dexp at one x share one eigh.
+    MC(2Z; 2W) = MC(Z; W) + Ad_{exp(-Z)} MC(Z; W),
+
+where exp(-Z) = exp(Z)^H, since exp(Z) is unitary.
+
+expm_scaling chooses (s, q) once for a whole stack, from its largest
+Frobenius norm |X|: s is the least s >= 0 with |X / 2^s| < theta = 1, and
+q the least degree with nu^(q+1)/(q+1)! <= 2^-53 for nu = |X / 2^s|, the
+leading term of the truncation error.  The finite-difference stencils of
+the package exponentiate |X| near 1e-4, where s = 0 and q is 3 or 4.  A
+zero member of a stack gives exactly I and exactly its direction W.
+
+Real input (so(n)) is computed in real arithmetic throughout, and so is
+complex input larger than 1 x 1, on its real form [[A, -B], [B, A]] of
+A + iB: numpy multiplies small complex matrices several times slower than
+real ones of twice the size.
+
+Both functions take a single matrix (n, n) or a stack (..., n, n), and the
+scaling a caller already has, so exp and dexp at one X share one check.
 
 This leaf module belongs to none of the package's layers (rationals, liealg,
 invariants, calculus, bundles, zoo), so a per-layer profiler that counts the
@@ -23,11 +39,16 @@ expm bound in bundles sees it as a callee outside every layer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["eigh_skew", "expm", "expm_maurer_cartan"]
+__all__ = ["expm_scaling", "expm", "expm_maurer_cartan"]
 
 _SKEW_TOL = 1e-10
+# strict bound on the Frobenius norm of X / 2^s
+_THETA = 1.0
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _frobenius2(x: np.ndarray) -> np.ndarray:
@@ -35,38 +56,116 @@ def _frobenius2(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x.conj(), x).real
 
 
-def eigh_skew(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, U) with i x = U diag(lam) U^H; ValueError unless every matrix
-    of x (..., n, n) is skew-Hermitian.
+def expm_scaling(x: np.ndarray) -> tuple[int, int]:
+    """(s, q) for a skew-Hermitian matrix or stack x (..., n, n), as in the
+    module docstring; ValueError unless every matrix of x is skew-Hermitian
+    and finite.
 
-    The test compares Frobenius norms per matrix, |x + x^H|^2 <= tol^2 (1 + |x|^2);
-    a stack whose whole |x + x^H|^2 is at most tol^2 passes it at once.
+    The test compares Frobenius norms per matrix, |x + x^H|^2 <= tol^2 (1 +
+    |x|^2); a stack whose whole |x + x^H|^2 is at most tol^2 passes it at
+    once.  Each comparison is written so that NaN fails it, and an infinite
+    entry makes the ratio inf/inf or NaN.
     """
+    x = np.asarray(x)
     herm = x + x.conj().swapaxes(-1, -2)
-    if np.vdot(herm, herm).real > _SKEW_TOL**2 and np.any(
-        _frobenius2(herm) > _SKEW_TOL**2 * (1.0 + _frobenius2(x))
-    ):
-        raise ValueError("matrix is not skew-Hermitian")
-    return np.linalg.eigh(1j * x)
+    norm2 = _frobenius2(x)
+    if not np.vdot(herm, herm).real <= _SKEW_TOL**2:
+        with np.errstate(invalid="ignore"):
+            ratio = _frobenius2(herm) / (1.0 + norm2)
+        if not np.all(ratio <= _SKEW_TOL**2):
+            raise ValueError("matrix is not skew-Hermitian")
+    nu = math.sqrt(norm2.max(initial=0.0))
+    s = max(0, math.frexp(nu / _THETA)[1])
+    nu = math.ldexp(nu, -s)
+    q, term = 0, nu  # term = nu^(q+1)/(q+1)!
+    while term > _UNIT_ROUNDOFF:
+        q += 1
+        term *= nu / (q + 1)
+    return s, q
 
 
-def expm(x: np.ndarray, eig=None) -> np.ndarray:
-    """exp(x) for a skew-Hermitian matrix or stack x (eig: its eigh_skew);
-    real output for real input."""
-    lam, u = eigh_skew(x) if eig is None else eig
-    out = (u * np.exp(-1j * lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return out if np.iscomplexobj(x) else out.real
+def _halve(x: np.ndarray, s: int) -> np.ndarray:
+    """x / 2^s, exact; x itself at s = 0."""
+    return x * 0.5**s if s else x
 
 
-def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, eig=None) -> np.ndarray:
+def _embeds(*xs: np.ndarray) -> bool:
+    """Whether to compute on real forms: complex matrices larger than 1 x 1."""
+    return xs[0].shape[-1] > 1 and any(np.iscomplexobj(x) for x in xs)
+
+
+def _real_form(x: np.ndarray) -> np.ndarray:
+    """[[A, -B], [B, A]] (..., 2n, 2n) of x = A + iB (..., n, n).
+
+    This is an injective homomorphism of real algebras that takes
+    skew-Hermitian matrices to skew-symmetric ones, so both series commute
+    with it, term by term and under the same (s, q).
+    """
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = x.real
+    out[..., n:, :n] = x.imag
+    np.negative(x.imag, out=out[..., :n, n:])
+    return out
+
+
+def _complex_form(y: np.ndarray) -> np.ndarray:
+    """The x (..., n, n) of a real form y (..., 2n, 2n)."""
+    n = y.shape[-1] // 2
+    out = np.empty(y.shape[:-2] + (n, n), dtype=complex)
+    out.real = y[..., :n, :n]
+    out.imag = y[..., n:, :n]
+    return out
+
+
+def _taylor_exp(z: np.ndarray, q: int) -> np.ndarray:
+    """sum_{j <= q} z^j / j! by Horner's rule, for a stack z (..., n, n)."""
+    eye = np.eye(z.shape[-1], dtype=np.result_type(z, float))
+    if q == 0:
+        return np.broadcast_to(eye, z.shape).copy()
+    e = z / q
+    e += eye
+    for j in range(q - 1, 0, -1):
+        e = z @ e
+        e /= j
+        e += eye
+    return e
+
+
+def expm(x: np.ndarray, scaling: tuple[int, int] | None = None) -> np.ndarray:
+    """exp(x) for a skew-Hermitian matrix or stack x (scaling: its
+    expm_scaling); real output for real input."""
+    s, q = expm_scaling(x) if scaling is None else scaling
+    x = np.asarray(x)
+    if _embeds(x):
+        return _complex_form(expm(_real_form(x), (s, q)))
+    e = _taylor_exp(_halve(x, s), q)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, scaling: tuple[int, int] | None = None) -> np.ndarray:
     """exp(-x) dexp_x[dx] for a stack dxs (m, ..., n, n) of directions at
-    x (..., n, n) (eig: its eigh_skew).
+    x (..., n, n) (scaling: its expm_scaling).
 
     This is g^-1 dg along g = exp(x + s dx) at s = 0; real for real input.
     """
-    lam, u = eigh_skew(x) if eig is None else eig
-    d = lam[..., :, None] - lam[..., None, :]
-    weights = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
-    uh = u.conj().swapaxes(-1, -2)
-    out = u @ (weights * (uh @ dxs @ u)) @ uh
-    return out if np.iscomplexobj(x) or np.iscomplexobj(dxs) else out.real
+    s, q = expm_scaling(x) if scaling is None else scaling
+    x, dxs = np.asarray(x), np.asarray(dxs)
+    if _embeds(x, dxs):
+        return _complex_form(expm_maurer_cartan(_real_form(x), _real_form(dxs), (s, q)))
+    z, w = _halve(x, s), _halve(dxs, s)
+    # Horner's rule on phi(ad_Z) W = W + ad_{-Z}(W + ad_{-Z}(W + ...)/3)/2
+    mc = w
+    for j in range(q, 0, -1):
+        zj = z / (j + 1)
+        mc = mc @ zj - zj @ mc
+        mc += w
+    if s:
+        # MC(2Z; 2W) = MC(Z; W) + exp(Z)^H MC(Z; W) exp(Z), s times
+        e = _taylor_exp(z, q)
+        for _ in range(s):
+            mc = mc + e.conj().swapaxes(-1, -2) @ mc @ e
+            e = e @ e
+    return mc

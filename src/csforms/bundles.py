@@ -9,9 +9,10 @@ g0 exp(sum_a t_a E_a).  In these coordinates the connection and curvature are
     w(v)      = Ad_{g^-1} A(v_x) + g^-1 dg (v_t)
     Omega(v,w)= Ad_{g^-1} F(v_x, w_x)
 
-with the Maurer-Cartan term evaluated exactly: g^-1 dg on the fiber tangents
-of a point is exp(-X) dexp_X[dX], which csforms._expm computes for all of
-them and for exp(X) from one eigendecomposition of the skew-Hermitian X.  Keeping g0
+with the Maurer-Cartan term evaluated by its series, not by differences:
+g^-1 dg on the fiber tangents of a point is exp(-X) dexp_X[dX], which
+csforms._expm sums for all of them, as it does exp(X), by scaled Taylor
+series whose scaling is chosen once per context.  Keeping g0
 movable lets every caller work at t = 0, where the fiber coordinates are the
 algebra coordinates themselves and no exponential or matrix logarithm is
 needed.
@@ -41,12 +42,12 @@ table and Ad_{g^-1} are never evaluated.  Base points and tangents (..., n)
 no zero fiber coordinates are allocated or scanned for them.
 
 The functions that take d of a chart form (heterotic_sides and its
-residual, the covariant-derivative and the connection-curvature residuals)
-make one context, on the d stencil of calculus._d_stencil together with its
-center row, so each calls the chart's potential and curvature once (when a
-tangent has a base part); the stencil rows give d by
-calculus._d_combine and the center row the values at the point.  Those
-two residuals take their graded brackets from invariants.bracket_tables.
+residual, the covariant-derivative, psi-Bianchi and connection-curvature
+residuals) make one context, on the d stencil of calculus._d_stencil
+together with its center row, so each calls the chart's potential and
+curvature once (when a tangent has a base part); the stencil rows give d
+by calculus._d_combine and the center row the values at the point.  Those
+three residuals take their graded brackets from invariants.bracket_tables.
 The transgression form TP is phi_p_form on the chart without its split, and
 the identity d TP = P(Omega) is heterotic_sides there.  At t = 0 and on base
 tangents the connection-curvature residual checks F = dA + [A, A] itself.
@@ -60,7 +61,8 @@ bundle).  The curvature of psi is computed analytically as
 
 which is forced by projecting Omega = d_H phi + Psi + (1/2)[phi,phi] onto h;
 the finite-difference cross-check against d psi + (1/2)[psi, psi] in the test
-suite pins the sign.
+suite pins the sign, and psi_bianchi_residual checks its Bianchi identity
+d Psi + [psi, Psi] = 0.
 
 The two assembled families are
 
@@ -79,7 +81,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._expm import eigh_skew, expm, expm_maurer_cartan
+from ._expm import expm, expm_maurer_cartan, expm_scaling
 from .calculus import (
     DEFAULT_FD_STEP,
     FormField,
@@ -101,6 +103,7 @@ __all__ = [
     "ChainSpec",
     "ObstructionReport",
     "covariant_derivative_residual",
+    "psi_bianchi_residual",
     "char_form",
     "phi_p_form",
     "heterotic_sides",
@@ -180,9 +183,10 @@ class _ChartContext:
     element, potential, curvature, the last two evaluated on first use.
 
     A point of length base_dim is a base point with t = 0 implied.  Off
-    t = 0 one eigh_skew of the fiber coordinates X serves the group
+    t = 0 one expm_scaling of the fiber coordinates X (the skew-Hermitian
+    check and the Taylor scaling of the whole stack) serves the group
     elements, one expm, and the Maurer-Cartan values of all fiber tangents,
-    one expm_maurer_cartan, each on the whole stack.  The stacked methods
+    one expm_maurer_cartan.  The stacked methods
     (omegas, phis, curvs, tables) take a list of m tangents (..., d) and
     compute each value once, the Omega pair table in two batched products
     (_pair_table).  The tangent indices come first: phi is (m, ..., N, N)
@@ -217,8 +221,8 @@ class _ChartContext:
             self.g = g0
         else:
             self._m = chart.algebra.from_coords(point[..., n:])
-            self._eig = eigh_skew(self._m)
-            self.g = g0 @ expm(self._m, self._eig)
+            self._scaling = expm_scaling(self._m)
+            self.g = g0 @ expm(self._m, self._scaling)
         self.ginv = self.g.conj().swapaxes(-1, -2)
 
     @cached_property
@@ -254,7 +258,7 @@ class _ChartContext:
         dms = self.chart.algebra.from_coords(vts)
         if self.t_is_zero:
             return dms
-        return expm_maurer_cartan(self._m, dms, self._eig)
+        return expm_maurer_cartan(self._m, dms, self._scaling)
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """w on each of m tangents, (m, ..., N, N)."""
@@ -421,6 +425,35 @@ def covariant_derivative_residual(
     om_phi = -bracket_tables(phi, 1, om, 2)[0, 1, 2]  # [Omega, phi] = -[phi, Omega] for p=1, q=2
     resid = dom + psi_om - om_phi
     return float(np.max(np.abs(resid)))
+
+
+def psi_bianchi_residual(
+    chart: BundleChart,
+    point: np.ndarray,
+    tangents: Sequence[np.ndarray],
+    fd_step: float = DEFAULT_FD_STEP,
+) -> tuple[float, float]:
+    """(max-entry residual of d Psi + [psi, Psi], largest entry of |Psi|) on
+    3 tangents.
+
+    The Bianchi identity of the H-connection psi, D_psi Psi = 0, which
+    unlike covariant_derivative_residual depends on the split through
+    Psi = pr_h(Omega - (1/2)[phi, phi]).  One chart context on the d stencil
+    of (X, Y, Z) and its center row: d Psi from the stencil rows, psi and
+    Psi at the point from the center.
+    """
+    if len(tangents) != 3:
+        raise ValueError("need 3 tangents")
+    if chart.split is None:
+        raise ValueError("psi_bianchi_residual needs a chart with a split")
+    points, rows = _d_stencil(point, tangents, fd_step)
+    ctx = chart.ctx(points)
+    w = ctx.omegas(rows)
+    _, _, Psi, _ = split_tables(w, ctx.curvs(rows), chart.split)
+    dPsi = _d_combine(Psi[0, 1, :-1], fd_step)
+    psi, Psi = chart.split.project_h(w[:, -1]), Psi[:, :, -1]
+    resid = dPsi + bracket_tables(psi, 1, Psi, 2)[0, 1, 2]
+    return float(np.max(np.abs(resid))), float(np.max(np.abs(Psi)))
 
 
 def connection_curvature_fd_residual(

@@ -36,6 +36,7 @@ from .bundles import (
     heterotic_sides,
     obstruction_identity_check,
     phi_p_form,
+    psi_bianchi_residual,
     split_tables,
 )
 from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
@@ -331,6 +332,12 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = DEFAULT_FD_STEP) ->
     for bname in ("ut_s2", "frame_s4"):
         worst = _sweep(get_bundle(bname), rng, 3, 3, covariant)
         records.append(_rec(f"covariant_derivative_{bname}", "d Omega + [psi,Omega] = [Omega,phi]", worst, 0.0, 1e-5))
+
+    # Bianchi identity of the H-connection, which depends on the split through Psi
+    bianchi = partial(psi_bianchi_residual, fd_step=fd_step)
+    for bname in ("frame_s4", "frame_s4:b1", "frame_s4:b2"):
+        worst, scale = _sweep(get_bundle(bname), rng, 3, 3, bianchi)
+        records.append(_rec(f"psi_bianchi_{bname}", "d Psi + [psi,Psi] = 0", worst, 0.0, 1e-5, scale=float(scale)))
 
     return records
 

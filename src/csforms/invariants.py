@@ -22,7 +22,9 @@ degree p swap with sign (-1)^p): P(Omega^k) takes 3 rows, not 6, at k = 2
 and 15, not 90, at k = 3.  It stacks the rows of several weighted argument
 lists, such as the A_ij terms of PhiP or P(Omega) - P(Psi), and evaluates
 them in one P.multilinear call, each slot gathered from its tables by one
-take per run of rows.  invariance_identity_residual, the Ad-invariance
+take per run of rows; each list's rows are summed on their own before the
+lists are added, so the call equals the sum of its lists evaluated one at
+a time, to the bit.  invariance_identity_residual, the Ad-invariance
 identity on tables, is one such weighted call.  All shipped normalizations
 are fixed here once:
 
@@ -82,13 +84,20 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
 
 
 def _check_skew(xs: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise unless every matrix of the stack xs (..., n, n) is skew within
-    tol, relative to its own largest entry when that is above 1."""
+    """Raise unless every matrix of the stack xs (..., n, n) is finite and
+    skew within tol, relative to its own largest entry when that is above 1.
+
+    Each comparison is written so that NaN fails it; an infinite entry makes
+    its asymmetry inf or NaN and its scale inf, whose ratio is NaN (and
+    numpy warns of the NaN that inf - inf makes).
+    """
     asym = np.abs(xs + xs.swapaxes(-1, -2))
     if asym.max(initial=0.0) <= tol:
         return  # within tol of every matrix's bound
     scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), initial=0.0))
-    if np.any(asym.max(axis=(-2, -1)) > tol * scale):
+    with np.errstate(invalid="ignore"):
+        ratio = asym.max(axis=(-2, -1)) / scale
+    if not np.all(ratio <= tol):
         raise ValueError("matrix is not skew-symmetric within tolerance")
 
 
@@ -342,11 +351,12 @@ def bracket_tables(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _stack_plan(terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...], n: int):
-    """(weights, runs) of weighted argument lists terms[t] = (c, ((source,
-    degree), ...)) on n tangents: one row per merged shuffle (module
-    docstring) of weight c times its summed signs, and for every slot the
-    runs of rows that read one source, as (source, flat indices into its
-    first p axes)."""
+    """(weights, runs, bounds) of weighted argument lists terms[t] = (c,
+    ((source, degree), ...)) on n tangents: one row per merged shuffle
+    (module docstring) of weight c times its summed signs, for every slot
+    the runs of rows that read one source, as (source, flat indices into its
+    first p axes), and the row offsets of the terms (T + 1 of them; the rows
+    of a term are contiguous)."""
     rows: dict[tuple, int] = {}
     for t, (c, slots) in enumerate(terms):
         if sum(p for _, p in slots) != n:
@@ -362,7 +372,12 @@ def _stack_plan(terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...], n:
             if not slot or slot[-1][0] != src:
                 slot.append((src, []))
             slot[-1][1].append(np.ravel_multi_index(key[s], (n,) * p))
-    return np.array([terms[t][0] * w for (t, _), w in rows.items()]), [[(i, np.array(f)) for i, f in slot] for slot in runs]
+    bounds = np.searchsorted([t for t, _ in rows], np.arange(len(terms) + 1))
+    return (
+        np.array([terms[t][0] * w for (t, _), w in rows.items()]),
+        [[(i, np.array(f)) for i, f in slot] for slot in runs],
+        bounds.tolist(),
+    )
 
 
 def eval_on_forms_indexed(
@@ -381,12 +396,16 @@ def eval_on_forms_indexed(
     terms = [(1.0, args)] if not np.isscalar(args[0][0]) else args
     ids: dict[tuple[int, int], tuple[int, np.ndarray]] = {}  # (id, degree) -> (source, table)
     key = tuple((float(c), tuple((ids.setdefault((id(a), p), (len(ids), a))[0], p) for a, p in slots)) for c, slots in terms)
-    weights, runs = _stack_plan(key, n_tangents)
+    weights, runs, bounds = _stack_plan(key, n_tangents)
     # each table as rows (n^p, ...) over the flat index of its first p axes
     tables = [a.reshape((-1,) + a.shape[p:]) for (_, p), (_, a) in ids.items()]
     stacks = [np.concatenate([tables[i].take(rows, axis=0) for i, rows in slot]) for slot in runs]
     values = np.asarray(polarize_eval(P, stacks))
-    return weights @ values if values.ndim <= 2 else np.tensordot(weights, values, 1)
+    total = 0.0
+    for a, b in zip(bounds, bounds[1:]):
+        w, v = weights[a:b], values[a:b]
+        total = total + (w @ v if v.ndim <= 2 else np.tensordot(w, v, 1))
+    return total
 
 
 def invariance_identity_residual(

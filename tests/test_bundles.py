@@ -313,12 +313,12 @@ def test_char_form_psi_requires_nothing_when_trivial():
 
 
 def test_phi_p_form_computes_each_phi_once(monkeypatch):
-    # off t = 0: one expm for the group element, one expm_tangent per tangent
+    # off t = 0: one expm for the group element
     import csforms.bundles as bundles
 
     calls = []
 
-    def counted(m, *eig):
+    def counted(m, *scaling):
         calls.append(m.shape)
         return expm(m)
 
@@ -360,19 +360,30 @@ def test_each_form_value_is_one_multilinear_call(name):
     assert len(calls) == 4
 
 
-def test_chart_context_diagonalizes_once_off_t0(monkeypatch):
-    eighs = []
-    real = np.linalg.eigh
+def test_chart_context_scales_once_off_t0(monkeypatch):
+    # off t = 0 one expm_scaling serves the group elements and the
+    # Maurer-Cartan values, and nothing is diagonalized; at t = 0 neither runs
+    import csforms._expm as kernel
+    import csforms.bundles as bundles
 
-    def counted(x, *a, **kw):
-        eighs.append(x.shape)
-        return real(x, *a, **kw)
+    eighs, scalings = [], []
+    real_eigh, real_scaling = np.linalg.eigh, kernel.expm_scaling
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def counted_eigh(*a, **kw):
+        eighs.append(a[0].shape)
+        return real_eigh(*a, **kw)
+
+    def counted_scaling(x):
+        scalings.append(x.shape)
+        return real_scaling(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(bundles, "expm_scaling", counted_scaling)
+    monkeypatch.setattr(kernel, "expm_scaling", counted_scaling)
     b = get_bundle("frame_s4:b1")
     tangents = [rng.standard_normal(b.chart.dim) for _ in range(3)]
     off = b.chart.ctx(b.chart.point(rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.3, 0.3, b.chart.algebra.dim)))
     off.tables(tangents)
-    assert len(eighs) == 1
+    assert scalings == [(4, 4)] and eighs == []
     b.chart.ctx(b.chart.point(rng.uniform(-0.5, 0.5, 4))).tables(tangents)
-    assert len(eighs) == 1
+    assert scalings == [(4, 4)] and eighs == []

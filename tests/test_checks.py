@@ -85,3 +85,28 @@ def test_pontryagin_split_reads_both_splits_from_one_context(monkeypatch):
     records = checks.pontryagin_checks(points=100)
     assert all(r.passed for r in records)
     assert counts == {"contexts": 100 + 3 * 10, "pair_tables": 100 + 3 * 10}
+
+
+def _psi_bianchi_records():
+    return {r.name: r for r in checks.calculus_identity_checks(seed=0) if r.name.startswith("psi_bianchi_")}
+
+
+def test_psi_bianchi_records_pass_with_their_scale():
+    records = _psi_bianchi_records()
+    assert sorted(records) == ["psi_bianchi_frame_s4", "psi_bianchi_frame_s4:b1", "psi_bianchi_frame_s4:b2"]
+    for r in records.values():
+        assert r.passed and r.tolerance == 1e-5 and r.extra["scale"] > 0.1
+
+
+def test_psi_bianchi_record_catches_a_sign_error_in_psi(monkeypatch):
+    # Psi = pr_h(Omega + [phi, phi]) in place of pr_h(Omega - (1/2)[phi, phi]):
+    # on frame_s4 [p, p] has an h part, so the Bianchi identity of psi fails
+    correct = bundles.split_tables
+
+    def wrong_sign(w, om, split):
+        phi, pp, _, om = correct(w, om, split)
+        return phi, pp, split.project_h(om + pp), om
+
+    monkeypatch.setattr(bundles, "split_tables", wrong_sign)
+    r = _psi_bianchi_records()["psi_bianchi_frame_s4"]
+    assert not r.passed and r.computed > 0.1

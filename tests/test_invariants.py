@@ -78,6 +78,46 @@ def test_pfaffian_rejects_non_skew():
         pfaffian(np.eye(4))
 
 
+# non-finite entries the skew test must not let through: every comparison
+# with NaN is False.  (An inf opposite -inf also fails it, through a NaN
+# that numpy warns of.)
+_NON_FINITE = [
+    np.array([[0.0, 1.0], [np.nan, 0.0]]),
+    np.array([[0.0, np.nan], [-1.0, 0.0]]),
+    np.array([[np.nan, 0.0], [0.0, 0.0]]),
+    np.array([[0.0, np.inf], [1.0, 0.0]]),
+    np.array([[np.inf, 0.0], [0.0, 0.0]]),
+]
+
+
+def test_pfaffian_rejects_opposite_infinities():
+    with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(ValueError):
+        pfaffian(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("x", _NON_FINITE)
+def test_pfaffian_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        pfaffian(x)
+    # a non-finite member of a stack of otherwise skew matrices
+    x4 = np.zeros((4, 4))
+    x4[:2, :2] = x
+    with pytest.raises(ValueError):
+        make_polynomial("euler", 2, "so4").multilinear([np.array([x4, -x4.T]), np.array([x4.T, x4.T])])
+
+
+@pytest.mark.parametrize("x", _NON_FINITE)
+def test_euler_multilinear_rejects_non_finite(x):
+    good = random_element(so(4), rng)
+    bad = good.copy()
+    bad[1:3, 1:3] = x
+    e2 = make_polynomial("euler", 2, "so4")
+    with pytest.raises(ValueError):
+        e2.multilinear([np.array([good, bad]), np.array([good, good])])
+    with pytest.raises(ValueError):
+        make_polynomial("euler", 1, "so2").multilinear([x])
+
+
 def test_euler_so2_value():
     e = make_polynomial("euler", 1, "so2")
     a = 0.83
@@ -430,7 +470,7 @@ def test_merged_shuffle_counts():
     from csforms.invariants import _shuffles, _stack_plan
 
     for k, unmerged, merged in ((2, 6, 3), (3, 90, 15)):
-        weights, _ = _stack_plan(((1.0, ((0, 2),) * k),), 2 * k)
+        weights, _, _ = _stack_plan(((1.0, ((0, 2),) * k),), 2 * k)
         assert (len(_shuffles((2,) * k)), len(weights)) == (unmerged, merged)
         assert set(np.abs(weights)) == {float(factorial(k))}
 
@@ -443,3 +483,15 @@ def test_weighted_lists_are_one_weighted_sum():
     expected = sum(c * eval_on_forms_indexed(P, args, 5) for c, args in zip(coeffs, lists))
     got = eval_on_forms_indexed(P, list(zip(coeffs, lists)), 5)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+def test_a_difference_in_one_call_is_the_difference_to_the_bit():
+    # each list's rows are summed on their own, so P(A) - P(B) in one call
+    # equals the two values taken one at a time, even where they cancel
+    P = make_polynomial("chern_j", 2, "u2")
+    for batch in ((), (3,), (2, 3)):
+        A, B = _random_table(u(2), 4, 2, batch), _random_table(u(2), 4, 2, batch)
+        for left, right in ((A, B), (A, A), (A, np.zeros_like(A))):
+            one = eval_on_forms_indexed(P, [(1.0, [(left, 2)] * 2), (-1.0, [(right, 2)] * 2)], 4)
+            two = eval_on_forms_indexed(P, [(left, 2)] * 2, 4) - eval_on_forms_indexed(P, [(right, 2)] * 2, 4)
+            assert one.tobytes() == two.tobytes()
