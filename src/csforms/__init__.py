@@ -33,7 +33,6 @@ from .invariants import (
 from .calculus import (
     FormField,
     ParametrizedChain,
-    bracket_wedge,
     exterior_derivative,
     integrate,
     wedge,
@@ -42,7 +41,7 @@ from .bundles import (
     BundleChart,
     FiberModel,
     Section,
-    covariant_derivative_residual,
+    bianchi_residuals,
     fiber_integral,
     heterotic_residual,
     obstruction_identity_check,

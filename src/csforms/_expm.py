@@ -24,10 +24,8 @@ leading term of the truncation error.  The finite-difference stencils of
 the package exponentiate |X| near 1e-4, where s = 0 and q is 3 or 4.  A
 zero member of a stack gives exactly I and exactly its direction W.
 
-Real input (so(n)) is computed in real arithmetic throughout, and so is
-complex input larger than 1 x 1, on its real form [[A, -B], [B, A]] of
-A + iB: numpy multiplies small complex matrices several times slower than
-real ones of twice the size.
+Real input (so(n)) is computed in real arithmetic throughout, and complex
+input (u(n), su(n)) in complex arithmetic.
 
 Both functions take a single matrix (n, n) or a stack (..., n, n), and the
 scaling a caller already has, so exp and dexp at one X share one check.
@@ -89,35 +87,6 @@ def _halve(x: np.ndarray, s: int) -> np.ndarray:
     return x * 0.5**s if s else x
 
 
-def _embeds(*xs: np.ndarray) -> bool:
-    """Whether to compute on real forms: complex matrices larger than 1 x 1."""
-    return xs[0].shape[-1] > 1 and any(np.iscomplexobj(x) for x in xs)
-
-
-def _real_form(x: np.ndarray) -> np.ndarray:
-    """[[A, -B], [B, A]] (..., 2n, 2n) of x = A + iB (..., n, n).
-
-    This is an injective homomorphism of real algebras that takes
-    skew-Hermitian matrices to skew-symmetric ones, so both series commute
-    with it, term by term and under the same (s, q).
-    """
-    n = x.shape[-1]
-    out = np.empty(x.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = x.real
-    out[..., n:, :n] = x.imag
-    np.negative(x.imag, out=out[..., :n, n:])
-    return out
-
-
-def _complex_form(y: np.ndarray) -> np.ndarray:
-    """The x (..., n, n) of a real form y (..., 2n, 2n)."""
-    n = y.shape[-1] // 2
-    out = np.empty(y.shape[:-2] + (n, n), dtype=complex)
-    out.real = y[..., :n, :n]
-    out.imag = y[..., n:, :n]
-    return out
-
-
 def _taylor_exp(z: np.ndarray, q: int) -> np.ndarray:
     """sum_{j <= q} z^j / j! by Horner's rule, for a stack z (..., n, n)."""
     eye = np.eye(z.shape[-1], dtype=np.result_type(z, float))
@@ -136,10 +105,7 @@ def expm(x: np.ndarray, scaling: tuple[int, int] | None = None) -> np.ndarray:
     """exp(x) for a skew-Hermitian matrix or stack x (scaling: its
     expm_scaling); real output for real input."""
     s, q = expm_scaling(x) if scaling is None else scaling
-    x = np.asarray(x)
-    if _embeds(x):
-        return _complex_form(expm(_real_form(x), (s, q)))
-    e = _taylor_exp(_halve(x, s), q)
+    e = _taylor_exp(_halve(np.asarray(x), s), q)
     for _ in range(s):
         e = e @ e
     return e
@@ -152,10 +118,7 @@ def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, scaling: tuple[int, int] 
     This is g^-1 dg along g = exp(x + s dx) at s = 0; real for real input.
     """
     s, q = expm_scaling(x) if scaling is None else scaling
-    x, dxs = np.asarray(x), np.asarray(dxs)
-    if _embeds(x, dxs):
-        return _complex_form(expm_maurer_cartan(_real_form(x), _real_form(dxs), (s, q)))
-    z, w = _halve(x, s), _halve(dxs, s)
+    z, w = _halve(np.asarray(x), s), _halve(np.asarray(dxs), s)
     # Horner's rule on phi(ad_Z) W = W + ad_{-Z}(W + ad_{-Z}(W + ...)/3)/2
     mc = w
     for j in range(q, 0, -1):

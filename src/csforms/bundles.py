@@ -30,8 +30,8 @@ stack (2p+1, ..., p) of the points x + h v_i, x - h v_i and x, in one call
 (_recentered).
 
 Every value comes from the stacked methods of one chart context
-(_ChartContext.omegas, phis, curvs and tables, the last by split_tables,
-which serves any split of the algebra from one context's w and Omega).
+(_ChartContext.omegas, curvs and tables, the last by split_tables, which
+serves any split of the algebra from one context's w and Omega).
 A context skips what its tangents never reach, and the skipped terms are
 exact zeros, not approximations.  Omega is horizontal and A(v_x) is linear
 in the base part v_x, so when no tangent has a nonzero base part (the
@@ -42,12 +42,12 @@ table and Ad_{g^-1} are never evaluated.  Base points and tangents (..., n)
 no zero fiber coordinates are allocated or scanned for them.
 
 The functions that take d of a chart form (heterotic_sides and its
-residual, the covariant-derivative, psi-Bianchi and connection-curvature
-residuals) make one context, on the d stencil of calculus._d_stencil
-together with its center row, so each calls the chart's potential and
-curvature once (when a tangent has a base part); the stencil rows give d
-by calculus._d_combine and the center row the values at the point.  Those
-three residuals take their graded brackets from invariants.bracket_tables.
+residual, bianchi_residuals and the connection-curvature residual) make
+one context, on the d stencil of calculus._d_stencil together with its
+center row, so each calls the chart's potential and curvature once (when a
+tangent has a base part); the stencil rows give d by calculus._d_combine
+and the center row the values at the point.  Those residuals take their
+graded brackets from invariants.bracket_tables, the one graded bracket.
 The transgression form TP is phi_p_form on the chart without its split, and
 the identity d TP = P(Omega) is heterotic_sides there.  At t = 0 and on base
 tangents the connection-curvature residual checks F = dA + [A, A] itself.
@@ -61,8 +61,8 @@ bundle).  The curvature of psi is computed analytically as
 
 which is forced by projecting Omega = d_H phi + Psi + (1/2)[phi,phi] onto h;
 the finite-difference cross-check against d psi + (1/2)[psi, psi] in the test
-suite pins the sign, and psi_bianchi_residual checks its Bianchi identity
-d Psi + [psi, Psi] = 0.
+suite pins the sign, and bianchi_residuals checks its Bianchi identity
+d Psi + [psi, Psi] = 0 next to d Omega + [w, Omega] = 0.
 
 The two assembled families are
 
@@ -102,8 +102,7 @@ __all__ = [
     "Section",
     "ChainSpec",
     "ObstructionReport",
-    "covariant_derivative_residual",
-    "psi_bianchi_residual",
+    "bianchi_residuals",
     "char_form",
     "phi_p_form",
     "heterotic_sides",
@@ -187,9 +186,9 @@ class _ChartContext:
     check and the Taylor scaling of the whole stack) serves the group
     elements, one expm, and the Maurer-Cartan values of all fiber tangents,
     one expm_maurer_cartan.  The stacked methods
-    (omegas, phis, curvs, tables) take a list of m tangents (..., d) and
+    (omegas, curvs, tables) take a list of m tangents (..., d) and
     compute each value once, the Omega pair table in two batched products
-    (_pair_table).  The tangent indices come first: phi is (m, ..., N, N)
+    (_pair_table).  The tangent indices come first: w is (m, ..., N, N)
     and a pair table (m, m, ..., N, N); one tangent's value is row 0 of a
     one-tangent call.  Without a reference element (g0 None) and at t = 0
     the group element is the identity, and Ad_{g^-1} is skipped (_conj), as
@@ -270,10 +269,6 @@ class _ChartContext:
             return self.maurer_cartan(vt)
         w = self._conj(np.einsum("m...a,...aij->m...ij", vx, self.A))
         return w if vt is None else w + self.maurer_cartan(vt)
-
-    def phis(self, vs: Sequence[np.ndarray]) -> np.ndarray:
-        w = self.omegas(vs)
-        return w if self.chart.split is None else self.chart.split.project_p(w)
 
     def curvs(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """Omega on each pair of m tangents, (m, m, ..., N, N)."""
@@ -398,62 +393,37 @@ def heterotic_residual(
     return abs(lhs - rhs)
 
 
-def covariant_derivative_residual(
+def bianchi_residuals(
     chart: BundleChart,
     point: np.ndarray,
     tangents: Sequence[np.ndarray],
     fd_step: float = DEFAULT_FD_STEP,
-) -> float:
-    """Max-entry residual of d Omega + [psi, Omega] - [Omega, phi] (3 tangents).
+) -> tuple[float, float, float]:
+    """(max-entry residual of d Omega + [w, Omega], max-entry residual of
+    d Psi + [psi, Psi], largest entry of |Psi|) on 3 tangents.
 
-    This is the Bianchi identity d Omega = [Omega, w] split by w = phi + psi,
-    so it holds on every tangent.  One chart context on the d stencil of (X, Y, Z) and its center row:
-    d Omega from the stencil rows, every value at the point from the center.
+    These are the Bianchi identities D_w Omega = 0 of the connection and
+    D_psi Psi = 0 of the induced H-connection psi = pr_h(w), whose curvature
+    Psi = pr_h(Omega - (1/2)[phi, phi]) depends on the split; without a split
+    psi = Psi = 0.  One chart context on the d stencil of (X, Y, Z) and its
+    center row: d Omega and d Psi from the stencil rows, every value at the
+    point from the center.  D_w Omega = 0 is linear in Omega, so a chart
+    whose curvature field is off by an overall factor passes it.  The psi
+    part sees that factor only where [phi, Omega] has an h part (not on an
+    ideal split such as frame_s4:b1);
+    connection_curvature_fd_residual (F = dA + [A, A]) sees it on every chart.
     """
     if len(tangents) != 3:
         raise ValueError("need 3 tangents")
-    points, rows = _d_stencil(point, tangents, fd_step)
-    ctx = chart.ctx(points)
-    curvs = ctx.curvs(rows)
-    dom = _d_combine(curvs[0, 1, :-1], fd_step)
-    w = ctx.omegas(rows)[:, -1]
-    om = curvs[:, :, -1]
-    split = chart.split
-    phi = w if split is None else split.project_p(w)
-    psi = np.zeros_like(w) if split is None else split.project_h(w)
-    psi_om = bracket_tables(psi, 1, om, 2)[0, 1, 2]
-    om_phi = -bracket_tables(phi, 1, om, 2)[0, 1, 2]  # [Omega, phi] = -[phi, Omega] for p=1, q=2
-    resid = dom + psi_om - om_phi
-    return float(np.max(np.abs(resid)))
-
-
-def psi_bianchi_residual(
-    chart: BundleChart,
-    point: np.ndarray,
-    tangents: Sequence[np.ndarray],
-    fd_step: float = DEFAULT_FD_STEP,
-) -> tuple[float, float]:
-    """(max-entry residual of d Psi + [psi, Psi], largest entry of |Psi|) on
-    3 tangents.
-
-    The Bianchi identity of the H-connection psi, D_psi Psi = 0, which
-    unlike covariant_derivative_residual depends on the split through
-    Psi = pr_h(Omega - (1/2)[phi, phi]).  One chart context on the d stencil
-    of (X, Y, Z) and its center row: d Psi from the stencil rows, psi and
-    Psi at the point from the center.
-    """
-    if len(tangents) != 3:
-        raise ValueError("need 3 tangents")
-    if chart.split is None:
-        raise ValueError("psi_bianchi_residual needs a chart with a split")
     points, rows = _d_stencil(point, tangents, fd_step)
     ctx = chart.ctx(points)
     w = ctx.omegas(rows)
-    _, _, Psi, _ = split_tables(w, ctx.curvs(rows), chart.split)
-    dPsi = _d_combine(Psi[0, 1, :-1], fd_step)
-    psi, Psi = chart.split.project_h(w[:, -1]), Psi[:, :, -1]
-    resid = dPsi + bracket_tables(psi, 1, Psi, 2)[0, 1, 2]
-    return float(np.max(np.abs(resid))), float(np.max(np.abs(Psi)))
+    _, _, Psi, om = split_tables(w, ctx.curvs(rows), chart.split)
+    w = w[:, -1]
+    psi = np.zeros_like(w) if chart.split is None else chart.split.project_h(w)
+    d_om = _d_combine(om[0, 1, :-1], fd_step) + bracket_tables(w, 1, om[:, :, -1], 2)[0, 1, 2]
+    d_psi = _d_combine(Psi[0, 1, :-1], fd_step) + bracket_tables(psi, 1, Psi[:, :, -1], 2)[0, 1, 2]
+    return float(np.max(np.abs(d_om))), float(np.max(np.abs(d_psi))), float(np.max(np.abs(Psi[:, :, -1])))
 
 
 def connection_curvature_fd_residual(

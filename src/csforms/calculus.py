@@ -5,7 +5,9 @@ degree p on a d-dimensional chart is a function (point, p tangent vectors) ->
 value, where the value is a scalar or a Lie-algebra matrix.  Every callback
 broadcasts over leading batch axes: a point is (..., d), each tangent is
 (..., d), and the value is (...) for a scalar form or (..., m, m) for a
-Lie-valued one.  A single point keeps its plain (d,) shape.
+Lie-valued one.  A single point keeps its plain (d,) shape.  wedge is the
+exterior product of scalar forms; Lie-valued forms are bracketed on their
+tables of values, by invariants.bracket_tables, the one graded bracket.
 
 The exterior derivative is taken by central finite differences of
 coefficient functions along constant extensions of the given tangents.  Its
@@ -50,13 +52,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .invariants import _shuffles
-from .liealg import MatrixLieAlgebra
 
 __all__ = [
     "FormField",
     "ParametrizedChain",
     "wedge",
-    "bracket_wedge",
     "exterior_derivative",
     "integrate",
     "gauss_product",
@@ -86,32 +86,12 @@ class FormField:
     dim: int
     degree: int
     evaluator: Callable[[np.ndarray, Sequence[np.ndarray]], object]
-    algebra: MatrixLieAlgebra | None = None  # None means scalar-valued
 
     def __call__(self, point: np.ndarray, tangents: Sequence[np.ndarray]):
         point = np.asarray(point, dtype=float)
         if len(tangents) != self.degree:
             raise ValueError(f"degree-{self.degree} form got {len(tangents)} tangents")
         return self.evaluator(point, [np.asarray(t, dtype=float) for t in tangents])
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.algebra is None
-
-
-def _shuffle_product(a: FormField, b: FormField, mul, algebra: MatrixLieAlgebra | None) -> FormField:
-    """(a, b) -> sum over (p, q) shuffles s of sgn(s) mul(a(X_s..), b(X_s..))."""
-    p, q = a.degree, b.degree
-
-    def ev(pt, tangents):
-        total = 0.0
-        for sign, (ia, ib) in _shuffles((p, q)):
-            x = a(pt, [tangents[i] for i in ia])
-            y = b(pt, [tangents[i] for i in ib])
-            total = total + sign * mul(x, y)
-        return total
-
-    return FormField(a.dim, p + q, ev, algebra=algebra)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -122,22 +102,15 @@ def wedge(a: FormField, b: FormField) -> FormField:
     """
     if a.dim != b.dim:
         raise ValueError("wedge needs forms on the same chart dimension")
-    if not (a.is_scalar and b.is_scalar):
-        raise ValueError("wedge is for scalar forms; use bracket_wedge for Lie-valued ones")
-    return _shuffle_product(a, b, lambda x, y: x * y, None)
+    p, q = a.degree, b.degree
 
+    def ev(pt, tangents):
+        total = 0.0
+        for sign, (ia, ib) in _shuffles((p, q)):
+            total = total + sign * a(pt, [tangents[i] for i in ia]) * b(pt, [tangents[i] for i in ib])
+        return total
 
-def bracket_wedge(a: FormField, b: FormField) -> FormField:
-    """Graded bracket [a, b] of Lie-algebra-valued forms (same convention).
-
-    Satisfies [a, b] = -(-1)^{pq} [b, a]; for 1-forms [w, w](X, Y) =
-    2 [w(X), w(Y)].
-    """
-    if a.dim != b.dim:
-        raise ValueError("bracket_wedge needs forms on the same chart dimension")
-    if a.is_scalar or b.is_scalar or a.algebra != b.algebra:
-        raise ValueError("bracket_wedge needs Lie-valued forms with one algebra tag")
-    return _shuffle_product(a, b, lambda x, y: x @ y - y @ x, a.algebra)
+    return FormField(a.dim, p + q, ev)
 
 
 def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> FormField:
@@ -158,7 +131,7 @@ def exterior_derivative(form: FormField, fd_step: float = DEFAULT_FD_STEP) -> Fo
         points, rows = _d_stencil(pt, tangents, fd_step)
         return _d_combine(form(points[:-1], list(rows[:p, :-1])), fd_step)
 
-    return FormField(form.dim, p + 1, ev, algebra=form.algebra)
+    return FormField(form.dim, p + 1, ev)
 
 
 @lru_cache(maxsize=None)

@@ -29,18 +29,17 @@ from ._expm import expm
 from .bundles import (
     BundleChart,
     ObstructionReport,
+    bianchi_residuals,
     char_form,
     connection_curvature_fd_residual,
-    covariant_derivative_residual,
     fiber_integral,
     heterotic_sides,
     obstruction_identity_check,
     phi_p_form,
-    psi_bianchi_residual,
     split_tables,
 )
-from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, bracket_wedge, exterior_derivative, integrate, wedge
-from .invariants import eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
+from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, exterior_derivative, integrate, wedge
+from .invariants import bracket_tables, eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
 from .liealg import random_element, random_group_element, so, u
 from .zoo import NamedBundle, get_bundle, quaternionic_section_degrees
 
@@ -233,29 +232,26 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = DEFAULT_FD_STEP) ->
         worst = max(worst, abs(area - edge_total))
     records.append(_rec("stokes_square", "Stokes on the unit square", worst, 0.0, 1e-6))
 
-    # graded Jacobi (cyclic double brackets of Lie-valued 1-forms)
+    # graded Jacobi (cyclic double brackets of Lie-valued 1-forms), on the
+    # tables of three so(4) 1-forms at one point on 3 tangents
     alg = so(4)
     mats = [random_element(alg, rng) for _ in range(12)]
-
-    def lie_one_form(off):
-        def ev(pt, tangents):
-            v = tangents[0]
-            return sum(v[i] * (1.0 + 0.2 * np.sin(pt[i])) * mats[off + i] for i in range(4))
-        return FormField(4, 1, ev, algebra=alg)
-
-    fa, fb, fc = lie_one_form(0), lie_one_form(4), lie_one_form(8)
     pt = rng.uniform(-1, 1, 4)
     tg = [rng.standard_normal(4) for _ in range(3)]
-    jac = (
-        bracket_wedge(bracket_wedge(fa, fb), fc)(pt, tg)
-        + bracket_wedge(bracket_wedge(fb, fc), fa)(pt, tg)
-        + bracket_wedge(bracket_wedge(fc, fa), fb)(pt, tg)
+    fa, fb, fc = (
+        np.array([sum(v[i] * (1.0 + 0.2 * np.sin(pt[i])) * mats[off + i] for i in range(4)) for v in tg])
+        for off in (0, 4, 8)
     )
+
+    def double(a, b, c):
+        return bracket_tables(bracket_tables(a, 1, b, 1), 2, c, 1)[0, 1, 2]
+
+    jac = double(fa, fb, fc) + double(fb, fc, fa) + double(fc, fa, fb)
     records.append(_rec("graded_jacobi", "cyclic double brackets vanish for 1-forms", float(np.max(np.abs(jac))), 0.0, 1e-10))
 
     # bracket antisymmetry with degrees (1,2)
-    f2 = bracket_wedge(fa, fb)
-    anti = bracket_wedge(fc, f2)(pt, tg) + bracket_wedge(f2, fc)(pt, tg)
+    f2 = bracket_tables(fa, 1, fb, 1)
+    anti = bracket_tables(fc, 1, f2, 2)[0, 1, 2] + bracket_tables(f2, 2, fc, 1)[0, 1, 2]
     records.append(_rec("graded_antisymmetry", "[a,b] = -(-1)^pq [b,a]", float(np.max(np.abs(anti))), 0.0, 1e-10))
 
     # Maurer-Cartan structure equation via the flat chart
@@ -327,16 +323,19 @@ def calculus_identity_checks(seed: int = 0, fd_step: float = DEFAULT_FD_STEP) ->
     records.append(_rec("polarization_diagonal", "polarized P on the diagonal equals P", diag, 0.0, 1e-12))
     records.append(_rec("polarization_symmetry", "polarized P is symmetric", sym, 0.0, 1e-12))
 
-    # covariant derivative identity on the sphere bundles, on raw tangents
-    covariant = partial(covariant_derivative_residual, fd_step=fd_step)
-    for bname in ("ut_s2", "frame_s4"):
-        worst = _sweep(get_bundle(bname), rng, 3, 3, covariant)
-        records.append(_rec(f"covariant_derivative_{bname}", "d Omega + [psi,Omega] = [Omega,phi]", worst, 0.0, 1e-5))
+    # the Bianchi identities on raw tangents: D_w Omega = 0 on the sphere
+    # bundles, then D_psi Psi = 0, which depends on the split through Psi
+    def omega_part(ch, pt, tg):
+        return bianchi_residuals(ch, pt, tg, fd_step)[0]
 
-    # Bianchi identity of the H-connection, which depends on the split through Psi
-    bianchi = partial(psi_bianchi_residual, fd_step=fd_step)
-    for bname in ("frame_s4", "frame_s4:b1", "frame_s4:b2"):
-        worst, scale = _sweep(get_bundle(bname), rng, 3, 3, bianchi)
+    def psi_part(ch, pt, tg):
+        return bianchi_residuals(ch, pt, tg, fd_step)[1:]
+
+    for bname in ("ut_s2", "frame_s4"):
+        worst = _sweep(get_bundle(bname), rng, 3, 3, omega_part)
+        records.append(_rec(f"covariant_derivative_{bname}", "d Omega + [psi,Omega] = [Omega,phi]", worst, 0.0, 1e-5))
+    for bname in ("frame_s4", "frame_s4:b1", "frame_s4:b2", "frame_s6", "twisted_u2:su2", "twisted_u2:u1"):
+        worst, scale = _sweep(get_bundle(bname), rng, 3, 3, psi_part)
         records.append(_rec(f"psi_bianchi_{bname}", "d Psi + [psi,Psi] = 0", worst, 0.0, 1e-5, scale=float(scale)))
 
     return records
@@ -479,10 +478,10 @@ def gauss_bonnet_checks(quad_order: int | None = None) -> list[CheckRecord]:
 
 
 def chern_number_checks(quad_order: int | None = None) -> list[CheckRecord]:
-    """c_1 integral on S^2 at quad_order, 24 when None."""
+    """c_1 integral on S^2 at the order of _chain_orders."""
     hopf = get_bundle("hopf_u1")
-    order = 24 if quad_order is None else quad_order
-    v = integrate(char_form(hopf.chart, hopf.polynomial()), hopf.chains["full_sphere"].chain, order)
+    chain = hopf.chains["full_sphere"].chain
+    v = integrate(char_form(hopf.chart, hopf.polynomial()), chain, _chain_orders(chain, quad_order)[0])
     return [_rec("chern_number_s2", "degree-one line bundle has c_1 integral 1", v, 1.0, 1e-8)]
 
 

@@ -13,8 +13,8 @@ shuffle convention
 the same normalization under which dx^dy has value 1 on (e_x, e_y).  Since
 every a_i is alternating, each shuffle (increasing index blocks) stands for
 p_1!...p_k! equal terms, so the sum is taken once per shuffle with weight 1;
-bracket_tables, the graded bracket of two tables, and calculus.wedge and
-calculus.bracket_wedge, on callable forms, use the same shuffles.  As P is
+bracket_tables, the package's one graded bracket (of two tables), and
+calculus.wedge, on scalar callable forms, use the same shuffles.  As P is
 symmetric, eval_on_forms_indexed merges the shuffles that differ only by
 permuting the blocks among slots holding one argument (one table, one
 degree) into one row, weighted by the sum of their signs (two blocks of

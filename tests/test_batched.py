@@ -9,8 +9,8 @@ agreement to 1e-12 relative.  The last tests pin the stacked contract: each
 chart context calls the chart's potential and curvature at most once, on
 its whole point stack, and not at all when no tangent has a base part; the
 checks inside the stacked kernels decide matrix by matrix.  The chart
-context's Omega pair table and the stacked covariant-derivative residual
-are checked against the formulas they replace, kept here as references.
+context's Omega pair table and the stacked Bianchi residuals are checked
+against the formulas they replace, kept here as references.
 """
 
 from dataclasses import replace
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from csforms.bundles import (
+    bianchi_residuals,
     char_form,
     connection_curvature_fd_residual,
-    covariant_derivative_residual,
     fiber_integral,
     heterotic_residual,
     phi_p_form,
@@ -84,7 +84,7 @@ def loop_exterior_derivative(form, fd_step=1e-4):
             total = total + (-1) ** i * d
         return total
 
-    return FormField(form.dim, form.degree + 1, ev, algebra=form.algebra)
+    return FormField(form.dim, form.degree + 1, ev)
 
 
 def hemisphere(chain, lower):
@@ -240,7 +240,7 @@ def test_chart_fields_are_called_once_per_context_on_the_whole_stack():
     assert calls_of(heterotic_residual, P, point, tangents) == once_on(2 * 4 + 1)
     assert calls_of(lambda ch, *a: heterotic_residual(replace(ch, split=None), *a), P, point, tangents) == once_on(2 * 4 + 1)
     # d Omega and the brackets at the point
-    assert calls_of(covariant_derivative_residual, point, tangents[:3]) == once_on(2 * 3 + 1)
+    assert calls_of(bianchi_residuals, point, tangents[:3]) == once_on(2 * 3 + 1)
     # d w + [w, w] and the analytic Omega at the point
     assert calls_of(connection_curvature_fd_residual, point, *tangents[:2]) == once_on(2 * 2 + 1)
 
@@ -424,8 +424,8 @@ def test_identity_reference_is_not_conjugated(name):
 
 def connection_forms(chart):
     """w and Omega as a 1-form and a 2-form, each value from a context of its own."""
-    w = FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).omegas(tg)[0], algebra=chart.algebra)
-    om = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curvs(tg)[0, 1], algebra=chart.algebra)
+    w = FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).omegas(tg)[0])
+    om = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curvs(tg)[0, 1])
     return w, om
 
 
@@ -433,26 +433,32 @@ def commutator(x, y):
     return x @ y - y @ x
 
 
-def loop_covariant_derivative_residual(chart, point, tangents, fd_step=1e-4):
-    """d Omega + [psi, Omega] - [Omega, phi] with d by one form call per
-    stencil point and each value at the point from one tangent or pair."""
+def loop_bianchi_residuals(chart, point, tangents, fd_step=1e-4):
+    """d Omega + [psi, Omega] + [phi, Omega] and d Psi + [psi, Psi], with d
+    by one form call per stencil point and each value at the point from one
+    tangent or pair."""
     w_form, om_form = connection_forms(chart)
-    dom = loop_exterior_derivative(om_form, fd_step)(point, list(tangents))
+    psi_form = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).tables(tg)[2][0, 1])
     X, Y, Z = [np.asarray(v, float) for v in tangents]
     split = chart.split
 
-    def br_one_two(one_val):
+    def br_one_two(one_val, two_form):
         return (
-            commutator(one_val(X), om_form(point, [Y, Z]))
-            - commutator(one_val(Y), om_form(point, [X, Z]))
-            + commutator(one_val(Z), om_form(point, [X, Y]))
+            commutator(one_val(X), two_form(point, [Y, Z]))
+            - commutator(one_val(Y), two_form(point, [X, Z]))
+            + commutator(one_val(Z), two_form(point, [X, Y]))
         )
 
     def part(project):
         return lambda v: project(w_form(point, [v]))
 
-    resid = dom + br_one_two(part(split.project_h)) + br_one_two(part(split.project_p))
-    return float(np.max(np.abs(resid)))
+    def d(form):
+        return loop_exterior_derivative(form, fd_step)(point, [X, Y, Z])
+
+    psi = part(split.project_h)
+    resid_om = d(om_form) + br_one_two(psi, om_form) + br_one_two(part(split.project_p), om_form)
+    resid_psi = d(psi_form) + br_one_two(psi, psi_form)
+    return float(np.max(np.abs(resid_om))), float(np.max(np.abs(resid_psi)))
 
 
 def loop_connection_curvature_fd_residual(chart, point, X, Y, fd_step=1e-4):
@@ -469,7 +475,8 @@ def test_stacked_covariant_derivative_residual(name):
     chart = chart.at(random_group_element(chart.algebra, rng, 0.7))
     point = chart.point(rng.uniform(-1, 1, chart.base_dim), rng.uniform(-0.3, 0.3, chart.algebra.dim))
     tangents = [rng.standard_normal(chart.dim) for _ in range(3)]
-    stacked = covariant_derivative_residual(chart, point, tangents)
-    assert abs(stacked - loop_covariant_derivative_residual(chart, point, tangents)) <= REL
+    stacked = bianchi_residuals(chart, point, tangents)[:2]
+    looped = loop_bianchi_residuals(chart, point, tangents)
+    assert all(abs(a - b) <= REL for a, b in zip(stacked, looped))
     stacked = connection_curvature_fd_residual(chart, point, *tangents[:2])
     assert abs(stacked - loop_connection_curvature_fd_residual(chart, point, *tangents[:2])) <= REL

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from csforms import checks
 from csforms.bundles import (
+    bianchi_residuals,
     char_form,
     connection_curvature_fd_residual,
-    covariant_derivative_residual,
     heterotic_residual,
     heterotic_sides,
     phi_p_form,
@@ -120,7 +121,7 @@ def test_decompose_trivial_subgroup():
     pt = chart.point(np.array([0.2, 0.1]), np.array([0.4]))
     v = rng.standard_normal(3)
     ctx = chart.ctx(pt)
-    w, phi = ctx.omegas([v])[0], ctx.phis([v])[0]
+    w, phi = ctx.omegas([v])[0], ctx.tables([v])[0][0]
     assert np.max(np.abs(chart.split.project_h(w))) == 0.0
     assert np.allclose(phi, w)
 
@@ -131,7 +132,7 @@ def test_decompose_h_equals_g():
     assert len(b.chart.split.p_basis) == 0
     pt = b.chart.point(np.zeros(2), rng.uniform(-0.2, 0.2, 4))
     v = rng.standard_normal(6)
-    phi = b.chart.ctx(pt).phis([v])[0]
+    phi = b.chart.ctx(pt).tables([v])[0][0]
     assert np.max(np.abs(phi)) < 1e-12
 
 
@@ -143,7 +144,7 @@ def test_decompose_lands_in_subspaces():
     pt = ch.point(rng.uniform(-1, 1, 4))
     vs = [rng.standard_normal(10) for _ in range(5)]
     ctx = ch.ctx(pt)
-    w, phi = ctx.omegas(vs), ctx.phis(vs)
+    w, phi = ctx.omegas(vs), ctx.tables(vs)[0]
     psi = s.project_h(w)
     assert np.max(np.abs(s.project_h(phi))) < 1e-12
     assert np.max(np.abs(s.project_p(psi))) < 1e-12
@@ -158,7 +159,7 @@ def test_psi_curvature_fd_cross_check():
     ch = b.chart.at(g0)
     pt = ch.point(rng.uniform(-1, 1, 4))
     X, Y = rng.standard_normal(10), rng.standard_normal(10)
-    psi_form = FormField(ch.dim, 1, lambda p, tg: ch.split.project_h(ch.ctx(p).omegas(tg)[0]), algebra=ch.algebra)
+    psi_form = FormField(ch.dim, 1, lambda p, tg: ch.split.project_h(ch.ctx(p).omegas(tg)[0]))
     dpsi = exterior_derivative(psi_form, 1e-4)(pt, [X, Y])
     ctx = ch.ctx(pt)
     psi = ch.split.project_h(ctx.omegas([X, Y]))
@@ -188,21 +189,66 @@ def test_psi_trivial_cases():
 
 
 def test_covariant_derivative_identity():
-    # the Bianchi identity split by w = phi + psi holds on every tangent
+    # the Bianchi identities of w and of psi hold on every tangent
     for name in _CATALOG:
         b = get_bundle(name)
         for _ in range(3):
             ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
             pt = ch.point(rng.uniform(-0.8, 0.8, b.chart.base_dim))
             tg = [rng.standard_normal(ch.dim) for _ in range(3)]
-            assert covariant_derivative_residual(ch, pt, tg) < 1e-5, name
+            omega_part, psi_part, _ = bianchi_residuals(ch, pt, tg)
+            assert omega_part < 1e-5 and psi_part < 1e-5, name
 
 
 def test_covariant_derivative_flat():
     b = flat_bundle("so4", 3, "so3")
     pt = b.chart.point(rng.uniform(-1, 1, 3))
     tg = [rng.standard_normal(9) for _ in range(3)]
-    assert covariant_derivative_residual(b.chart, pt, tg) < 1e-10
+    assert bianchi_residuals(b.chart, pt, tg)[0] < 1e-10
+
+
+def test_bianchi_residuals_without_a_split_read_psi_zero():
+    b = get_bundle("hopf_u1")
+    assert b.chart.split is None
+    pt = b.chart.point(np.array([0.3, -0.5]), np.array([0.2]))
+    tg = np.random.default_rng(0).standard_normal((3, 3))
+    omega_part, psi_part, scale = bianchi_residuals(b.chart, pt, tg)
+    assert omega_part < 1e-5 and psi_part == 0.0 and scale == 0.0
+
+
+def _with_curvature(name, field):
+    """The catalog bundle name with its curvature field F replaced by field(F(x))."""
+    b = get_bundle(name)
+    return replace(b, chart=replace(b.chart, curvature_field=lambda x: field(b.chart.curvature_field(x))))
+
+
+def _omega_bianchi(bundle):
+    return checks._sweep(bundle, np.random.default_rng(0), 3, 3, lambda ch, pt, tg: bianchi_residuals(ch, pt, tg)[0])
+
+
+def test_bianchi_omega_part_catches_a_non_central_curvature_term():
+    # 0.1 E_0 on the (x_0, x_1) pair of frame_s4: d Omega + [w, Omega] reads about 0.11
+    e0 = so(4).basis()[0]
+
+    def bumped(F):
+        F = np.array(F)
+        F[..., 0, 1, :, :] += 0.1 * e0
+        F[..., 1, 0, :, :] -= 0.1 * e0
+        return F
+
+    assert _omega_bianchi(get_bundle("frame_s4")) < 1e-6
+    assert _omega_bianchi(_with_curvature("frame_s4", bumped)) > 0.05
+
+
+def test_a_scaled_curvature_passes_bianchi_and_fails_the_connection_check():
+    # D_w Omega = 0 is linear in Omega, so 1.1 F passes it; F = dA + [A, A]
+    # on base tangents sees the factor
+    scaled = _with_curvature("frame_s4", lambda F: 1.1 * F)
+    assert _omega_bianchi(scaled) < 1e-6
+    axes = np.eye(scaled.chart.dim)
+    x = scaled.chart.point(np.full(4, 0.3))
+    worst = max(connection_curvature_fd_residual(scaled.chart, x, axes[i], axes[j]) for i in range(4) for j in range(i + 1, 4))
+    assert worst > 0.01
 
 
 def test_char_form_omega_never_evaluates_the_potential():

@@ -8,13 +8,13 @@ import pytest
 from csforms.calculus import (
     FormField,
     ParametrizedChain,
-    bracket_wedge,
     exterior_derivative,
     gauss_product,
     integrate,
     wedge,
 )
-from csforms.liealg import random_element, so, u
+from csforms.invariants import bracket_tables
+from csforms.liealg import random_element, so
 
 rng = np.random.default_rng(17)
 
@@ -54,46 +54,41 @@ def test_wedge_graded_commutativity():
     assert wedge(a, b)(pt, tg) == pytest.approx(wedge(b, a)(pt, tg))  # (-1)^{1*2} = +1
 
 
-def lie_one_form(alg, mats):
-    def ev(pt, tangents):
-        v = tangents[0]
-        return sum(v[i] * mats[i] for i in range(len(mats)))
-
-    return FormField(len(mats), 1, ev, algebra=alg)
+def one_form_table(mats, tangents):
+    """The table (n, N, N) of the constant Lie-valued 1-form v -> sum_i v_i
+    mats[i] on n tangents."""
+    return np.einsum("ti,ijk->tjk", np.asarray(tangents), np.asarray(mats))
 
 
+# the graded bracket of Lie-valued forms is invariants.bracket_tables, on tables
 def test_bracket_wedge_oracle_and_symmetry():
     alg = so(4)
     mats = [random_element(alg, rng) for _ in range(4)]
-    w = lie_one_form(alg, mats)
-    pt = np.zeros(4)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
-    ww = bracket_wedge(w, w)
-    wx, wy = w(pt, [x]), w(pt, [y])
-    assert np.allclose(ww(pt, [x, y]), 2 * (wx @ wy - wy @ wx))
+    w = one_form_table(mats, [x, y])
+    wx, wy = w
+    assert np.allclose(bracket_tables(w, 1, w, 1)[0, 1], 2 * (wx @ wy - wy @ wx))
     # graded antisymmetry for p = q = 1
     m2 = [random_element(alg, rng) for _ in range(4)]
-    v = lie_one_form(alg, m2)
-    assert np.allclose(bracket_wedge(w, v)(pt, [x, y]), bracket_wedge(v, w)(pt, [x, y]))
+    v = one_form_table(m2, [x, y])
+    assert np.allclose(bracket_tables(w, 1, v, 1), bracket_tables(v, 1, w, 1))
 
 
 def test_bracket_wedge_abelian_vanishes():
-    alg = u(1)
-    mats = [np.array([[0.3j]]), np.array([[-0.8j]])]
-    w = lie_one_form(alg, mats)
-    v = lie_one_form(alg, [np.array([[1.1j]]), np.array([[0.2j]])])
-    pt, tg = np.zeros(2), [rng.standard_normal(2), rng.standard_normal(2)]
-    assert np.allclose(bracket_wedge(w, v)(pt, tg), 0.0)
+    tg = [rng.standard_normal(2), rng.standard_normal(2)]
+    w = one_form_table([np.array([[0.3j]]), np.array([[-0.8j]])], tg)
+    v = one_form_table([np.array([[1.1j]]), np.array([[0.2j]])], tg)
+    assert np.allclose(bracket_tables(w, 1, v, 1), 0.0)
 
 
 def test_bracket_wedge_even_degree_square_vanishes():
     alg = so(4)
     mats = [random_element(alg, rng) for _ in range(4)]
-    a = bracket_wedge(lie_one_form(alg, mats), lie_one_form(alg, [random_element(alg, rng) for _ in range(4)]))
-    # [a, a] = 0 for even-degree a
-    pt = np.zeros(4)
+    m2 = [random_element(alg, rng) for _ in range(4)]
     tg = [rng.standard_normal(4) for _ in range(4)]
-    assert np.max(np.abs(bracket_wedge(a, a)(pt, tg))) < 1e-12
+    a = bracket_tables(one_form_table(mats, tg), 1, one_form_table(m2, tg), 1)
+    # [a, a] = 0 for even-degree a
+    assert np.max(np.abs(bracket_tables(a, 2, a, 2))) < 1e-12
 
 
 def test_exterior_derivative_exact_case():

@@ -47,6 +47,16 @@ def test_sweep_draw_order():
         assert all(np.array_equal(t, rng.standard_normal(b.chart.dim)) for t in tg)
 
 
+def test_chern_number_takes_the_default_order_of_a_2d_chain():
+    # no order given: the order _chain_orders gives the S^2 chain
+    (r,) = checks.chern_number_checks()
+    (same,) = checks.chern_number_checks(quad_order=checks._DEFAULT_ORDER[2])
+    assert r == same and r.passed
+    for bad in (0, 100000):
+        with pytest.raises(ValueError):
+            checks.chern_number_checks(quad_order=bad)
+
+
 def test_with_tolerance_rejudges_a_record():
     (r,) = checks.chern_number_checks(quad_order=6)
     loose, tight = r.with_tolerance(1.0), r.with_tolerance(0.0)
@@ -93,7 +103,14 @@ def _psi_bianchi_records():
 
 def test_psi_bianchi_records_pass_with_their_scale():
     records = _psi_bianchi_records()
-    assert sorted(records) == ["psi_bianchi_frame_s4", "psi_bianchi_frame_s4:b1", "psi_bianchi_frame_s4:b2"]
+    assert sorted(records) == [
+        "psi_bianchi_frame_s4",
+        "psi_bianchi_frame_s4:b1",
+        "psi_bianchi_frame_s4:b2",
+        "psi_bianchi_frame_s6",
+        "psi_bianchi_twisted_u2:su2",
+        "psi_bianchi_twisted_u2:u1",
+    ]
     for r in records.values():
         assert r.passed and r.tolerance == 1e-5 and r.extra["scale"] > 0.1
 

@@ -1,9 +1,11 @@
-"""Every name a module exports in __all__ is defined and is used by the
-package, outside its re-exports in __init__, or by the benchmark."""
+"""Every name a module exports in __all__, and every public method of a
+class the package defines, is defined and is used by the package, outside
+its re-exports in __init__, or by the benchmark."""
 
 import ast
 import importlib
 import pkgutil
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -36,10 +38,30 @@ def referenced_names(paths):
     return names
 
 
+@cache
+def used_outside_init():
+    package = [p for p in sorted((ROOT / "src" / "csforms").glob("*.py")) if p.name != "__init__.py"]
+    return referenced_names(package + sorted((ROOT / "perfbench").glob("*.py")))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_is_read_outside_init(name):
     # a name only the tests call is a second path next to the one the checks use
-    package = [p for p in sorted((ROOT / "src" / "csforms").glob("*.py")) if p.name != "__init__.py"]
-    used = referenced_names(package + sorted((ROOT / "perfbench").glob("*.py")))
     module = importlib.import_module(f"csforms.{name}")
-    assert sorted(set(getattr(module, "__all__", ())) - used) == []
+    assert sorted(set(getattr(module, "__all__", ())) - used_outside_init()) == []
+
+
+def public_methods(path):
+    """Class.method for every method, property included, of the classes
+    defined in path whose name does not start with an underscore."""
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_method_is_read_outside_init(name):
+    methods = public_methods(ROOT / "src" / "csforms" / f"{name}.py")
+    assert [m for m in methods if m.rsplit(".", 1)[1] not in used_outside_init()] == []

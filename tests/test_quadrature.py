@@ -183,7 +183,7 @@ def recording(form, sizes):
         sizes.append(len(pt))
         return form(pt, tangents)
 
-    return FormField(form.dim, form.degree, ev, algebra=form.algebra)
+    return FormField(form.dim, form.degree, ev)
 
 
 def test_integrate_form_never_sees_more_than_a_chunk():
