@@ -15,7 +15,10 @@ csforms._expm sums for all of them, as it does exp(X), by scaled Taylor
 series whose scaling is chosen once per context.  Keeping g0
 movable lets every caller work at t = 0, where the fiber coordinates are the
 algebra coordinates themselves and no exponential or matrix logarithm is
-needed.
+needed.  On an abelian algebra (MatrixLieAlgebra.is_abelian: so(2), u(1))
+Ad_g is the identity for g in the connected group and g^-1 dg = dt, so a
+context there takes w = A(v_x) + v_t and Omega = F at every t and g0, with
+no exponential.
 
 Every callable here broadcasts over leading batch axes, as the forms of
 csforms.calculus do: a potential maps base points (..., n) to (..., n, m, m),
@@ -120,7 +123,10 @@ class BundleChart:
     """Trivialized patch of a principal bundle with analytic potential.
 
     g0 is the reference group element (m, m), or a stack (..., m, m) of
-    them that broadcasts against the points a context is made at.
+    them that broadcasts against the points a context is made at.  It must
+    lie in the connected group: on an abelian algebra a context skips
+    Ad_{g^-1}, which is the identity only there (a reflection in O(2) acts
+    on so(2) by -1).
     """
 
     base_dim: int
@@ -182,17 +188,18 @@ class _ChartContext:
     element, potential, curvature, the last two evaluated on first use.
 
     A point of length base_dim is a base point with t = 0 implied.  Off
-    t = 0 one expm_scaling of the fiber coordinates X (the skew-Hermitian
-    check and the Taylor scaling of the whole stack) serves the group
-    elements, one expm, and the Maurer-Cartan values of all fiber tangents,
-    one expm_maurer_cartan.  The stacked methods
-    (omegas, curvs, tables) take a list of m tangents (..., d) and
+    t = 0 on a non-abelian algebra one expm_scaling of the fiber
+    coordinates X (the skew-Hermitian check and the Taylor scaling of the
+    whole stack) serves the group elements, one expm, and the Maurer-Cartan
+    values of all fiber tangents, one expm_maurer_cartan.  The stacked
+    methods (omegas, curvs, tables) take a list of m tangents (..., d) and
     compute each value once, the Omega pair table in two batched products
     (_pair_table).  The tangent indices come first: w is (m, ..., N, N)
     and a pair table (m, m, ..., N, N); one tangent's value is row 0 of a
-    one-tangent call.  Without a reference element (g0 None) and at t = 0
-    the group element is the identity, and Ad_{g^-1} is skipped (_conj), as
-    the exponential is.
+    one-tangent call.  Ad_{g^-1} is skipped (_conj), as the exponential
+    is, where it is the identity: without a reference element (g0 None) at
+    t = 0, and at every point on an abelian algebra, where the Maurer-Cartan
+    term is the fiber part itself.
 
     Tangents of length base_dim have an implied zero fiber part, and the
     Maurer-Cartan term is skipped for them.  When the base part of every
@@ -204,25 +211,23 @@ class _ChartContext:
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
         self.chart = chart
-        n = chart.base_dim
-        self.x = point[..., :n]
-        if point.shape[-1] == n:
-            # basic-form evaluation directly over the base: t = 0 implied
-            self.t_is_zero = True
-        elif point.shape[-1] == n + chart.algebra.dim:
-            self.t_is_zero = not np.any(point[..., n:])
-        else:
+        n, alg = chart.base_dim, chart.algebra
+        if point.shape[-1] not in (n, n + alg.dim):
             raise ValueError("point has wrong total-space dimension")
-        self._g_is_identity = self.t_is_zero and chart.g0 is None
+        # a point of length n is a basic-form evaluation directly over the base: t = 0 implied
+        self.x, t = point[..., :n], point[..., n:]
         g0 = chart.reference()
-        if self.t_is_zero:
+        self._g0_batch = g0.shape[:-2]
+        if alg.is_abelian or not t.any():
+            # Ad_{g^-1} is the identity on an abelian group (g0 connected, BundleChart) and at g = I
             self._m = None
-            self.g = g0
+            self._g = None if alg.is_abelian or chart.g0 is None else g0
         else:
-            self._m = chart.algebra.from_coords(point[..., n:])
+            self._m = alg.from_coords(t)
             self._scaling = expm_scaling(self._m)
-            self.g = g0 @ expm(self._m, self._scaling)
-        self.ginv = self.g.conj().swapaxes(-1, -2)
+            self._g = g0 @ expm(self._m, self._scaling)
+        if self._g is not None:
+            self._ginv = self._g.conj().swapaxes(-1, -2)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -241,8 +246,8 @@ class _ChartContext:
         broadcast against it as in einsum's "...", padded on the left."""
         v = np.asarray(vs, dtype=float)
         vb = v.shape[1:-1]
-        if vb != self.x.shape[:-1] or self.g.shape[:-2] not in ((), vb):
-            batch = np.broadcast_shapes(vb, self.x.shape[:-1], self.g.shape[:-2])
+        if vb != self.x.shape[:-1] or self._g0_batch not in ((), vb):
+            batch = np.broadcast_shapes(vb, self.x.shape[:-1], self._g0_batch)
             if vb != batch:
                 v = v.reshape(len(v), *(1,) * (len(batch) + 2 - v.ndim), *v.shape[1:])
                 v = np.broadcast_to(v, (len(v), *batch, v.shape[-1]))
@@ -255,9 +260,7 @@ class _ChartContext:
     def maurer_cartan(self, vts: np.ndarray) -> np.ndarray:
         """g^-1 dg on a stack (m, ..., dim g) of fiber coordinate tangents."""
         dms = self.chart.algebra.from_coords(vts)
-        if self.t_is_zero:
-            return dms
-        return expm_maurer_cartan(self._m, dms, self._scaling)
+        return dms if self._m is None else expm_maurer_cartan(self._m, dms, self._scaling)
 
     def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
         """w on each of m tangents, (m, ..., N, N)."""
@@ -282,8 +285,8 @@ class _ChartContext:
         return self._conj(_pair_table(vx, self.F))
 
     def _conj(self, x: np.ndarray) -> np.ndarray:
-        """Ad_{g^-1} x = g^-1 x g; x itself when g is the identity."""
-        return x if self._g_is_identity else self.ginv @ x @ self.g
+        """Ad_{g^-1} x = g^-1 x g; x itself where Ad_{g^-1} is the identity."""
+        return x if self._g is None else self._ginv @ x @ self._g
 
     def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(phi, [phi, phi], Psi, Omega) on m tangents for the chart's split

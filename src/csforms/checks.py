@@ -381,6 +381,13 @@ def heterotic_sweep(
         raise ValueError(
             f"{P.name} is a {2 * P.degree}-form; {bundle_name} has a {bundle.chart.dim}-dimensional total space"
         )
+    if poly is None and 2 * P.degree > bundle.chart.base_dim:
+        # P(Omega) is horizontal, so zero above the base dimension, and every such catalog
+        # default (a top Chern class) is zero on Psi too: the identity would compare zeros
+        raise ValueError(
+            f"P(Omega) - P(Psi) vanishes identically for {bundle_name}'s default {P.name}, a "
+            f"{2 * P.degree}-form over a {bundle.chart.base_dim}-dimensional base; choose --poly"
+        )
 
     def residual(ch, pt, tg):
         # the residual and the size of the right-hand side from one pass

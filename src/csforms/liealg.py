@@ -94,6 +94,13 @@ class MatrixLieAlgebra:
             raise ValueError(f"unknown algebra family {self.name!r}")
         return tuple(out)
 
+    @cached_property
+    def is_abelian(self) -> bool:
+        """Whether every bracket [B_i, B_j] of the basis is exactly zero:
+        so(0..2), u(0..1) and su(0..1)."""
+        basis = self.basis()
+        return not any(np.any(x @ y - y @ x) for i, x in enumerate(basis) for y in basis[i + 1 :])
+
     @lru_cache(maxsize=None)
     def _frame(self) -> "_StackedBasis":
         return _StackedBasis(self.basis(), self.n, self.dtype)

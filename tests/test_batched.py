@@ -290,7 +290,8 @@ def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
     chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
     n, dim_g, N = chart.base_dim, chart.algebra.dim, chart.algebra.n
     t = rng.uniform(-0.6, 0.6, (5, dim_g)) if case == "off_t0" else None
-    ctx = chart.ctx(chart.point(rng.uniform(-1.2, 1.2, (5, n)), t))
+    point = chart.point(rng.uniform(-1.2, 1.2, (5, n)), t)
+    ctx = chart.ctx(point)
     # one set of (d,) tangents against the stack of points and reference elements
     vts = rng.standard_normal((4, dim_g))
     tangents = [np.concatenate([np.zeros(n), vt]) for vt in vts]
@@ -300,7 +301,7 @@ def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
     full_w = ctx._conj(np.einsum("ma,...aij->m...ij", np.zeros((4, n)), ctx.A))
     full_w = full_w + ctx.maurer_cartan(np.broadcast_to(vts[:, None], (4, 5, dim_g)))
     assert np.array_equal(w, full_w)
-    assert np.array_equal(om, einsum_curvs(ctx, tangents))
+    assert np.array_equal(om, einsum_curvs(chart, point, tangents))
 
 
 @pytest.mark.parametrize("g0", [False, True])
@@ -375,11 +376,14 @@ def test_householder_lift_is_a_special_orthogonal_frame_over_the_fiber_point(n):
 
 # --- the Omega pair table and the stacked residuals --------------------------
 
-def einsum_curvs(ctx, vs):
-    """Omega on each pair of tangents: the three-operand einsum, then Ad_{g^-1}."""
-    vx = np.asarray(vs, dtype=float)[..., : ctx.chart.base_dim]
-    fval = np.einsum("i...a,j...b,...abxy->ij...xy", vx, vx, ctx.F)
-    return ctx.ginv @ fval @ ctx.g
+def einsum_curvs(chart, point, vs):
+    """Omega on each pair of tangents at chart points (..., d): the
+    three-operand einsum of F, then Ad_{g^-1} by g = g0 exp(t)."""
+    n = chart.base_dim
+    g = chart.reference() @ expm(chart.algebra.from_coords(point[..., n:]))
+    vx = np.asarray(vs, dtype=float)[..., :n]
+    fval = np.einsum("i...a,j...b,...abxy->ij...xy", vx, vx, chart.curvature_field(point[..., :n]))
+    return g.conj().swapaxes(-1, -2) @ fval @ g
 
 
 def rel_err(a, b):
@@ -399,13 +403,14 @@ def test_pair_table_matches_three_operand_einsum(name, case):
     t = rng.uniform(-0.6, 0.6, batch + (chart.algebra.dim,)) if case.startswith("off_t0") else None
     if case == "stacked_g0":
         chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
-    ctx = chart.ctx(chart.point(x, t))
+    point = chart.point(x, t)
+    ctx = chart.ctx(point)
     # shared tangents: one set of (d,) tangents broadcast against the stack of points
     tangent_batch = () if case == "shared_tangents" else batch
     tangents = [rng.standard_normal(tangent_batch + (chart.dim,)) for _ in range(4)]
     om = ctx.curvs(tangents)
     assert om.shape == (4, 4) + batch + (chart.algebra.n,) * 2
-    assert rel_err(om, einsum_curvs(ctx, tangents)) <= 1e-13
+    assert rel_err(om, einsum_curvs(chart, point, tangents)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", CURVATURE_BUNDLES)

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from csforms import checks
 from csforms.bundles import (
+    _pair_table,
     bianchi_residuals,
     char_form,
     connection_curvature_fd_residual,
@@ -433,3 +434,50 @@ def test_chart_context_scales_once_off_t0(monkeypatch):
     assert scalings == [(4, 4)] and eighs == []
     b.chart.ctx(b.chart.point(rng.uniform(-0.5, 0.5, 4))).tables(tangents)
     assert scalings == [(4, 4)] and eighs == []
+
+
+def _counted_kernels(monkeypatch):
+    """The names of the exponential kernels the chart contexts call, in order."""
+    import csforms.bundles as bundles
+
+    calls = []
+
+    def counted(name, real):
+        def kernel(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return kernel
+
+    for name in ("expm_scaling", "expm", "expm_maurer_cartan"):
+        monkeypatch.setattr(bundles, name, counted(name, getattr(bundles, name)))
+    return calls
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+@pytest.mark.parametrize("name", ["ut_s2", "hopf_u1"])
+def test_abelian_contexts_off_t0_skip_the_group(monkeypatch, name, batch):
+    # Ad_g is the identity on SO(2) and U(1) and g^-1 dg = dt: off t = 0 a
+    # context calls no exponential kernel, and its values are the Ad-free ones
+    b = get_bundle(name)
+    ch, alg, n = b.chart, b.chart.algebra, b.chart.base_dim
+    local = np.random.default_rng(len(batch))
+    g0 = np.array([random_group_element(alg, local, 0.7) for _ in range(5)])
+    ch = ch.at(g0 if batch else g0[0])
+    x = local.uniform(-1.2, 1.2, batch + (n,))
+    pt = ch.point(x, local.uniform(-0.6, 0.6, batch + (alg.dim,)))
+    tg = [local.standard_normal(batch + (ch.dim,)) for _ in range(3)]
+    calls = _counted_kernels(monkeypatch)
+    ctx = ch.ctx(pt)
+    w, om = ctx.omegas(tg), ctx.curvs(tg)
+    v = np.asarray(tg)
+    vx, vt = v[..., :n], v[..., n:]
+    assert np.array_equal(w, np.einsum("m...a,...aij->m...ij", vx, ch.potential(x)) + alg.from_coords(vt))
+    assert np.array_equal(om, _pair_table(vx, ch.curvature_field(x)))
+    # every context on the d stencil is off t = 0 too
+    P = b.polynomial()
+    if not batch:
+        assert heterotic_residual(ch, P, pt, tg[: 2 * P.degree]) < 1e-6
+        assert max(bianchi_residuals(ch, pt, tg)) < 1e-5
+    assert calls == []
+

@@ -89,6 +89,19 @@ def test_heterotic_check_cli(capsys):
     assert "heterotic" in out
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_heterotic_default_with_a_vanishing_right_side_is_usage_error(capsys, seed):
+    # twisted_u2:u1's default c_2 is a 4-form over a 2-dimensional base, and its
+    # split kills it on Psi: P(Omega) - P(Psi) = 0, so no seed can pass the record
+    code = main(["heterotic-check", "--bundle", "twisted_u2:u1", "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "P(Omega) - P(Psi) vanishes identically" in err and "--poly" in err and "Traceback" not in err
+    code, out = run(capsys, "heterotic-check", "--bundle", "twisted_u2:u1", "--poly", "c1", "--points", "5", "--seed", seed, "--json")
+    (rec,) = json.loads(out)["records"]
+    assert code == 0 and rec["extra"]["scale"] >= checks.NONVACUITY_FLOOR
+
+
 def test_unknown_bundle_is_usage_error(capsys):
     code = main(["heterotic-check", "--bundle", "no_such_bundle", "--points", "2"])
     assert code == 2

@@ -62,6 +62,20 @@ def test_basis_dimensions():
     assert algebra_from_tag("su2").dim == 3
 
 
+@pytest.mark.parametrize(
+    "tag, abelian",
+    [("so0", True), ("so1", True), ("so2", True), ("so3", False), ("so4", False)]
+    + [("u0", True), ("u1", True), ("u2", False)]
+    + [("su1", True), ("su2", False), ("su3", False)],
+)
+def test_is_abelian_reads_the_brackets_of_the_basis(tag, abelian):
+    alg = algebra_from_tag(tag)
+    assert alg.is_abelian is abelian
+    basis = alg.basis()
+    largest = max((np.max(np.abs(x @ y - y @ x)) for x in basis for y in basis), default=0.0)
+    assert bool(largest == 0.0) is abelian
+
+
 def test_algebra_membership():
     assert contains(so(3), skew_pair(3, 0, 2))
     assert contains(u(2), 1j * np.eye(2))

@@ -246,6 +246,21 @@ def test_householder_frame_is_the_old_circle_frame_at_n_2():
     assert np.max(np.abs(_householder_frame(v) - old)) <= 1e-13
 
 
+def test_every_so2_element_fed_to_a_chart_is_a_rotation():
+    # a context on so(2) skips Ad_{g^-1}, which is the identity on SO(2) only:
+    # a reflection acts on so(2) by -1 (BundleChart)
+    b = get_bundle("ut_s2")
+    local = np.random.default_rng(2)
+    x = local.uniform(-3.0, 3.0, (500, 2))
+    s = local.uniform(0.0, 2 * pi, (500, 1))
+    elements = [section.value(x) for section in b.sections.values()]
+    elements += [b.fiber.lift(s), b.fiber.lift_alt(s)]
+    elements.append(np.array([random_group_element(b.chart.algebra, local, 0.7) for _ in range(100)]))
+    for g in elements:
+        assert g.shape[-2:] == (2, 2)
+        assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-14
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
 def test_frame_sphere_needs_an_even_dimension(n):
     with pytest.raises(ValueError, match="even n >= 2"):
