@@ -1,9 +1,10 @@
-"""Exponential of skew-Hermitian matrices and its Maurer-Cartan derivative.
+"""Exponential of real skew-symmetric matrices and its Maurer-Cartan derivative.
 
-Every matrix csforms exponentiates lies in so(n), u(n) or su(n), so it is
-skew-Hermitian, and both functions here are scaled Taylor series (Higham,
-Functions of Matrices, SIAM 2008, ch. 10; Al-Mohy and Higham, SIAM J. Matrix
-Anal. Appl. 30, 2009):
+Every matrix csforms exponentiates lies in so(n) or in a realified u(n) or
+su(n) (csforms.liealg), so it is real and skew-symmetric, and both functions
+here are scaled Taylor series in real arithmetic (Higham, Functions of
+Matrices, SIAM 2008, ch. 10; Al-Mohy and Higham, SIAM J. Matrix Anal. Appl.
+30, 2009):
 
     exp(X)               = exp(Z)^(2^s),                  Z = X / 2^s
     exp(-Z) dexp_Z[W]    = phi(ad_Z) W,   phi(a) = (1 - e^-a)/a
@@ -15,7 +16,7 @@ MC(X; W) = exp(-X) dexp_X[W] by s doublings
 
     MC(2Z; 2W) = MC(Z; W) + Ad_{exp(-Z)} MC(Z; W),
 
-where exp(-Z) = exp(Z)^H, since exp(Z) is unitary.
+where exp(-Z) = exp(Z)^T, since exp(Z) is orthogonal.
 
 expm_scaling chooses (s, q) once for a whole stack, from its largest
 Frobenius norm |X|: s is the least s >= 0 with |X / 2^s| < theta = 1, and
@@ -23,9 +24,6 @@ q the least degree with nu^(q+1)/(q+1)! <= 2^-53 for nu = |X / 2^s|, the
 leading term of the truncation error.  The finite-difference stencils of
 the package exponentiate |X| near 1e-4, where s = 0 and q is 3 or 4.  A
 zero member of a stack gives exactly I and exactly its direction W.
-
-Real input (so(n)) is computed in real arithmetic throughout, and complex
-input (u(n), su(n)) in complex arithmetic.
 
 Both functions take a single matrix (n, n) or a stack (..., n, n), and the
 scaling a caller already has, so exp and dexp at one X share one check.
@@ -49,30 +47,35 @@ _THETA = 1.0
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _frobenius2(x: np.ndarray) -> np.ndarray:
-    """|x|^2 of each matrix of a stack (..., n, n)."""
-    return np.einsum("...ij,...ij->...", x.conj(), x).real
+def _check_skew(xs: np.ndarray, tol: float = _SKEW_TOL) -> None:
+    """Raise unless every matrix of the stack xs (..., n, n) is finite and
+    skew within tol, relative to its own largest entry when that is above 1.
+
+    Each comparison is written so that NaN fails it; an infinite entry makes
+    its asymmetry inf or NaN and its scale inf, whose ratio is NaN (and
+    numpy warns of the NaN that inf - inf makes).  The entries are compared
+    in modulus, so a skew-Hermitian x = A + iB, for which x + x^T = 2iB,
+    fails unless B = 0.
+    """
+    asym = np.abs(xs + xs.swapaxes(-1, -2))
+    if asym.max(initial=0.0) <= tol:
+        return  # within tol of every matrix's bound
+    scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), initial=0.0))
+    with np.errstate(invalid="ignore"):
+        ratio = asym.max(axis=(-2, -1)) / scale
+    if not np.all(ratio <= tol):
+        raise ValueError("matrix is not skew-symmetric within tolerance")
 
 
 def expm_scaling(x: np.ndarray) -> tuple[int, int]:
-    """(s, q) for a skew-Hermitian matrix or stack x (..., n, n), as in the
-    module docstring; ValueError unless every matrix of x is skew-Hermitian
-    and finite.
-
-    The test compares Frobenius norms per matrix, |x + x^H|^2 <= tol^2 (1 +
-    |x|^2); a stack whose whole |x + x^H|^2 is at most tol^2 passes it at
-    once.  Each comparison is written so that NaN fails it, and an infinite
-    entry makes the ratio inf/inf or NaN.
+    """(s, q) for a real skew-symmetric matrix or stack x (..., n, n), as in
+    the module docstring; ValueError unless every matrix of x is
+    skew-symmetric and finite (_check_skew, which csforms.invariants applies
+    to the arguments of the Euler and Chern forms as well).
     """
     x = np.asarray(x)
-    herm = x + x.conj().swapaxes(-1, -2)
-    norm2 = _frobenius2(x)
-    if not np.vdot(herm, herm).real <= _SKEW_TOL**2:
-        with np.errstate(invalid="ignore"):
-            ratio = _frobenius2(herm) / (1.0 + norm2)
-        if not np.all(ratio <= _SKEW_TOL**2):
-            raise ValueError("matrix is not skew-Hermitian")
-    nu = math.sqrt(norm2.max(initial=0.0))
+    _check_skew(x)
+    nu = math.sqrt(np.einsum("...ij,...ij->...", x, x).max(initial=0.0))
     s = max(0, math.frexp(nu / _THETA)[1])
     nu = math.ldexp(nu, -s)
     q, term = 0, nu  # term = nu^(q+1)/(q+1)!
@@ -89,7 +92,7 @@ def _halve(x: np.ndarray, s: int) -> np.ndarray:
 
 def _taylor_exp(z: np.ndarray, q: int) -> np.ndarray:
     """sum_{j <= q} z^j / j! by Horner's rule, for a stack z (..., n, n)."""
-    eye = np.eye(z.shape[-1], dtype=np.result_type(z, float))
+    eye = np.eye(z.shape[-1])
     if q == 0:
         return np.broadcast_to(eye, z.shape).copy()
     e = z / q
@@ -102,8 +105,8 @@ def _taylor_exp(z: np.ndarray, q: int) -> np.ndarray:
 
 
 def expm(x: np.ndarray, scaling: tuple[int, int] | None = None) -> np.ndarray:
-    """exp(x) for a skew-Hermitian matrix or stack x (scaling: its
-    expm_scaling); real output for real input."""
+    """exp(x) for a real skew-symmetric matrix or stack x (scaling: its
+    expm_scaling)."""
     s, q = expm_scaling(x) if scaling is None else scaling
     e = _taylor_exp(_halve(np.asarray(x), s), q)
     for _ in range(s):
@@ -115,7 +118,7 @@ def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, scaling: tuple[int, int] 
     """exp(-x) dexp_x[dx] for a stack dxs (m, ..., n, n) of directions at
     x (..., n, n) (scaling: its expm_scaling).
 
-    This is g^-1 dg along g = exp(x + s dx) at s = 0; real for real input.
+    This is g^-1 dg along g = exp(x + s dx) at s = 0.
     """
     s, q = expm_scaling(x) if scaling is None else scaling
     z, w = _halve(np.asarray(x), s), _halve(np.asarray(dxs), s)
@@ -126,9 +129,9 @@ def expm_maurer_cartan(x: np.ndarray, dxs: np.ndarray, scaling: tuple[int, int] 
         mc = mc @ zj - zj @ mc
         mc += w
     if s:
-        # MC(2Z; 2W) = MC(Z; W) + exp(Z)^H MC(Z; W) exp(Z), s times
+        # MC(2Z; 2W) = MC(Z; W) + exp(Z)^T MC(Z; W) exp(Z), s times
         e = _taylor_exp(z, q)
         for _ in range(s):
-            mc = mc + e.conj().swapaxes(-1, -2) @ mc @ e
+            mc = mc + e.swapaxes(-1, -2) @ mc @ e
             e = e @ e
     return mc

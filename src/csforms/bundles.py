@@ -164,22 +164,15 @@ def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
     the table (m, m, ..., N, N).
 
     Two batched matrix products over the flattened point axes B: first b of
-    F with each v_j, then a with each v_i.  A complex F is read as real
-    pairs, which is exact because the tangents are real.
+    F with each v_j, then a with each v_i.
     """
     m, n, N = v.shape[0], v.shape[-1], F.shape[-1]
     batch = v.shape[1:-1]
     if F.shape[:-4] != batch:
         F = np.broadcast_to(F, (*batch, *F.shape[-4:]))
-    cplx = np.iscomplexobj(F)
-    if cplx:
-        F = np.ascontiguousarray(F).view(float)
-    K = F.shape[-2] * F.shape[-1]
     vb = v.reshape(m, -1, n).transpose(1, 0, 2)  # (B, m, n)
-    G = vb[:, None] @ F.reshape(-1, n, n, K)  # (B, a, j, K): b contracted with v_j
-    H = (vb @ G.reshape(-1, n, m * K)).reshape(-1, m, m, N, K // N)  # a with v_i
-    if cplx:
-        H = H.view(complex)
+    G = vb[:, None] @ F.reshape(-1, n, n, N * N)  # (B, a, j, N^2): b contracted with v_j
+    H = (vb @ G.reshape(-1, n, m * N * N)).reshape(-1, m, m, N, N)  # a with v_i
     return H.transpose(1, 2, 0, 3, 4).reshape(m, m, *batch, N, N)
 
 
@@ -189,7 +182,7 @@ class _ChartContext:
 
     A point of length base_dim is a base point with t = 0 implied.  Off
     t = 0 on a non-abelian algebra one expm_scaling of the fiber
-    coordinates X (the skew-Hermitian check and the Taylor scaling of the
+    coordinates X (the skew-symmetry check and the Taylor scaling of the
     whole stack) serves the group elements, one expm, and the Maurer-Cartan
     values of all fiber tangents, one expm_maurer_cartan.  The stacked
     methods (omegas, curvs, tables) take a list of m tangents (..., d) and
@@ -204,9 +197,10 @@ class _ChartContext:
     Tangents of length base_dim have an implied zero fiber part, and the
     Maurer-Cartan term is skipped for them.  When the base part of every
     tangent is exactly zero, omegas returns the Maurer-Cartan values alone
-    and curvs a zero table of the algebra's dtype: A(v_x) is linear in
-    v_x and Omega(v, w) = Ad_{g^-1} F(v_x, w_x), so both terms are exactly
-    zero there, and A and F are never evaluated.
+    and curvs a zero table: A(v_x) is linear in v_x and Omega(v, w) =
+    Ad_{g^-1} F(v_x, w_x), so both terms are exactly zero there, and A and F
+    are never evaluated.  Every group element is a real orthogonal matrix,
+    so g^-1 is its transpose.
     """
 
     def __init__(self, chart: BundleChart, point: np.ndarray):
@@ -226,8 +220,6 @@ class _ChartContext:
             self._m = alg.from_coords(t)
             self._scaling = expm_scaling(self._m)
             self._g = g0 @ expm(self._m, self._scaling)
-        if self._g is not None:
-            self._ginv = self._g.conj().swapaxes(-1, -2)
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -280,13 +272,13 @@ class _ChartContext:
     def _curvs(self, vx: np.ndarray | None, vt: np.ndarray | None) -> np.ndarray:
         if vx is None:
             # Omega is horizontal: exactly zero on vertical tangents, F is never evaluated
-            N = self.chart.algebra.n
-            return np.zeros((len(vt), *vt.shape[:-1], N, N), dtype=self.chart.algebra.dtype)
+            N = self.chart.algebra.matrix_size
+            return np.zeros((len(vt), *vt.shape[:-1], N, N))
         return self._conj(_pair_table(vx, self.F))
 
     def _conj(self, x: np.ndarray) -> np.ndarray:
-        """Ad_{g^-1} x = g^-1 x g; x itself where Ad_{g^-1} is the identity."""
-        return x if self._g is None else self._ginv @ x @ self._g
+        """Ad_{g^-1} x = g^T x g; x itself where Ad_{g^-1} is the identity."""
+        return x if self._g is None else self._g.swapaxes(-1, -2) @ x @ self._g
 
     def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(phi, [phi, phi], Psi, Omega) on m tangents for the chart's split
@@ -479,8 +471,7 @@ def _recentered(chart: BundleChart, gmap: Callable, x: np.ndarray, tangents: Seq
     """
     steps = _MAP_FD_STEP * np.asarray(np.broadcast_arrays(*tangents))
     g, plus, minus = _stencil_values(gmap, x, steps)
-    ginv = g.conj().swapaxes(-1, -2)
-    return chart.at(g), chart.algebra.coords(ginv @ ((plus - minus) / (2 * _MAP_FD_STEP)))
+    return chart.at(g), chart.algebra.coords(g.swapaxes(-1, -2) @ ((plus - minus) / (2 * _MAP_FD_STEP)))
 
 
 def fiber_integral(

@@ -11,7 +11,8 @@ the tuning flags it reads (seed, points, finite-difference step, quadrature
 order, tolerance); any other flag is a usage error.
 
 Exit codes: 0 all checks passed, 1 at least one failed or a numerical failure
-(ArithmeticError), 2 usage error or an --out path that cannot be written, 3 a
+(ArithmeticError), 2 usage error, a heterotic-check whose right-hand side
+vanishes at every point, or an --out path that cannot be written, 3 a
 numerically ambiguous integer computation (degree rounding).
 """
 
@@ -177,10 +178,12 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
     elif cmd == "algebra":
         alg = algebra_from_tag(args.dump)
         cfg["algebra"] = alg.tag
+        n = alg.n
         cfg["payload"] = {
             "dim": alg.dim,
+            # a realified u(n) element [[A, -B], [B, A]] is printed as the complex A + iB
             "basis": [
-                {"re": b.real.tolist(), "im": b.imag.tolist()} if alg.is_complex else {"re": b.tolist()}
+                {"re": b.tolist()} if alg.name == "so" else {"re": b[:n, :n].tolist(), "im": b[n:, :n].tolist()}
                 for b in alg.basis()
             ],
         }
@@ -191,6 +194,12 @@ def _run_records(args: argparse.Namespace) -> tuple[list[checks.CheckRecord], di
         cfg["bundle"] = args.bundle
         cfg["poly"] = args.poly
         recs = checks.heterotic_sweep(args.bundle, poly=args.poly, points=args.points, seed=args.seed, fd_step=args.fd_step)
+        scale = recs[0].extra["scale"]
+        if scale < checks.NONVACUITY_FLOOR:  # the sweep compared zeros: a usage error, not a failed identity
+            raise ValueError(
+                f"the right-hand side P(Omega) - P(Psi) vanishes on {args.bundle} for {args.poly or 'its default polynomial'}: "
+                f"at most {scale:.3g} over {args.points} points, below {checks.NONVACUITY_FLOOR:g}; choose another --poly"
+            )
     elif cmd == "gauss-bonnet":
         recs = checks.gauss_bonnet_checks(quad_order=args.quad_order)
     elif cmd == "chern-number":

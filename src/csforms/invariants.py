@@ -29,9 +29,9 @@ identity on tables, is one such weighted call.  All shipped normalizations
 are fixed here once:
 
     euler        e(X)   = Pf(X) / (2 pi)^k           on so(2k)
-    chern_j      c_j(X) = [det(I - (i/2 pi) X)]_j    on u(n)
+    chern_j      c_j(X) = [det(I - (i/2 pi) X)]_j    on u(n), from J-traces
     pontryagin_1 P1(X)  = -tr(X^2) / (8 pi^2)        on so(n)
-    trace_power  t_k(X) = Re tr(X^k)
+    trace_power  t_k(X) = tr(X^k)
 
 Each multilinear form is evaluated directly, not by polarizing the
 homogeneous one: the Pfaffian summed over perfect matchings with the k
@@ -41,6 +41,13 @@ c_j, and symmetrized traces for P1 and t_k.  It broadcasts over leading
 batch axes: k arguments (..., n, n) give a value (...), so one call serves a
 whole stack of quadrature nodes; a single set of (n, n) matrices gives a
 scalar.
+
+Every argument is a real skew matrix; u(n) is realified (csforms.liealg),
+where t_k(X) is 2 Re tr_C(X^k).  chern_j is evaluated on the real symmetric
+H = -J X / (2 pi), the realified -iX / (2 pi): the mixed discriminant takes
+each cycle trace as tr_R(prod H) / 2 = Re tr_C(prod H), exactly, since a
+reversed cycle keeps the permutation's sign and conjugates its trace; the
+homogeneous value takes Newton's identities on tr_R(H^m) / 2.
 
 The chern sign is pinned by c_1(i theta) = theta/(2 pi) and by c_j on
 diagonal u(1)^n elements equalling elementary symmetric functions of
@@ -57,6 +64,8 @@ from math import factorial, pi
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._expm import _check_skew
 
 __all__ = [
     "InvariantPolynomial",
@@ -81,24 +90,6 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
     _check_skew(x[None], tol)
     rows, cols, signs = _matchings(x.shape[0])
     return float(signs @ np.prod(x[rows, cols], axis=1))
-
-
-def _check_skew(xs: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise unless every matrix of the stack xs (..., n, n) is finite and
-    skew within tol, relative to its own largest entry when that is above 1.
-
-    Each comparison is written so that NaN fails it; an infinite entry makes
-    its asymmetry inf or NaN and its scale inf, whose ratio is NaN (and
-    numpy warns of the NaN that inf - inf makes).
-    """
-    asym = np.abs(xs + xs.swapaxes(-1, -2))
-    if asym.max(initial=0.0) <= tol:
-        return  # within tol of every matrix's bound
-    scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), initial=0.0))
-    with np.errstate(invalid="ignore"):
-        ratio = asym.max(axis=(-2, -1)) / scale
-    if not np.all(ratio <= tol):
-        raise ValueError("matrix is not skew-symmetric within tolerance")
 
 
 @lru_cache(maxsize=None)
@@ -176,23 +167,24 @@ def _trace_of_product(args: Sequence[np.ndarray], order: Sequence[int]) -> np.nd
 
 
 def _mixed_discriminant(args: Sequence[np.ndarray]) -> np.ndarray:
-    """Polarized sum of principal j-minors, j = len(args)."""
+    """Polarized sum of principal j-minors, j = len(args), of the complex
+    matrices realified as args: a cycle trace is Re tr_C = tr_R / 2."""
     total = 0.0
     for sign, cycles in _cycle_table(len(args)):
         term = sign
         for c in cycles:
-            term = term * _trace_of_product(args, c)
+            term = term * (0.5 * _trace_of_product(args, c))
         total = total + term
     return total / factorial(len(args))
 
 
 def _symmetrized_trace(args: Sequence[np.ndarray]) -> np.ndarray:
-    """(1/k!) sum over orders of Re tr(X_s1 ... X_sk); rotations that keep
+    """(1/k!) sum over orders of tr(X_s1 ... X_sk); rotations that keep
     the trace are summed once, the first argument fixed in front."""
     k = len(args)
     total = 0.0
     for rest in permutations(range(1, k)):
-        total = total + np.real(_trace_of_product(args, (0,) + rest))
+        total = total + _trace_of_product(args, (0,) + rest)
     return total / factorial(k - 1)
 
 
@@ -212,13 +204,15 @@ class InvariantPolynomial:
         return self.value(x)
 
 
-def _principal_minor_sum(x: np.ndarray, j: int) -> complex:
-    n = x.shape[0]
-    total = 0.0 + 0.0j
-    for rows in combinations(range(n), j):
-        sub = x[np.ix_(rows, rows)]
-        total += np.linalg.det(sub)
-    return total
+def _elementary_symmetric(h: np.ndarray, j: int) -> float:
+    """e_j of the eigenvalues of the Hermitian matrix realified as h, by
+    Newton's identities m e_m = sum_{i <= m} (-1)^(i-1) e_(m-i) p_i on the
+    power sums p_i = tr_R(h^i) / 2."""
+    p = [0.5 * np.trace(np.linalg.matrix_power(h, i)) for i in range(1, j + 1)]
+    e = [1.0]
+    for m in range(1, j + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * p[i - 1] for i in range(1, m + 1)) / m)
+    return float(e[j])
 
 
 def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
@@ -229,7 +223,7 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
     Compatibility between name, degree and algebra is checked; every
     degree must be an integer k >= 1.
     """
-    from .liealg import algebra_from_tag
+    from .liealg import _imaginary_unit, algebra_from_tag
 
     if k != int(k) or k < 1:
         raise ValueError(f"{name} of degree {k}: the degree must be an integer >= 1")
@@ -252,22 +246,18 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
     if name == "chern_j":
         if alg.name not in ("u", "su") or k > alg.n:
             raise ValueError(f"chern_{k} needs u(n) with n >= {k}, got {alg.tag}")
-        norm = (-1j / (2 * pi)) ** k
+        # H = -J X / (2 pi): the realified -iX / (2 pi)
+        to_h = _imaginary_unit(alg.n) / (-2 * pi)
 
-        def real_chern(v) -> float | np.ndarray:
-            """Real part of v (...), checked value by value."""
-            v = np.asarray(v, dtype=complex)
-            if np.any(v.imag):
-                bad = np.abs(v.imag) > 1e-8 * np.maximum(1.0, np.abs(v.real))
-                if np.any(bad):
-                    raise ArithmeticError(f"chern_{k} value unexpectedly complex: {v[bad].flat[0]}")
-            return v.real[()]
+        def hermitian(x: np.ndarray) -> np.ndarray:
+            _check_skew(np.asarray(x))
+            return to_h @ x
 
         def ev_chern(x: np.ndarray) -> float:
-            return float(real_chern(norm * _principal_minor_sum(np.asarray(x, complex), k)))
+            return _elementary_symmetric(hermitian(x), k)
 
         def ml_chern(args: Sequence[np.ndarray]) -> float | np.ndarray:
-            return real_chern(norm * _mixed_discriminant(args))
+            return _mixed_discriminant([hermitian(x) for x in args])
 
         return InvariantPolynomial(f"chern_{k}", k, alg.tag, ev_chern, ml_chern)
 
@@ -276,11 +266,11 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
             raise ValueError("pontryagin_1 is the degree-2 polynomial on so(n)")
 
         def ev_p1(x: np.ndarray) -> float:
-            return float(-np.real(np.trace(x @ x))) / (8 * pi**2)
+            return float(-np.trace(x @ x)) / (8 * pi**2)
 
         def ml_p1(args: Sequence[np.ndarray]) -> float | np.ndarray:
             x, y = args
-            return -np.einsum("...ij,...ji->...", x, y).real / (8 * pi**2)
+            return -np.einsum("...ij,...ji->...", x, y) / (8 * pi**2)
 
         return InvariantPolynomial("pontryagin_1", 2, alg.tag, ev_p1, ml_p1)
 
@@ -289,7 +279,7 @@ def make_polynomial(name: str, k: int, algebra_tag: str) -> InvariantPolynomial:
             raise ValueError(f"{name!r} does not name the degree-{k} trace power trace_power_{k}")
 
         def ev_tp(x: np.ndarray) -> float:
-            return float(np.real(np.trace(np.linalg.matrix_power(x, k))))
+            return float(np.trace(np.linalg.matrix_power(x, k)))
 
         return InvariantPolynomial(f"trace_power_{k}", k, alg.tag, ev_tp, _symmetrized_trace)
 

@@ -1,18 +1,23 @@
 """Matrix Lie algebras so(n), u(n), su(n) and reductive splits g = h + p.
 
-Elements are plain square numpy matrices tagged with their algebra.  The
-inner product used everywhere is <X, Y> = -Re tr(XY), which is positive
-definite on compact-type matrix algebras and makes the shipped splits
-orthogonal.  A ReductiveSplit carries projection callables acting on raw
-matrices; [h, p] subset p holds for every split built here because p is the
-orthogonal complement of a subalgebra under an invariant form.
+Elements are plain real square numpy matrices tagged with their algebra.
+u(n) and su(n) are realified at construction, X = A + iB as the 2n x 2n
+X_R = [[A, -B], [B, A]] (_realify): the real skew matrices that commute with
+J = (iI)_R.  The map respects products, brackets and exponentials; the tag
+keeps n, matrix_size is 2n.  The inner product used everywhere is <X, Y> =
+-tr(XY) (twice -Re tr_C(XY) on u(n)), which is positive definite on skew
+matrices and makes the shipped splits orthogonal.  A ReductiveSplit carries
+projection callables acting on raw matrices; [h, p] subset p holds for every
+split built here because p is the orthogonal complement of a subalgebra
+under an invariant form.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import combinations
 import numpy as np
 
 from ._expm import expm
@@ -29,13 +34,13 @@ __all__ = [
     "random_group_element",
 ]
 
-# the largest matrix size n of an algebra: a basis holds about n^2/2 dense
-# n x n matrices, so its memory grows as n^4; the shipped bundles stop at n = 6
+# the largest tag size n of an algebra: a basis holds about n^2/2 dense
+# matrices of n^2 or (on u, su) 4n^2 entries; the shipped bundles stop at n = 6
 MAX_MATRIX_SIZE = 16
 
 
-def _e(n: int, a: int, b: int, dtype=float) -> np.ndarray:
-    m = np.zeros((n, n), dtype=dtype)
+def _e(n: int, a: int, b: int) -> np.ndarray:
+    m = np.zeros((n, n))
     m[a, b] = 1.0
     return m
 
@@ -43,6 +48,31 @@ def _e(n: int, a: int, b: int, dtype=float) -> np.ndarray:
 def skew_pair(n: int, a: int, b: int) -> np.ndarray:
     """E_ab - E_ba, the standard so(n) basis element (0-indexed)."""
     return _e(n, a, b) - _e(n, b, a)
+
+
+def _realify(x: np.ndarray) -> np.ndarray:
+    """X = A + iB (..., n, n) as the real matrices [[A, -B], [B, A]] (..., 2n, 2n)."""
+    a, b = x.real, x.imag
+    return np.block([[a, -b], [b, a]])
+
+
+def _imaginary_unit(n: int) -> np.ndarray:
+    """J = (iI)_R, the real 2n x 2n matrix of multiplication by i."""
+    return _realify(1j * np.eye(n))
+
+
+def _basis(name: str, n: int, off: int = 0) -> tuple[np.ndarray, ...]:
+    """The basis of name(n), realified on u and su, in the lower-right n x n
+    block of matrices of size n + off."""
+    e, ks = partial(_e, n + off), range(off, n + off)
+    pairs = list(combinations(ks, 2))
+    if name == "so":
+        return tuple(e(a, b) - e(b, a) for a, b in pairs)
+    if name not in ("u", "su"):
+        raise ValueError(f"unknown algebra family {name!r}")
+    diagonal = [e(a, a) for a in ks] if name == "u" else [e(a, a) - e(ks[-1], ks[-1]) for a in ks[:-1]]
+    off_diagonal = [m for a, b in pairs for m in (e(a, b) - e(b, a), 1j * (e(a, b) + e(b, a)))]
+    return tuple(_realify(m) for m in [1j * d for d in diagonal] + off_diagonal)
 
 
 @dataclass(frozen=True)
@@ -61,8 +91,9 @@ class MatrixLieAlgebra:
         return f"{self.name}({self.n})"
 
     @property
-    def is_complex(self) -> bool:
-        return self.name in ("u", "su")
+    def matrix_size(self) -> int:
+        """Size of the stored matrices: n on so(n), 2n on the realified u(n), su(n)."""
+        return self.n if self.name == "so" else 2 * self.n
 
     @property
     def dim(self) -> int:
@@ -70,29 +101,7 @@ class MatrixLieAlgebra:
 
     @lru_cache(maxsize=None)
     def basis(self) -> tuple[np.ndarray, ...]:
-        n = self.n
-        out: list[np.ndarray] = []
-        if self.name == "so":
-            for a in range(n):
-                for b in range(a + 1, n):
-                    out.append(skew_pair(n, a, b))
-        elif self.name == "u":
-            for a in range(n):
-                out.append(1j * _e(n, a, a, complex))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    out.append(_e(n, a, b, complex) - _e(n, b, a, complex))
-                    out.append(1j * (_e(n, a, b, complex) + _e(n, b, a, complex)))
-        elif self.name == "su":
-            for a in range(n - 1):
-                out.append(1j * (_e(n, a, a, complex) - _e(n, n - 1, n - 1, complex)))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    out.append(_e(n, a, b, complex) - _e(n, b, a, complex))
-                    out.append(1j * (_e(n, a, b, complex) + _e(n, b, a, complex)))
-        else:
-            raise ValueError(f"unknown algebra family {self.name!r}")
-        return tuple(out)
+        return _basis(self.name, self.n)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -103,15 +112,11 @@ class MatrixLieAlgebra:
 
     @lru_cache(maxsize=None)
     def _frame(self) -> "_StackedBasis":
-        return _StackedBasis(self.basis(), self.n, self.dtype)
-
-    @property
-    def dtype(self) -> type:
-        return complex if self.is_complex else float
+        return _StackedBasis(self.basis(), self.matrix_size)
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Real coefficients of m in the stored basis (exact for members of
-        the algebra); m may be a stack (..., n, n)."""
+        the algebra); m may be a stack (..., N, N)."""
         return self._frame().coords(m)
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
@@ -119,7 +124,7 @@ class MatrixLieAlgebra:
         return self._frame().combine(c)
 
     def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=self.dtype)
+        return np.eye(self.matrix_size)
 
 
 def so(n: int) -> MatrixLieAlgebra:
@@ -140,34 +145,34 @@ def algebra_from_tag(tag: str) -> MatrixLieAlgebra:
 
 
 def inner_raw(x: np.ndarray, y: np.ndarray) -> float:
-    """<X, Y> = -Re tr(XY)."""
-    return float(-np.real(np.trace(x @ y)))
+    """<X, Y> = -tr(XY)."""
+    return float(-np.trace(x @ y))
 
 
 class _StackedBasis:
-    """A basis of n x n matrices stacked for products: coordinates and linear
+    """A basis of N x N matrices stacked for products: coordinates and linear
     combinations of a matrix, or of a stack of them, in one product each."""
 
-    def __init__(self, basis, n: int, dtype):
-        self.n = n
-        self.flat = np.array(basis, dtype=dtype).reshape(len(basis), n * n)
-        # <X, B_b> = -Re tr(X B_b) = Re(X.ravel() @ pair)[b]
-        pair = -np.array([b.T for b in basis], dtype=dtype).reshape(len(basis), n * n).T
-        self.dual = pair @ np.linalg.inv(np.real(self.flat @ pair))
+    def __init__(self, basis, N: int):
+        self.N = N
+        self.flat = np.array(basis, dtype=float).reshape(len(basis), N * N)
+        # <X, B_b> = -tr(X B_b) = (X.ravel() @ pair)[b]
+        pair = -np.array([b.T for b in basis], dtype=float).reshape(len(basis), N * N).T
+        self.dual = pair @ np.linalg.inv(self.flat @ pair)
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m)
-        return np.real(m.reshape(m.shape[:-2] + (self.n * self.n,)) @ self.dual)
+        return m.reshape(m.shape[:-2] + (self.N * self.N,)) @ self.dual
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        return (c @ self.flat).reshape(c.shape[:-1] + (self.n, self.n))
+        return (c @ self.flat).reshape(c.shape[:-1] + (self.N, self.N))
 
 
 def _orthonormalize(vecs: list[np.ndarray]) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     for v in vecs:
-        w = v.astype(complex if np.iscomplexobj(v) else float).copy()
+        w = v
         for q in out:
             w = w - inner_raw(w, q) * q
         nrm = np.sqrt(inner_raw(w, w))
@@ -193,11 +198,11 @@ class ReductiveSplit:
 
     @cached_property
     def _h_frame(self) -> _StackedBasis:
-        return _StackedBasis(self.h_basis, self.algebra.n, self.algebra.dtype)
+        return _StackedBasis(self.h_basis, self.algebra.matrix_size)
 
     @cached_property
     def _p_frame(self) -> _StackedBasis:
-        return _StackedBasis(self.p_basis, self.algebra.n, self.algebra.dtype)
+        return _StackedBasis(self.p_basis, self.algebra.matrix_size)
 
     def project_h(self, m: np.ndarray) -> np.ndarray:
         return self._h_frame.combine(self._h_frame.coords(m))
@@ -206,25 +211,14 @@ class ReductiveSplit:
         return self._p_frame.combine(self._p_frame.coords(m))
 
 
-def _split_from_h(algebra: MatrixLieAlgebra, h_raw: list[np.ndarray], label: str) -> ReductiveSplit:
-    h = _orthonormalize(h_raw)
-    p: list[np.ndarray] = []
-    for b in algebra.basis():
-        w = b.copy()
-        for q in h + p:
-            w = w - inner_raw(w, q) * q
-        if np.sqrt(inner_raw(w, w)) > 1e-9:
-            p.append(w / np.sqrt(inner_raw(w, w)))
-    return ReductiveSplit(algebra, tuple(h), tuple(p), label)
-
-
 def standard_split(gtag: str, htag: str) -> ReductiveSplit:
     """Reductive splits for the shipped naturally-associated families.
 
-    Supported pairs (case-insensitive), h in the lower-right block:
+    Supported pairs (case-insensitive), h in the lower-right block (of the
+    complex matrices, on u):
       (SO(n), SO(n-1))   stabilizer of e1, sphere-bundle case
       (U(n),  U(n-1))    stabilizer block, odd-sphere-bundle case
-      (U(n),  SU(n))     determinant-bundle case, p = the center i*I
+      (U(n),  SU(n))     determinant-bundle case, p = the center, spanned by J
       (U(n),  U(j))      Stiefel case, h = 0_{n-j} + u(j); j = n gives h = g
     """
     g, h = algebra_from_tag(gtag), algebra_from_tag(htag)
@@ -234,8 +228,10 @@ def standard_split(gtag: str, htag: str) -> ReductiveSplit:
         supported = g.name == "u" and ((h.name, h.n) == ("su", g.n) or (h.name == "u" and h.n <= g.n))
     if not supported:
         raise ValueError(f"unsupported split ({gtag}, {htag})")
-    off = g.n - h.n
-    return _split_from_h(g, [np.pad(b, ((off, 0), (off, 0))) for b in h.basis()], f"{g.tag}/{h.tag}")
+    # one Gram-Schmidt pass over the basis of h, then that of g, whose survivors span p
+    h_raw = _basis(h.name, h.n, g.n - h.n)
+    q = _orthonormalize([*h_raw, *g.basis()])
+    return ReductiveSplit(g, tuple(q[: len(h_raw)]), tuple(q[len(h_raw) :]), f"{g.tag}/{h.tag}")
 
 
 # --- the so(4) ideal decomposition -----------------------------------------

@@ -60,6 +60,8 @@ from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
 from .calculus import FormField, ParametrizedChain, _box_chain, _stencil_values, integrate
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
+    _imaginary_unit,
+    _realify,
     algebra_from_tag,
     random_element,
     skew_pair,
@@ -233,24 +235,26 @@ _PAIR2 = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None]
 
 
 def hopf_u1() -> NamedBundle:
-    """Degree-one U(1) bundle over the round S^2, c_1 anchor."""
-    alg = u(1)
+    """Degree-one U(1) bundle over the round S^2, c_1 anchor.  u(1) is
+    realified (csforms.liealg), i as J, and U(1) = SO(2): the fiber is lifted
+    by ut_s2's Householder frame, the rotation by the angle."""
+    J = _imaginary_unit(1)
 
     def potential(x):
         d = 1.0 + _sq(x)
         # A = i (u dv - v du) / (1 + r^2)
-        return 1j * (_rotate(x) / d[..., None])[..., None, None]
+        return (_rotate(x) / d[..., None])[..., None, None] * J
 
     def curvature(x):
         f = 2.0 / (1.0 + _sq(x)) ** 2
-        return f[..., None, None, None, None] * (1j * _PAIR2)
+        return f[..., None, None, None, None] * (_PAIR2 * J)
 
-    chart = BundleChart(2, alg, potential, curvature, split=None, name="hopf_u1")
+    chart = BundleChart(2, u(1), potential, curvature, split=None, name="hopf_u1")
     fiber = FiberModel(
         name="u1_fiber",
         intervals=_angle_box(1),
-        lift=lambda s: np.exp(1j * s[..., 0])[..., None, None],
-        lift_alt=lambda s: np.exp(1j * (s[..., 0] + 0.3 * np.sin(s[..., 0])))[..., None, None],
+        lift=_householder_lift,
+        lift_alt=lambda s: _householder_lift(s + 0.3 * np.sin(s)),
     )
     return NamedBundle(
         name="hopf_u1",
@@ -395,8 +399,8 @@ def _family(family: str, gtag: str, n: int, hsub: str | None):
 def flat_bundle(gtag: str, n: int, hsub: str | None = None) -> NamedBundle:
     """Trivial bundle over R^n, n >= 1, with zero potential."""
     name, alg, split = _family("flat", gtag, n, hsub)
-    C = np.zeros((n, alg.n, alg.n), dtype=complex if alg.is_complex else float)
-    return _affine_bundle(name, alg, C, np.zeros((n,) + C.shape, C.dtype), split)
+    C = np.zeros((n, alg.matrix_size, alg.matrix_size))
+    return _affine_bundle(name, alg, C, np.zeros((n,) + C.shape), split)
 
 
 def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator) -> NamedBundle:
@@ -412,23 +416,24 @@ def linear_bundle(gtag: str, n: int, hsub: str | None, rng: np.random.Generator)
     return _affine_bundle(name, alg, C, D, split, ("chern_j", alg.n) if alg.name == "u" else None)
 
 
-_M1 = 0.7 * np.array([[0.9j, 0.4 + 0.3j], [-0.4 + 0.3j, -0.6j]])
-_M2 = 0.7 * np.array([[0.5j, -0.2 + 0.6j], [0.2 + 0.6j, 0.8j]])
+# realified skew-Hermitian 2 x 2 matrices
+_M1 = _realify(0.7 * np.array([[0.9j, 0.4 + 0.3j], [-0.4 + 0.3j, -0.6j]]))
+_M2 = _realify(0.7 * np.array([[0.5j, -0.2 + 0.6j], [0.2 + 0.6j, 0.8j]]))
 
 
 def twisted_u2(hsub: str = "su2") -> NamedBundle:
     """U(2) bundle chart over R^2 with generic non-abelian curvature.
 
     A = y M2 dx + x M1 dy for fixed non-commuting skew-hermitian M1, M2
-    (the affine chart with C = 0, D_xy = M2, D_yx = M1), so
+    (the affine chart with C = 0, D_xy = M2, D_yx = M1, realified), so
     F(dx,dy) = M1 - M2 + xy [M2, M1].  Used for the determinant-bundle
     (hsub="su2") and odd-sphere-bundle (hsub="u1") vanishing checks, where the
     psi-curvature is genuinely nonzero but the relevant polynomial kills it.
     """
-    D = np.zeros((2, 2, 2, 2), dtype=complex)
+    D = np.zeros((2, 2, 4, 4))
     D[0, 1], D[1, 0] = _M2, _M1
     split, poly = standard_split("u2", hsub), ("chern_j", 1 if hsub == "su2" else 2)
-    return _affine_bundle(f"twisted_u2:{hsub}", u(2), np.zeros((2, 2, 2), complex), D, split, poly)
+    return _affine_bundle(f"twisted_u2:{hsub}", u(2), np.zeros((2, 4, 4)), D, split, poly)
 
 
 # every shipped bundle but the families below, which get_bundle parses from the name

@@ -64,10 +64,10 @@ def loop_fiber_integral(chart, form_at, base_point, fiber, quad_order, use_alt_l
     total = 0.0
     for s, weight in zip(*gauss_product(fiber.intervals, quad_order)):
         g = lift(s)
-        assert g.shape == (chart.algebra.n,) * 2
+        assert g.shape == (chart.algebra.matrix_size,) * 2 and g.dtype == np.float64
         ch = chart.at(g)
         dls = [(lift(s + fd_step * e) - lift(s - fd_step * e)) / (2 * fd_step) for e in np.eye(p)]
-        vts = chart.algebra.coords(g.conj().T @ np.array(dls))
+        vts = chart.algebra.coords(g.T @ np.array(dls))
         tangents = [ch.point(np.zeros(chart.base_dim), vt) for vt in vts]
         total += weight * form_at(ch)(ch.point(base_point), tangents)
     return fiber.orientation * total
@@ -288,7 +288,7 @@ def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
     chart = get_bundle(name).chart
     rng = np.random.default_rng(7)
     chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
-    n, dim_g, N = chart.base_dim, chart.algebra.dim, chart.algebra.n
+    n, dim_g, N = chart.base_dim, chart.algebra.dim, chart.algebra.matrix_size
     t = rng.uniform(-0.6, 0.6, (5, dim_g)) if case == "off_t0" else None
     point = chart.point(rng.uniform(-1.2, 1.2, (5, n)), t)
     ctx = chart.ctx(point)
@@ -297,7 +297,7 @@ def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
     tangents = [np.concatenate([np.zeros(n), vt]) for vt in vts]
     w, om = ctx.omegas(tangents), ctx.curvs(tangents)
     assert w.shape == (4, 5, N, N)
-    assert om.shape == (4, 4, 5, N, N) and om.dtype == np.dtype(chart.algebra.dtype) and not np.any(om)
+    assert om.shape == (4, 4, 5, N, N) and om.dtype == np.float64 and not np.any(om)
     full_w = ctx._conj(np.einsum("ma,...aij->m...ij", np.zeros((4, n)), ctx.A))
     full_w = full_w + ctx.maurer_cartan(np.broadcast_to(vts[:, None], (4, 5, dim_g)))
     assert np.array_equal(w, full_w)
@@ -336,12 +336,17 @@ def test_skew_checks_decide_per_matrix():
         expm(np.array([big, bad]))
 
 
-def test_chern_reality_check_per_value():
+def test_chern_skew_check_per_matrix():
+    # the chern arguments pass the Euler arguments' skew check, matrix by matrix
     c1 = make_polynomial("chern_j", 1, "u2")
     good = random_element(u(2), np.random.default_rng(3))
+    bad = good.copy()
+    bad[0, 1] += 1e-6
     assert np.shape(c1.multilinear([np.array([good, good])])) == (2,)
-    with pytest.raises(ArithmeticError):
-        c1.multilinear([np.array([good, np.eye(2, dtype=complex)])])
+    with pytest.raises(ValueError, match="skew"):
+        c1.multilinear([np.array([good, bad])])
+    with pytest.raises(ValueError, match="skew"):
+        c1.value(bad)
 
 
 def test_quaternion_split_stack():
@@ -383,7 +388,7 @@ def einsum_curvs(chart, point, vs):
     g = chart.reference() @ expm(chart.algebra.from_coords(point[..., n:]))
     vx = np.asarray(vs, dtype=float)[..., :n]
     fval = np.einsum("i...a,j...b,...abxy->ij...xy", vx, vx, chart.curvature_field(point[..., :n]))
-    return g.conj().swapaxes(-1, -2) @ fval @ g
+    return g.swapaxes(-1, -2) @ fval @ g
 
 
 def rel_err(a, b):
@@ -409,7 +414,7 @@ def test_pair_table_matches_three_operand_einsum(name, case):
     tangent_batch = () if case == "shared_tangents" else batch
     tangents = [rng.standard_normal(tangent_batch + (chart.dim,)) for _ in range(4)]
     om = ctx.curvs(tangents)
-    assert om.shape == (4, 4) + batch + (chart.algebra.n,) * 2
+    assert om.shape == (4, 4) + batch + (chart.algebra.matrix_size,) * 2
     assert rel_err(om, einsum_curvs(chart, point, tangents)) <= 1e-13
 
 

@@ -15,6 +15,7 @@ from csforms.calculus import (
 )
 from csforms.invariants import bracket_tables
 from csforms.liealg import random_element, so
+from realified import realify
 
 rng = np.random.default_rng(17)
 
@@ -76,8 +77,8 @@ def test_bracket_wedge_oracle_and_symmetry():
 
 def test_bracket_wedge_abelian_vanishes():
     tg = [rng.standard_normal(2), rng.standard_normal(2)]
-    w = one_form_table([np.array([[0.3j]]), np.array([[-0.8j]])], tg)
-    v = one_form_table([np.array([[1.1j]]), np.array([[0.2j]])], tg)
+    w = one_form_table([realify([[0.3j]]), realify([[-0.8j]])], tg)
+    v = one_form_table([realify([[1.1j]]), realify([[0.2j]])], tg)
     assert np.allclose(bracket_tables(w, 1, v, 1), 0.0)
 
 

@@ -393,10 +393,26 @@ def test_flat_bundle_needs_a_positive_base_dimension(capsys, n):
     assert f"bundle flat:so4:{n} needs a base dimension n >= 1" in err
 
 
-def test_vacuous_heterotic_check_exits_1(capsys):
-    code, out = run(capsys, "heterotic-check", "--bundle", "flat:so4:3", "--poly", "euler", "--points", "3")
-    assert code == 1
-    assert "FAIL" in out
+def test_vacuous_heterotic_check_exits_2(capsys):
+    # on a flat bundle P(Omega) = P(Psi) = 0: the identity compares zeros, a usage error
+    code = main(["heterotic-check", "--bundle", "flat:so4:3", "--poly", "euler", "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "the right-hand side P(Omega) - P(Psi) vanishes on flat:so4:3 for euler" in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bundle, poly, code",
+    [("twisted_u2:u1", "c2", 2), ("linear:so4:2:so3", "euler", 2), ("linear:so4:2:so3", "p1", 0)],
+)
+def test_explicit_poly_with_a_vanishing_right_side_exits_2(capsys, seed, bundle, poly, code):
+    # c2 and euler are 4-forms whose P(Omega) - P(Psi) vanishes over these 2-D bases; p1 on the
+    # same chart is a 4-form too, and its right side does not vanish
+    got = main(["heterotic-check", "--bundle", bundle, "--poly", poly, "--points", "5", "--seed", str(seed)])
+    err = capsys.readouterr().err
+    assert got == code
+    assert (f"P(Omega) - P(Psi) vanishes on {bundle} for {poly}" in err) == (code == 2)
 
 
 def test_poly_help_names_every_polynomial():

@@ -1,4 +1,4 @@
-"""The scaled Taylor exponential of skew-Hermitian matrices against scipy as reference."""
+"""The scaled Taylor exponential of real skew-symmetric matrices against scipy as reference."""
 
 import os
 import subprocess
@@ -11,6 +11,7 @@ from scipy.linalg import expm_frechet, schur
 
 from csforms._expm import expm, expm_maurer_cartan, expm_scaling
 from csforms.liealg import algebra_from_tag, random_element, so, so4_ideal_split, u
+from realified import complexify, realify
 
 ALGEBRAS = ("so2", "so4", "so6", "u1", "u2", "su2", "u3")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -18,19 +19,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def schur_expm(x):
     """exp(x) from scipy's complex Schur form x = Q T Q^H, in which T is
-    diagonal for a normal x, such as a skew-Hermitian one.  scipy.linalg.expm
+    diagonal for a normal x, such as a skew-symmetric one.  scipy.linalg.expm
     is off by up to 2.3e-13 on the scale-10 cases of _cases (against a
     40-digit reference); this form is off by about 1e-15 there."""
     t, q = schur(x, output="complex")
-    out = (q * np.exp(np.diag(t))) @ q.conj().T
-    return out if np.iscomplexobj(x) else out.real
+    return ((q * np.exp(np.diag(t))) @ q.conj().T).real
 
 
 def _repeated_eigenvalue_cases():
     # an so(4) ideal element squares to a multiple of I: two double eigenvalues
     ideal = 2.3 * so4_ideal_split()[0].p_basis[0]
-    # i t I in u(2): one eigenvalue of multiplicity 2
-    scalar = 1.7j * np.eye(2, dtype=complex)
+    # i t I in u(2), realified: one eigenvalue pair +-it of multiplicity 2
+    scalar = realify(1.7j * np.eye(2))
     rng = np.random.default_rng(5)
     return [
         (ideal, np.array([random_element(so(4), rng) for _ in range(3)])),
@@ -54,11 +54,11 @@ def _cases():
 @pytest.mark.parametrize("x,dxs", _cases())
 def test_matches_scipy(x, dxs):
     assert np.max(np.abs(expm(x) - schur_expm(x))) < 1e-13
-    assert np.iscomplexobj(expm(x)) == np.iscomplexobj(x)
+    assert expm(x).dtype == np.float64
     ref = np.array([schur_expm(-x) @ expm_frechet(x, dx, compute_expm=False) for dx in dxs])
     mc = expm_maurer_cartan(x, dxs)
     assert np.max(np.abs(mc - ref)) < 1e-12
-    assert np.iscomplexobj(mc) == np.iscomplexobj(ref)
+    assert mc.dtype == np.float64
 
 
 def test_cases_reach_the_doubling():
@@ -93,7 +93,7 @@ def test_zero_member_of_a_mixed_stack_is_exact(tag):
     dxs = np.array([[random_element(alg, rng) for _ in xs] for _ in range(2)])
     assert expm_scaling(xs)[0] >= 4 and expm_scaling(xs[1])[0] == 0
     g, mc = expm(xs), expm_maurer_cartan(xs, dxs)
-    assert np.array_equal(g[0], np.eye(alg.n)) and np.array_equal(mc[:, 0], dxs[:, 0])
+    assert np.array_equal(g[0], np.eye(alg.matrix_size)) and np.array_equal(mc[:, 0], dxs[:, 0])
     for i in range(1, len(xs)):
         assert np.max(np.abs(g[i] - schur_expm(xs[i]))) < 1e-13
         assert np.max(np.abs(mc[:, i] - expm_maurer_cartan(xs[i], dxs[:, i]))) < 1e-12
@@ -109,7 +109,7 @@ def test_empty_inputs(shape):
     assert mc.shape == dxs.shape and mc.dtype == np.float64
 
 
-@pytest.mark.parametrize("tag", ["so2", "so4", "so6"])
+@pytest.mark.parametrize("tag", ["so2", "so4", "so6", "u2", "su3"])
 def test_real_in_gives_real_out(tag):
     alg = algebra_from_tag(tag)
     rng = np.random.default_rng(37)
@@ -133,11 +133,11 @@ _NON_FINITE = [
 @pytest.mark.parametrize("x", _NON_FINITE)
 def test_rejects_non_finite(x):
     # every comparison with NaN is False: the skew test must fail on it
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm(x)
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm_maurer_cartan(x, np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm(np.array([np.zeros((2, 2)), x]))
 
 
@@ -145,20 +145,33 @@ def test_stack_with_one_non_skew_member_raises():
     rng = np.random.default_rng(29)
     xs = np.array([random_element(so(3), rng) for _ in range(4)])
     xs[2, 0, 1] += 1e-3
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm(xs)
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm_maurer_cartan(xs, xs[None])
 
 
 def test_rejects_non_skew_hermitian():
     sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm(sym)
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm_maurer_cartan(sym, sym[None])
-    with pytest.raises(ValueError, match="skew-Hermitian"):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         expm(np.eye(2, dtype=complex))
+
+
+def test_rejects_complex_skew_hermitian_input():
+    # u(n) is exponentiated realified; its complex form fails the skew test
+    rng = np.random.default_rng(41)
+    cases = [1j * np.eye(2), np.array([[0.0, 1.0 + 1.0j], [-1.0 + 1.0j, 0.0]])]
+    cases += [complexify(random_element(u(3), rng)) for _ in range(3)]
+    for x in cases:
+        assert np.max(np.abs(x + x.conj().T)) < 1e-15 and np.any(x.imag)
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            expm(x)
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            expm_maurer_cartan(x, x[None])
 
 
 _NO_SCIPY = """

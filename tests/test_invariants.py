@@ -1,6 +1,6 @@
 """Invariant polynomial tests, including the perfect-matching Pfaffian oracle."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, pi
 
 import numpy as np
@@ -18,6 +18,7 @@ from csforms.invariants import (
     polarize_eval,
 )
 from csforms.liealg import random_element, so, u
+from realified import realify
 
 rng = np.random.default_rng(5)
 
@@ -127,12 +128,12 @@ def test_euler_so2_value():
 def test_chern1_u1_value():
     c1 = make_polynomial("chern_j", 1, "u1")
     theta = 0.37
-    assert c1(np.array([[1j * theta]])) == pytest.approx(theta / (2 * pi))
+    assert c1(realify([[1j * theta]])) == pytest.approx(theta / (2 * pi))
 
 
 def test_chern_elementary_symmetric():
     thetas = np.array([0.4, -1.1, 0.75])
-    x = np.diag(1j * thetas)
+    x = realify(np.diag(1j * thetas))
     t = thetas / (2 * pi)
     c1 = make_polynomial("chern_j", 1, "u3")
     c2 = make_polynomial("chern_j", 2, "u3")
@@ -140,6 +141,44 @@ def test_chern_elementary_symmetric():
     assert c1(x) == pytest.approx(t.sum(), abs=1e-12)
     assert c2(x) == pytest.approx(t[0] * t[1] + t[0] * t[2] + t[1] * t[2], abs=1e-12)
     assert c3(x) == pytest.approx(t[0] * t[1] * t[2], abs=1e-12)
+
+
+def _complex_chern_multilinear(xs):
+    """The polarized c_j on complex u(n) matrices: (-i/2pi)^j times the
+    mixed discriminant (1/j!) sum_s sgn(s) prod_{cycles c} tr(prod_{i in c} X_i),
+    in complex arithmetic."""
+    j, total = len(xs), 0.0
+    for s in permutations(range(j)):
+        seen, traces = set(), []
+        for start in range(j):
+            if start not in seen:
+                cycle, i = np.eye(len(xs[0])), start
+                while i not in seen:
+                    seen.add(i)
+                    cycle, i = cycle @ xs[i], s[i]
+                traces.append(np.trace(cycle))
+        total += (-1) ** (j - len(traces)) * np.prod(traces)
+    return (-1j / (2 * pi)) ** j * total / factorial(j)
+
+
+def _complex_chern_value(x, j):
+    """c_j(x) = (-i/2pi)^j times the sum of the principal j-minors of a complex x."""
+    return (-1j / (2 * pi)) ** j * sum(np.linalg.det(x[np.ix_(r, r)]) for r in combinations(range(len(x)), j))
+
+
+@pytest.mark.parametrize("n, j", [(j, j) for j in range(1, 7)] + [(3, 1), (3, 2)], ids=lambda v: str(v))
+def test_chern_matches_the_complex_reference(n, j):
+    # the realified c_j against the complex arithmetic it replaces, on complex draws
+    local = np.random.default_rng(10 * n + j)
+    P = make_polynomial("chern_j", j, f"u{n}")
+    for _ in range(3):
+        zs = local.standard_normal((j, n, n)) + 1j * local.standard_normal((j, n, n))
+        xs = zs - zs.conj().swapaxes(-1, -2)
+        want = _complex_chern_multilinear(xs)
+        assert abs(want.imag) <= 1e-12 * abs(want)
+        assert abs(P.multilinear([realify(x) for x in xs]) - want.real) <= 1e-12 * abs(want)
+        want = _complex_chern_value(xs[0], j)
+        assert abs(P.value(realify(xs[0])) - want.real) <= 1e-12 * abs(want)
 
 
 def test_make_polynomial_compatibility_errors():
@@ -218,8 +257,8 @@ def test_multilinear_keeps_argument_checks():
     x = random_element(so(4), rng)
     with pytest.raises(ValueError, match="skew"):
         polarize_eval(make_polynomial("euler", 2, "so4"), [x, np.eye(4)])
-    with pytest.raises(ArithmeticError, match="complex"):
-        polarize_eval(make_polynomial("chern_j", 1, "u1"), [np.array([[1.0 + 0j]])])
+    with pytest.raises(ValueError, match="skew"):
+        polarize_eval(make_polynomial("chern_j", 1, "u1"), [np.eye(2)])
     with pytest.raises(ValueError, match="takes 2 arguments"):
         polarize_eval(make_polynomial("pontryagin_1", 2, "so4"), [x])
 
@@ -257,7 +296,7 @@ def _const_forms(alg, degree_list, tangents):
 
 def test_eval_on_forms_single_argument():
     P = make_polynomial("chern_j", 1, "u1")
-    m = np.array([[1j * 0.6]])
+    m = realify([[1j * 0.6]])
     tangents = [np.array([0.0, 0.0, 2.0])]
     assert eval_on_forms_indexed(P, [(table_on(lambda v: v[2] * m, 1, tangents), 1)], 1) == pytest.approx(2 * 0.6 / (2 * pi))
 
@@ -275,7 +314,7 @@ def test_eval_on_forms_alternation():
 
 def test_eval_on_forms_abelian_square_vanishes():
     P = make_polynomial("trace_power_2", 2, "u1")
-    m = np.array([[0.9j]])
+    m = realify([[0.9j]])
     alpha = table_on(lambda v: v[0] * m, 1, [rng.standard_normal(2) for _ in range(2)])
     assert eval_on_forms_indexed(P, [(alpha, 1), (alpha, 1)], 2) == pytest.approx(0.0, abs=1e-14)
 

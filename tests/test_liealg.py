@@ -11,6 +11,7 @@ from csforms.liealg import (
     quat_conj,
     quat_mul,
     random_element,
+    random_group_element,
     rot4,
     skew_pair,
     so,
@@ -19,20 +20,21 @@ from csforms.liealg import (
     standard_split,
     u,
 )
+from realified import complexify, realify
 
 rng = np.random.default_rng(11)
 
 
 def contains(alg, m, tol=1e-10):
-    """Membership of a raw matrix in so(n), u(n) or su(n)."""
-    if m.shape != (alg.n, alg.n):
+    """Membership of a raw matrix in so(n), or in the realified u(n) or
+    su(n): real skew matrices that commute with J = (iI)_R."""
+    if m.shape != (alg.matrix_size,) * 2 or np.iscomplexobj(m) or not np.max(np.abs(m + m.T), initial=0.0) < tol:
         return False
     if alg.name == "so":
-        return bool(np.max(np.abs(m + m.T)) < tol) and not np.iscomplexobj(m)
-    herm = np.max(np.abs(m + m.conj().T))
-    if alg.name == "u":
-        return bool(herm < tol)
-    return bool(herm < tol and abs(np.trace(m)) < tol)
+        return True
+    J = realify(1j * np.eye(alg.n))
+    commutes = np.max(np.abs(J @ m - m @ J)) < tol
+    return bool(commutes and (alg.name == "u" or abs(np.trace(complexify(m))) < tol))
 
 
 def test_bracket_basics():
@@ -78,8 +80,10 @@ def test_is_abelian_reads_the_brackets_of_the_basis(tag, abelian):
 
 def test_algebra_membership():
     assert contains(so(3), skew_pair(3, 0, 2))
-    assert contains(u(2), 1j * np.eye(2))
-    assert not contains(algebra_from_tag("su2"), 1j * np.eye(2))
+    assert contains(u(2), realify(1j * np.eye(2)))
+    assert not contains(algebra_from_tag("su2"), realify(1j * np.eye(2)))
+    # a real skew 4 x 4 matrix that does not commute with J is in so(4), not in u(2)
+    assert contains(so(4), skew_pair(4, 0, 1)) and not contains(u(2), skew_pair(4, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -89,9 +93,12 @@ def test_algebra_membership():
 def test_standard_split_dimensions(g, h, dim_h, dim_p):
     s = standard_split(g, h)
     assert (len(s.h_basis), len(s.p_basis)) == (dim_h, dim_p)
-    # h sits in the lower-right block
-    off = s.algebra.n - int(h[-1])
-    assert not any(np.any(b[:off]) or np.any(b[:, :off]) for b in s.h_basis)
+    # h sits in the lower-right block of each n x n block (one on so, four on the realified u)
+    n = s.algebra.n
+    r, off = s.algebra.matrix_size // n, n - int(h[-1])
+    blocks = [b.reshape(r, n, r, n) for b in s.h_basis]
+    assert not any(np.any(b[:, :off]) or np.any(b[:, :, :, :off]) for b in blocks)
+    assert all(contains(s.algebra, b) for b in s.h_basis + s.p_basis)
 
 
 @pytest.mark.parametrize("g,h", [("so4", "so2"), ("so4", "su3"), ("u2", "u3"), ("u2", "su1"), ("u2", "so1"), ("su2", "su2")])
@@ -110,7 +117,8 @@ def test_matrix_size_is_bounded():
 def test_determinant_bundle_p_is_center():
     s = standard_split("u2", "su2")
     (p,) = s.p_basis
-    assert np.allclose(p, p[0, 0] * np.eye(2))
+    J = realify(1j * np.eye(2))
+    assert abs(p[2, 0]) > 0.1 and np.allclose(p, p[2, 0] * J)
 
 
 def test_split_completeness_and_reductivity():
@@ -239,3 +247,34 @@ def test_quaternion_matrices_match_quat_mul():
         assert np.max(np.abs(left_mult_matrix(a) @ x - quat_mul(a, x))) < 1e-14
         expected = quat_mul(quat_mul(a, x), quat_conj(b))
         assert np.max(np.abs(rot4(a, b) @ x - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("tag", ["so3", "so4", "u1", "u2", "u3", "su2", "su3"])
+def test_bases_splits_and_group_elements_are_real(tag):
+    # u(n) and su(n) are stored as real 2n x 2n matrices that commute with J
+    alg = algebra_from_tag(tag)
+    assert alg.matrix_size == (alg.n if alg.name == "so" else 2 * alg.n)
+    assert alg.identity().dtype == np.float64 and alg.identity().shape == (alg.matrix_size,) * 2
+    for b in alg.basis():
+        assert b.dtype == np.float64 and contains(alg, b)
+    local = np.random.default_rng(3)
+    g = random_group_element(alg, local, 0.7)
+    assert g.dtype == np.float64 and np.allclose(g.T @ g, np.eye(alg.matrix_size), rtol=0, atol=1e-14)
+    x = random_element(alg, local)
+    assert x.dtype == np.float64 and contains(alg, x)
+    if alg.name == "u" and alg.n >= 2:
+        s = standard_split(tag, f"u{alg.n - 1}")
+        assert all(b.dtype == np.float64 for b in s.h_basis + s.p_basis)
+        assert s.project_h(x).dtype == np.float64 and s.project_p(x).dtype == np.float64
+
+
+def test_realified_basis_is_the_complex_basis():
+    # the complex matrices behind the stored u(2) basis: i E_aa, then E_ab - E_ba and i(E_ab + E_ba)
+    e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    want = [1j * np.diag([1.0, 0.0]), 1j * np.diag([0.0, 1.0]), e01 - e01.T, 1j * (e01 + e01.T)]
+    got = [complexify(b) for b in u(2).basis()]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)) and len(got) == 4
+    assert all(np.array_equal(b, realify(complexify(b))) for b in u(2).basis())
+    # the inner product is -tr(XY), twice -Re tr_C on the realified u(n)
+    x, y = random_element(u(3), rng), random_element(u(3), rng)
+    assert inner_raw(x, y) == pytest.approx(-2 * np.trace(complexify(x) @ complexify(y)).real, rel=1e-13)

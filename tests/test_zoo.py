@@ -261,6 +261,25 @@ def test_every_so2_element_fed_to_a_chart_is_a_rotation():
         assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", [*_CATALOG, "flat:u2:3:su2", "linear:u3:2:u2", "linear:su3:2"])
+def test_charts_lifts_and_sections_are_real(name):
+    # u(n) charts are realified: every field and group element is a real matrix of the algebra's size
+    b = get_bundle(name)
+    chart, local = b.chart, np.random.default_rng(9)
+    n, N = chart.base_dim, chart.algebra.matrix_size
+    x = local.uniform(-1.2, 1.2, (3, n))
+    A, F = chart.potential(x), chart.curvature_field(x)
+    assert A.dtype == F.dtype == np.float64 and A.shape == (3, n, N, N) and F.shape == (3, n, n, N, N)
+    elements = [section.value(x) for section in b.sections.values()]
+    if b.fiber is not None:
+        params = local.uniform(0.1, 1.0, (3, len(b.fiber.intervals)))
+        elements += [b.fiber.lift(params), b.fiber.lift_alt(params)]
+    elements.append(random_group_element(chart.algebra, local, 0.7)[None])
+    for g in elements:
+        assert g.dtype == np.float64 and g.shape[-2:] == (N, N)
+        assert np.max(np.abs(g.swapaxes(-1, -2) @ g - np.eye(N))) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
 def test_frame_sphere_needs_an_even_dimension(n):
     with pytest.raises(ValueError, match="even n >= 2"):
