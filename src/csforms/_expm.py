@@ -53,10 +53,12 @@ def _check_skew(xs: np.ndarray, tol: float = _SKEW_TOL) -> None:
 
     Each comparison is written so that NaN fails it; an infinite entry makes
     its asymmetry inf or NaN and its scale inf, whose ratio is NaN (and
-    numpy warns of the NaN that inf - inf makes).  The entries are compared
-    in modulus, so a skew-Hermitian x = A + iB, for which x + x^T = 2iB,
-    fails unless B = 0.
+    numpy warns of the NaN that inf - inf makes).  A complex array fails
+    whatever its entries, before any cast could drop an imaginary part:
+    u(n) and su(n) are realified (csforms.liealg), so no caller needs one.
     """
+    if np.iscomplexobj(xs):
+        raise ValueError("matrix is complex, not real skew-symmetric")
     asym = np.abs(xs + xs.swapaxes(-1, -2))
     if asym.max(initial=0.0) <= tol:
         return  # within tol of every matrix's bound

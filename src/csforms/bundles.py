@@ -32,11 +32,12 @@ lift or a section is differentiated by central differences on one stencil
 stack (2p+1, ..., p) of the points x + h v_i, x - h v_i and x, in one call
 (_recentered).
 
-Every value comes from the stacked methods of one chart context
-(_ChartContext.omegas, curvs and tables, the last by split_tables, which
-serves any split of the algebra from one context's w and Omega).
-A context skips what its tangents never reach, and the skipped terms are
-exact zeros, not approximations.  Omega is horizontal and A(v_x) is linear
+Every value comes from one chart context, BundleChart.ctx(points,
+tangents): the evaluation of one tangent stack at one stack of points,
+which reads out w, Omega and, by tables(split), the split tables of any
+split of the algebra from that one w and Omega.  A context skips what its
+tangents never reach, and the skipped terms are exact zeros, not
+approximations.  Omega is horizontal and A(v_x) is linear
 in the base part v_x, so when no tangent has a nonzero base part (the
 vertical tangents of a fiber integral) w is the Maurer-Cartan term alone,
 Omega is an exact zero table, and the chart's potential, curvature, pair
@@ -110,7 +111,6 @@ __all__ = [
     "phi_p_form",
     "heterotic_sides",
     "heterotic_residual",
-    "split_tables",
     "fiber_integral",
     "section_pullback_form",
     "obstruction_identity_check",
@@ -154,8 +154,9 @@ class BundleChart:
         t = np.zeros(x.shape[:-1] + (self.algebra.dim,)) if t is None else np.asarray(t, dtype=float)
         return np.concatenate([x, t], axis=-1)
 
-    def ctx(self, point: np.ndarray) -> "_ChartContext":
-        return _ChartContext(self, np.asarray(point, dtype=float))
+    def ctx(self, points: np.ndarray, tangents: Sequence[np.ndarray]) -> "_ChartContext":
+        """w, Omega and the split tables on m tangents (m, ..., d) at points (..., d)."""
+        return _ChartContext(self, np.asarray(points, dtype=float), tangents)
 
 
 def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -177,33 +178,34 @@ def _pair_table(v: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 class _ChartContext:
-    """Evaluation cache at a point or a stack of points (..., d): group
-    element, potential, curvature, the last two evaluated on first use.
+    """The connection w and curvature Omega of a chart on m tangents
+    (m, ..., d) at a point or a stack of points (..., d), and their split
+    tables; every value is computed on first use and kept.
 
     A point of length base_dim is a base point with t = 0 implied.  Off
     t = 0 on a non-abelian algebra one expm_scaling of the fiber
     coordinates X (the skew-symmetry check and the Taylor scaling of the
     whole stack) serves the group elements, one expm, and the Maurer-Cartan
-    values of all fiber tangents, one expm_maurer_cartan.  The stacked
-    methods (omegas, curvs, tables) take a list of m tangents (..., d) and
-    compute each value once, the Omega pair table in two batched products
-    (_pair_table).  The tangent indices come first: w is (m, ..., N, N)
-    and a pair table (m, m, ..., N, N); one tangent's value is row 0 of a
-    one-tangent call.  Ad_{g^-1} is skipped (_conj), as the exponential
-    is, where it is the identity: without a reference element (g0 None) at
-    t = 0, and at every point on an abelian algebra, where the Maurer-Cartan
-    term is the fiber part itself.
+    values of all fiber tangents, one expm_maurer_cartan.  The tangent
+    indices come first: w is (m, ..., N, N) and Omega (m, m, ..., N, N),
+    the pair table of two batched products (_pair_table); one tangent's
+    value is row 0 of a one-tangent context.  Tangents shared by a stack of
+    points or reference elements are broadcast against it as in einsum's
+    "...", padded on the left.  Ad_{g^-1} is skipped (_conj), as the
+    exponential is, where it is the identity: without a reference element
+    (g0 None) at t = 0, and at every point on an abelian algebra, where the
+    Maurer-Cartan term is the fiber part itself.
 
     Tangents of length base_dim have an implied zero fiber part, and the
     Maurer-Cartan term is skipped for them.  When the base part of every
-    tangent is exactly zero, omegas returns the Maurer-Cartan values alone
-    and curvs a zero table: A(v_x) is linear in v_x and Omega(v, w) =
+    tangent is exactly zero, w is the Maurer-Cartan values alone and Omega
+    a zero table: A(v_x) is linear in v_x and Omega(v, w) =
     Ad_{g^-1} F(v_x, w_x), so both terms are exactly zero there, and A and F
     are never evaluated.  Every group element is a real orthogonal matrix,
     so g^-1 is its transpose.
     """
 
-    def __init__(self, chart: BundleChart, point: np.ndarray):
+    def __init__(self, chart: BundleChart, point: np.ndarray, tangents: Sequence[np.ndarray]):
         self.chart = chart
         n, alg = chart.base_dim, chart.algebra
         if point.shape[-1] not in (n, n + alg.dim):
@@ -211,7 +213,6 @@ class _ChartContext:
         # a point of length n is a basic-form evaluation directly over the base: t = 0 implied
         self.x, t = point[..., :n], point[..., n:]
         g0 = chart.reference()
-        self._g0_batch = g0.shape[:-2]
         if alg.is_abelian or not t.any():
             # Ad_{g^-1} is the identity on an abelian group (g0 connected, BundleChart) and at g = I
             self._m = None
@@ -220,6 +221,19 @@ class _ChartContext:
             self._m = alg.from_coords(t)
             self._scaling = expm_scaling(self._m)
             self._g = g0 @ expm(self._m, self._scaling)
+        v = np.asarray(tangents, dtype=float)
+        vb = v.shape[1:-1]
+        if vb != self.x.shape[:-1] or g0.shape[:-2] not in ((), vb):
+            batch = np.broadcast_shapes(vb, self.x.shape[:-1], g0.shape[:-2])
+            if vb != batch:
+                v = v.reshape(len(v), *(1,) * (len(batch) + 2 - v.ndim), *v.shape[1:])
+                v = np.broadcast_to(v, (len(v), *batch, v.shape[-1]))
+        # base parts (m, ..., n) and fiber parts (m, ..., dim g), None where exactly zero:
+        # the fiber parts of base tangents (..., n), the base parts when no tangent has one
+        if v.shape[-1] == n:
+            self._vx, self._vt = v, None
+        else:
+            self._vx, self._vt = (v[..., :n] if v[..., :n].any() else None), v[..., n:]
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -229,80 +243,45 @@ class _ChartContext:
     def F(self) -> np.ndarray:
         return np.asarray(self.chart.curvature_field(self.x))
 
-    def _base_fiber(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(base parts (m, ..., n), fiber parts (m, ..., dim g)) of m tangents
-        of one shape (..., d), None for a part that is exactly zero: the
-        fiber parts of base tangents (..., n), and the base parts when no
-        tangent has a nonzero one.  Both carry the context's batch axes:
-        tangents shared by a stack of points or reference elements are
-        broadcast against it as in einsum's "...", padded on the left."""
-        v = np.asarray(vs, dtype=float)
-        vb = v.shape[1:-1]
-        if vb != self.x.shape[:-1] or self._g0_batch not in ((), vb):
-            batch = np.broadcast_shapes(vb, self.x.shape[:-1], self._g0_batch)
-            if vb != batch:
-                v = v.reshape(len(v), *(1,) * (len(batch) + 2 - v.ndim), *v.shape[1:])
-                v = np.broadcast_to(v, (len(v), *batch, v.shape[-1]))
-        n = self.chart.base_dim
-        if v.shape[-1] == n:
-            return v, None
-        vx = v[..., :n]
-        return (vx if vx.any() else None), v[..., n:]
+    @cached_property
+    def w(self) -> np.ndarray:
+        """w on each tangent, (m, ..., N, N)."""
+        # vertical tangents (vx None) take the Maurer-Cartan values alone: A is never evaluated
+        w = None if self._vx is None else self._conj(np.einsum("m...a,...aij->m...ij", self._vx, self.A))
+        if self._vt is None:
+            return w
+        mc = self.chart.algebra.from_coords(self._vt)  # g^-1 dg on the fiber parts
+        if self._m is not None:
+            mc = expm_maurer_cartan(self._m, mc, self._scaling)
+        return mc if w is None else w + mc
 
-    def maurer_cartan(self, vts: np.ndarray) -> np.ndarray:
-        """g^-1 dg on a stack (m, ..., dim g) of fiber coordinate tangents."""
-        dms = self.chart.algebra.from_coords(vts)
-        return dms if self._m is None else expm_maurer_cartan(self._m, dms, self._scaling)
-
-    def omegas(self, vs: Sequence[np.ndarray]) -> np.ndarray:
-        """w on each of m tangents, (m, ..., N, N)."""
-        return self._omegas(*self._base_fiber(vs))
-
-    def _omegas(self, vx: np.ndarray | None, vt: np.ndarray | None) -> np.ndarray:
-        if vx is None:
-            # vertical tangents: the Maurer-Cartan values alone, A is never evaluated
-            return self.maurer_cartan(vt)
-        w = self._conj(np.einsum("m...a,...aij->m...ij", vx, self.A))
-        return w if vt is None else w + self.maurer_cartan(vt)
-
-    def curvs(self, vs: Sequence[np.ndarray]) -> np.ndarray:
-        """Omega on each pair of m tangents, (m, m, ..., N, N)."""
-        return self._curvs(*self._base_fiber(vs))
-
-    def _curvs(self, vx: np.ndarray | None, vt: np.ndarray | None) -> np.ndarray:
-        if vx is None:
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Omega on each pair of tangents, (m, m, ..., N, N)."""
+        if self._vx is None:
             # Omega is horizontal: exactly zero on vertical tangents, F is never evaluated
             N = self.chart.algebra.matrix_size
-            return np.zeros((len(vt), *vt.shape[:-1], N, N))
-        return self._conj(_pair_table(vx, self.F))
+            return np.zeros((len(self._vt), *self._vt.shape[:-1], N, N))
+        return self._conj(_pair_table(self._vx, self.F))
 
     def _conj(self, x: np.ndarray) -> np.ndarray:
         """Ad_{g^-1} x = g^T x g; x itself where Ad_{g^-1} is the identity."""
         return x if self._g is None else self._g.swapaxes(-1, -2) @ x @ self._g
 
-    def tables(self, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(phi, [phi, phi], Psi, Omega) on m tangents for the chart's split
-        (split_tables)."""
-        parts = self._base_fiber(vs)
-        return split_tables(self._omegas(*parts), self._curvs(*parts), self.chart.split)
+    def tables(self, split: ReductiveSplit | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(phi, [phi, phi], Psi, Omega) for a split of the chart's algebra.
 
-
-def split_tables(
-    w: np.ndarray, om: np.ndarray, split: ReductiveSplit | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(phi, [phi, phi], Psi, Omega) from the connection table w (m, ..., N, N)
-    and the curvature table Omega (m, m, ..., N, N) of m tangents.
-
-    phi[i] is the value on tangent i, the others [i, j] on the pair (i, j);
-    Psi = pr_h(Omega - (1/2)[phi, phi]) is zero without a split.  w and Omega
-    do not depend on the split, so one chart context serves every split of
-    its algebra.
-    """
-    phi = w if split is None else split.project_p(w)
-    # one commutator per pair; bracket_tables' two shuffles give the same values but ran sweep_k2 13-22% slower
-    comm = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
-    psi = np.zeros_like(om) if split is None else split.project_h(om - comm)
-    return phi, 2 * comm, psi, om
+        phi[i] is the value on tangent i, the others [i, j] on the pair (i, j);
+        Psi = pr_h(Omega - (1/2)[phi, phi]) is zero without a split.  w and
+        Omega do not depend on the split, so one context serves every split
+        of its algebra.
+        """
+        w, om = self.w, self.omega
+        phi = w if split is None else split.project_p(w)
+        # one commutator per pair; bracket_tables' two shuffles give the same values but ran sweep_k2 13-22% slower
+        comm = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
+        psi = np.zeros_like(om) if split is None else split.project_h(om - comm)
+        return phi, 2 * comm, psi, om
 
 
 # --- form fields -------------------------------------------------------------
@@ -311,8 +290,8 @@ def char_form(chart: BundleChart, P: InvariantPolynomial, source: str = "omega")
     """The 2k-form P(Omega^k) (source="omega") or P(Psi^k) (source="psi")."""
 
     def ev(pt, tangents):
-        ctx = chart.ctx(pt)
-        table = ctx.curvs(tangents) if source == "omega" else ctx.tables(tangents)[2]
+        ctx = chart.ctx(pt, tangents)
+        table = ctx.omega if source == "omega" else ctx.tables(chart.split)[2]
         return eval_on_forms_indexed(P, [(table, 2)] * P.degree, 2 * P.degree)
 
     return FormField(chart.dim, 2 * P.degree, ev)
@@ -331,7 +310,9 @@ def phi_p_form(chart: BundleChart, P: InvariantPolynomial) -> FormField:
     the j > 0 terms drop and A_i0 = A_i.
     """
     split = chart.split is not None
-    return FormField(chart.dim, 2 * P.degree - 1, lambda pt, tg: _phi_p_value(P, split, *chart.ctx(pt).tables(tg)))
+    return FormField(
+        chart.dim, 2 * P.degree - 1, lambda pt, tg: _phi_p_value(P, split, *chart.ctx(pt, tg).tables(chart.split))
+    )
 
 
 def _phi_p_value(P: InvariantPolynomial, split: bool, phi, pp, psi, om):
@@ -368,7 +349,7 @@ def heterotic_sides(
     if len(tangents) != 2 * k:
         raise ValueError(f"need {2 * k} tangents, got {len(tangents)}")
     points, rows = _d_stencil(point, tangents, fd_step)
-    phi, pp, psi, om = chart.ctx(points).tables(rows)
+    phi, pp, psi, om = chart.ctx(points, rows).tables(chart.split)
     n = 2 * k - 1
     stencil = (phi[:n, :-1], pp[:n, :n, :-1], psi[:n, :n, :-1], om[:n, :n, :-1])
     lhs = _d_combine(_phi_p_value(P, chart.split is not None, *stencil), fd_step)
@@ -411,10 +392,9 @@ def bianchi_residuals(
     if len(tangents) != 3:
         raise ValueError("need 3 tangents")
     points, rows = _d_stencil(point, tangents, fd_step)
-    ctx = chart.ctx(points)
-    w = ctx.omegas(rows)
-    _, _, Psi, om = split_tables(w, ctx.curvs(rows), chart.split)
-    w = w[:, -1]
+    ctx = chart.ctx(points, rows)
+    _, _, Psi, om = ctx.tables(chart.split)
+    w = ctx.w[:, -1]
     psi = np.zeros_like(w) if chart.split is None else chart.split.project_h(w)
     d_om = _d_combine(om[0, 1, :-1], fd_step) + bracket_tables(w, 1, om[:, :, -1], 2)[0, 1, 2]
     d_psi = _d_combine(Psi[0, 1, :-1], fd_step) + bracket_tables(psi, 1, Psi[:, :, -1], 2)[0, 1, 2]
@@ -431,10 +411,10 @@ def connection_curvature_fd_residual(
     """Cross-check of the analytic Omega against d w + (1/2)[w, w] by FD,
     from one chart context on the d stencil of (X, Y) and its center row."""
     points, rows = _d_stencil(point, [X, Y], fd_step)
-    ctx = chart.ctx(points)
-    w = ctx.omegas(rows)
+    ctx = chart.ctx(points, rows)
+    w = ctx.w
     fd_val = _d_combine(w[0, :-1], fd_step) + 0.5 * bracket_tables(w[:, -1], 1, w[:, -1], 1)[0, 1]
-    return float(np.max(np.abs(fd_val - ctx.curvs(rows)[0, 1, -1])))
+    return float(np.max(np.abs(fd_val - ctx.omega[0, 1, -1])))
 
 
 # --- fiber integration and sections ------------------------------------------

@@ -36,7 +36,6 @@ from .bundles import (
     heterotic_sides,
     obstruction_identity_check,
     phi_p_form,
-    split_tables,
 )
 from .calculus import DEFAULT_FD_STEP, FormField, ParametrizedChain, _box_chain, _quad_orders, exterior_derivative, integrate, wedge
 from .invariants import bracket_tables, eval_on_forms_indexed, invariance_identity_residual, make_polynomial, pfaffian, polarize_eval
@@ -381,13 +380,6 @@ def heterotic_sweep(
         raise ValueError(
             f"{P.name} is a {2 * P.degree}-form; {bundle_name} has a {bundle.chart.dim}-dimensional total space"
         )
-    if poly is None and 2 * P.degree > bundle.chart.base_dim:
-        # P(Omega) is horizontal, so zero above the base dimension, and every such catalog
-        # default (a top Chern class) is zero on Psi too: the identity would compare zeros
-        raise ValueError(
-            f"P(Omega) - P(Psi) vanishes identically for {bundle_name}'s default {P.name}, a "
-            f"{2 * P.degree}-form over a {bundle.chart.base_dim}-dimensional base; choose --poly"
-        )
 
     def residual(ch, pt, tg):
         # the residual and the size of the right-hand side from one pass
@@ -500,7 +492,7 @@ def _bare_integrand(P) -> Callable[[BundleChart], FormField]:
 
     def form_at(ch: BundleChart) -> FormField:
         def ev(pt, tangents):
-            phi, pp, _, _ = ch.ctx(pt).tables(tangents)
+            phi, pp, _, _ = ch.ctx(pt, tangents).tables(ch.split)
             return eval_on_forms_indexed(P, [(phi, 1), (pp, 2)], 3)
 
         return FormField(ch.dim, 3, ev)
@@ -581,10 +573,9 @@ def pontryagin_checks(points: int = 100, seed: int = 0, fd_step: float = DEFAULT
     def split(ch, pt, tg):
         # one context: w and Omega are the same on both splits (b1 and b2
         # share the frame_s4 chart), and each split reads its Psi from them
-        ctx = ch.ctx(pt)
-        w, om = ctx.omegas(tg), ctx.curvs(tg)
-        psi1, psi2 = (split_tables(w, om, b.chart.split)[2] for b in (b1, b2))
-        return p1_of(psi1) + p1_of(psi2) - p1_of(om)
+        ctx = ch.ctx(pt, tg)
+        psi1, psi2 = (ctx.tables(b.chart.split)[2] for b in (b1, b2))
+        return p1_of(psi1) + p1_of(psi2) - p1_of(ctx.omega)
 
     def sum_rule(ch, pt, tg):
         ch2 = b2.chart.at(ch.reference())

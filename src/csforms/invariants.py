@@ -84,7 +84,7 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
     Intended for the small matrices appearing here (n <= 8).  Odd dimension
     gives 0, the empty matrix gives 1.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
     _check_skew(x[None], tol)
@@ -134,7 +134,7 @@ def _polarized_pfaffian(args: Sequence[np.ndarray]) -> float | np.ndarray:
     index, signs = _spread_matchings(len(args))
     prod = 1.0
     for x, ix in zip(args, index):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         _check_skew(x)
         prod = prod * x.reshape(x.shape[:-2] + (-1,)).take(ix, axis=-1)
     return prod @ signs

@@ -155,8 +155,7 @@ def test_criterion_7_literal_bare_integrand():
 
     def literal(ch):
         def ev(pt, tangents):
-            ctx = ch.ctx(pt)
-            pv = ch.split.project_p(ctx.omegas(tangents))
+            pv = ch.split.project_p(ch.ctx(pt, tangents).w)
             # [phi, phi] on every pair (i, j): 2 [phi(X_i), phi(X_j)]
             pp = 2 * (pv[:, None] @ pv[None, :] - pv[None, :] @ pv[:, None])
             return eval_on_forms_indexed(p1, [(pv, 1), (pp, 2)], 3)

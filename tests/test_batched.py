@@ -29,7 +29,7 @@ from csforms.bundles import (
     phi_p_form,
     section_pullback_form,
 )
-from csforms._expm import expm
+from csforms._expm import expm, expm_maurer_cartan
 from csforms.calculus import FormField, ParametrizedChain, _box_chain, exterior_derivative, gauss_product, integrate
 from csforms.checks import _affine_edge, _random_polynomial_form
 from csforms.invariants import make_polynomial
@@ -271,13 +271,34 @@ def test_one_nonzero_base_part_evaluates_each_chart_field_once():
     tangents = [np.concatenate([np.zeros((5, 4)), rng.standard_normal((5, 6))], axis=-1) for _ in range(3)]
     vertical = [v.copy() for v in tangents]
     tangents[0][2, 0] = tangents[1][2, 1] = 0.3
-    ctx = chart.ctx(point)
-    w, om = ctx.omegas(tangents), ctx.curvs(tangents)
+    ctx = chart.ctx(point, tangents)
+    w, om = ctx.w, ctx.omega
     assert calls == {"potential": [(5, 4)], "curvature": [(5, 4)]}
     # the two base entries reach w and Omega at point 2 alone
     assert np.any(om[0, 1, 2]) and not np.any(om[:, :, [0, 1, 3, 4]])
-    changed = np.any(w != chart.ctx(point).omegas(vertical), axis=(-2, -1))
+    changed = np.any(w != chart.ctx(point, vertical).w, axis=(-2, -1))
     assert changed[:2, 2].all() and changed.sum() == 2
+
+
+def test_one_context_serves_every_split():
+    # pontryagin_pointwise_split reads Psi of both RP^3 splits from one context:
+    # its tables equal, to the bit, those of a context per split
+    b1, b2 = get_bundle("frame_s4:b1"), get_bundle("frame_s4:b2")
+    rng = np.random.default_rng(9)
+    g0 = random_group_element(b1.chart.algebra, rng, 0.7)
+    calls = {"potential": [], "curvature": []}
+    chart = counting_chart(b1.chart, calls).at(g0)
+    point = chart.point(rng.uniform(-1, 1, (5, 4)), rng.uniform(-0.3, 0.3, (5, 6)))
+    tangents = [rng.standard_normal((5, 10)) for _ in range(4)]
+    ctx = chart.ctx(point, tangents)
+    shared = [ctx.tables(b.chart.split) for b in (b1, b2)]
+    assert calls == {"potential": [(5, 4)], "curvature": [(5, 4)]}
+    assert not np.array_equal(shared[0][2], shared[1][2])
+    for b, tables in zip((b1, b2), shared):
+        own = b.chart.at(g0).ctx(point, tangents).tables(b.chart.split)
+        for got, want in zip(tables, own):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", ["t0", "off_t0"])
@@ -291,15 +312,19 @@ def test_vertical_tangents_give_the_skipped_terms_exactly(name, case):
     n, dim_g, N = chart.base_dim, chart.algebra.dim, chart.algebra.matrix_size
     t = rng.uniform(-0.6, 0.6, (5, dim_g)) if case == "off_t0" else None
     point = chart.point(rng.uniform(-1.2, 1.2, (5, n)), t)
-    ctx = chart.ctx(point)
     # one set of (d,) tangents against the stack of points and reference elements
     vts = rng.standard_normal((4, dim_g))
     tangents = [np.concatenate([np.zeros(n), vt]) for vt in vts]
-    w, om = ctx.omegas(tangents), ctx.curvs(tangents)
+    ctx = chart.ctx(point, tangents)
+    w, om = ctx.w, ctx.omega
     assert w.shape == (4, 5, N, N)
     assert om.shape == (4, 4, 5, N, N) and om.dtype == np.float64 and not np.any(om)
     full_w = ctx._conj(np.einsum("ma,...aij->m...ij", np.zeros((4, n)), ctx.A))
-    full_w = full_w + ctx.maurer_cartan(np.broadcast_to(vts[:, None], (4, 5, dim_g)))
+    # g^-1 dg on the fiber parts: dt itself at t = 0 and on an abelian algebra
+    mc = chart.algebra.from_coords(np.broadcast_to(vts[:, None], (4, 5, dim_g)))
+    if case == "off_t0" and not chart.algebra.is_abelian:
+        mc = expm_maurer_cartan(chart.algebra.from_coords(point[..., n:]), mc)
+    full_w = full_w + mc
     assert np.array_equal(w, full_w)
     assert np.array_equal(om, einsum_curvs(chart, point, tangents))
 
@@ -314,10 +339,10 @@ def test_base_points_and_tangents_match_zero_padded_ones(name, g0):
     x = rng.uniform(-1.2, 1.2, (5, chart.base_dim))
     vs = [rng.standard_normal((5, chart.base_dim)) for _ in range(4)]
     pad = np.zeros((5, chart.algebra.dim))
-    base, padded = chart.ctx(x), chart.ctx(chart.point(x))
     vpad = [np.concatenate([v, pad], axis=-1) for v in vs]
-    pairs = [(base.omegas(vs), padded.omegas(vpad)), (base.curvs(vs), padded.curvs(vpad))]
-    pairs += list(zip(base.tables(vs), padded.tables(vpad)))
+    base, padded = chart.ctx(x, vs), chart.ctx(chart.point(x), vpad)
+    pairs = [(base.w, padded.w), (base.omega, padded.omega)]
+    pairs += list(zip(base.tables(chart.split), padded.tables(chart.split)))
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -409,11 +434,10 @@ def test_pair_table_matches_three_operand_einsum(name, case):
     if case == "stacked_g0":
         chart = chart.at(np.array([random_group_element(chart.algebra, rng, 0.7) for _ in range(5)]))
     point = chart.point(x, t)
-    ctx = chart.ctx(point)
     # shared tangents: one set of (d,) tangents broadcast against the stack of points
     tangent_batch = () if case == "shared_tangents" else batch
     tangents = [rng.standard_normal(tangent_batch + (chart.dim,)) for _ in range(4)]
-    om = ctx.curvs(tangents)
+    om = chart.ctx(point, tangents).omega
     assert om.shape == (4, 4) + batch + (chart.algebra.matrix_size,) * 2
     assert rel_err(om, einsum_curvs(chart, point, tangents)) <= 1e-13
 
@@ -426,16 +450,16 @@ def test_identity_reference_is_not_conjugated(name):
     for batch in ((), (3,)):
         pt = chart.point(rng.uniform(-1.2, 1.2, batch + (chart.base_dim,)))
         tangents = [rng.standard_normal(batch + (chart.dim,)) for _ in range(4)]
-        bare = chart.ctx(pt).tables(tangents)
-        explicit = chart.at(chart.algebra.identity()).ctx(pt).tables(tangents)
+        bare = chart.ctx(pt, tangents).tables(chart.split)
+        explicit = chart.at(chart.algebra.identity()).ctx(pt, tangents).tables(chart.split)
         for a, b in zip(bare, explicit):
             assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(b)))
 
 
 def connection_forms(chart):
     """w and Omega as a 1-form and a 2-form, each value from a context of its own."""
-    w = FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt).omegas(tg)[0])
-    om = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).curvs(tg)[0, 1])
+    w = FormField(chart.dim, 1, lambda pt, tg: chart.ctx(pt, tg).w[0])
+    om = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt, tg).omega[0, 1])
     return w, om
 
 
@@ -448,7 +472,7 @@ def loop_bianchi_residuals(chart, point, tangents, fd_step=1e-4):
     by one form call per stencil point and each value at the point from one
     tangent or pair."""
     w_form, om_form = connection_forms(chart)
-    psi_form = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt).tables(tg)[2][0, 1])
+    psi_form = FormField(chart.dim, 2, lambda pt, tg: chart.ctx(pt, tg).tables(chart.split)[2][0, 1])
     X, Y, Z = [np.asarray(v, float) for v in tangents]
     split = chart.split
 

@@ -65,10 +65,12 @@ def test_with_tolerance_rejudges_a_record():
 
 
 def test_vacuous_heterotic_sweep_fails_at_any_tolerance():
-    # on a flat so(4) bundle P(Omega) = P(Psi) = 0: a residual of 0 proves nothing
-    (r,) = checks.heterotic_sweep("flat:so4:3", "euler", points=3)
-    assert abs(r.computed) <= r.tolerance and r.extra["scale"] < checks.NONVACUITY_FLOOR
-    assert not r.passed and not r.with_tolerance(1.0).passed
+    # on a flat so(4) bundle P(Omega) = P(Psi) = 0, and twisted_u2:u1's split kills its
+    # default c_2 on Psi as well as on Omega: a residual of 0 proves nothing
+    for bundle, poly in (("flat:so4:3", "euler"), ("twisted_u2:u1", None)):
+        (r,) = checks.heterotic_sweep(bundle, poly, points=3)
+        assert abs(r.computed) <= r.tolerance and r.extra["scale"] < checks.NONVACUITY_FLOOR
+        assert not r.passed and not r.with_tolerance(1.0).passed
 
 
 def test_heterotic_sweep_records_its_scale():
@@ -118,12 +120,12 @@ def test_psi_bianchi_records_pass_with_their_scale():
 def test_psi_bianchi_record_catches_a_sign_error_in_psi(monkeypatch):
     # Psi = pr_h(Omega + [phi, phi]) in place of pr_h(Omega - (1/2)[phi, phi]):
     # on frame_s4 [p, p] has an h part, so the Bianchi identity of psi fails
-    correct = bundles.split_tables
+    correct = bundles._ChartContext.tables
 
-    def wrong_sign(w, om, split):
-        phi, pp, _, om = correct(w, om, split)
+    def wrong_sign(ctx, split):
+        phi, pp, _, om = correct(ctx, split)
         return phi, pp, split.project_h(om + pp), om
 
-    monkeypatch.setattr(bundles, "split_tables", wrong_sign)
+    monkeypatch.setattr(bundles._ChartContext, "tables", wrong_sign)
     r = _psi_bianchi_records()["psi_bianchi_frame_s4"]
     assert not r.passed and r.computed > 0.1

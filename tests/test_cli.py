@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from csforms import checks
-from csforms.cli import MAX_FD_STEP, build_parser, main
+from csforms.cli import MAX_FD_STEP, MAX_K, build_parser, main
 from csforms.liealg import MAX_MATRIX_SIZE
 
 
@@ -96,7 +96,7 @@ def test_heterotic_default_with_a_vanishing_right_side_is_usage_error(capsys, se
     code = main(["heterotic-check", "--bundle", "twisted_u2:u1", "--seed", seed])
     err = capsys.readouterr().err
     assert code == 2
-    assert "P(Omega) - P(Psi) vanishes identically" in err and "--poly" in err and "Traceback" not in err
+    assert "P(Omega) - P(Psi) vanishes on twisted_u2:u1" in err and "--poly" in err and "Traceback" not in err
     code, out = run(capsys, "heterotic-check", "--bundle", "twisted_u2:u1", "--poly", "c1", "--points", "5", "--seed", seed, "--json")
     (rec,) = json.loads(out)["records"]
     assert code == 0 and rec["extra"]["scale"] >= checks.NONVACUITY_FLOOR
@@ -205,8 +205,8 @@ def test_fiber_norm_all_pass(capsys):
         ["coeffs", "--k", "2", "--tol", "nan"],
         ["coeffs", "--k", "2", "--tol", "-1"],
         ["coeffs", "--k", "2", "--tol", "inf"],
-        ["fiber-norm", "--bundle", "ut_s2", "--k", "0"],
-        ["fiber-norm", "--bundle", "ut_s2", "--k", "-2"],
+        ["coeffs", "--k", "0"],
+        ["coeffs", "--k", "-2"],
         ["algebra", "--dump", "u-3"],
         ["algebra", "--dump", "so-1"],
         # flags a subcommand does not read
@@ -261,6 +261,10 @@ def test_rejected_input_exits_2(capsys, argv):
         (["algebra", "--dump", "so17"], f"matrix size must be >= 0 and <= {MAX_MATRIX_SIZE}, got so(17)"),
         (["heterotic-check", "--bundle", "flat:so17:3"], f"matrix size must be >= 0 and <= {MAX_MATRIX_SIZE}, got so(17)"),
         (["identities", "--seed", "-1"], "argument --seed: must be a finite number >= 0, got -1"),
+        # the exact tables grow fast in k
+        (["coeffs", "--k", str(MAX_K + 1)], f"argument --k: must be a finite number > 0 and <= {MAX_K}, got {MAX_K + 1}"),
+        # coeffs --k prints the fiber constant; fiber-norm has no --k
+        (["fiber-norm", "--bundle", "ut_s2", "--k", "3"], "unrecognized arguments: --k 3"),
         (["heterotic-check", "--bundle", "hopf_u1", "--poly", "euler"], "euler needs so(2k) with k >= 1; hopf_u1 has u(1)"),
         (
             ["heterotic-check", "--bundle", "frame_s4", "--fd-step", repr(MAX_FD_STEP * (1 + 1e-15))],
@@ -276,6 +280,8 @@ def test_rejected_input_exits_2(capsys, argv):
         "dump-above-max-size",
         "bundle-above-max-size",
         "negative-seed",
+        "coeffs-k-above-max",
+        "fiber-norm-k",
         "euler-off-so",
         "fd-step-above-bound",
     ],
@@ -322,12 +328,6 @@ def test_fiber_norm_bundle_selects_records(capsys):
     assert names == ["fiber_norm_circle", "fiber_lift_independence_circle", "fiber_constant_identity"]
 
 
-def test_fiber_norm_text_reports_fiber_constant(capsys):
-    code, out = run(capsys, "fiber-norm", "--bundle", "ut_s2", "--k", "3", "--quad-order", "6")
-    assert code == 0
-    assert "fiber constant at k=3: 3/20" in out
-
-
 @pytest.mark.parametrize("tag", ["so1", "u0"])
 def test_zero_dimensional_algebra_dump(capsys, tag):
     code, out = run(capsys, "algebra", "--dump", tag, "--json")
@@ -347,7 +347,7 @@ HONORED_FLAGS = {
     "suite-all": SWEEP_FLAGS,
     "gauss-bonnet": QUADRATURE_FLAGS,
     "chern-number": QUADRATURE_FLAGS,
-    "fiber-norm": {"--bundle", "--k"} | QUADRATURE_FLAGS,
+    "fiber-norm": {"--bundle"} | QUADRATURE_FLAGS,
     "obstruction": {"--bundle", "--chain", "--section"} | QUADRATURE_FLAGS,
     "degree": {"--tol"},
 }

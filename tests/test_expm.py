@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import expm_frechet, schur
 
 from csforms._expm import expm, expm_maurer_cartan, expm_scaling
+from csforms.invariants import make_polynomial, pfaffian
 from csforms.liealg import algebra_from_tag, random_element, so, so4_ideal_split, u
 from realified import complexify, realify
 
@@ -172,6 +173,16 @@ def test_rejects_complex_skew_hermitian_input():
             expm(x)
         with pytest.raises(ValueError, match="skew-symmetric"):
             expm_maurer_cartan(x, x[None])
+
+
+def test_rejects_a_complex_dtype_even_with_real_entries():
+    # the one skew check refuses the dtype before a cast could drop an imaginary part
+    x = np.array([[0, 1], [-1, 0]], complex)
+    refusers = [expm, lambda x: expm_maurer_cartan(x, x[None]), pfaffian]
+    refusers += [make_polynomial(name, 1, tag).value for name, tag in (("chern_j", "u1"), ("euler", "so2"))]
+    for f in refusers:
+        with pytest.raises(ValueError, match="matrix is complex"):
+            f(x)
 
 
 _NO_SCIPY = """

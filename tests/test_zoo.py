@@ -147,7 +147,7 @@ def test_flat_bundle_is_flat_and_closed():
     ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.5))
     pt = ch.point(rng.uniform(-1, 1, 3))
     tg4 = [rng.standard_normal(9) for _ in range(4)]
-    assert np.max(np.abs(ch.ctx(pt).curvs(tg4[:2])[0, 1])) == 0.0
+    assert np.max(np.abs(ch.ctx(pt, tg4[:2]).omega[0, 1])) == 0.0
     from csforms.calculus import exterior_derivative
 
     assert abs(exterior_derivative(phi_p_form(replace(ch, split=None), e2))(pt, tg4)) < 1e-8
@@ -476,9 +476,8 @@ def test_twisted_u2_vanishing():
         for _ in range(10):
             ch = b.chart.at(random_group_element(b.chart.algebra, rng, 0.6))
             pt = ch.point(rng.uniform(-1, 1, 2))
-            ctx = ch.ctx(pt)
             X, Y = rng.standard_normal(6), rng.standard_normal(6)
-            psi_val = ctx.tables([X, Y])[2][0, 1]
+            psi_val = ch.ctx(pt, [X, Y]).tables(ch.split)[2][0, 1]
             nonzero_psi = max(nonzero_psi, np.max(np.abs(psi_val)))
             tg = [rng.standard_normal(6) for _ in range(2 * P.degree)]
             worst_p = max(worst_p, abs(char_form(ch, P, "psi")(pt, tg)))
