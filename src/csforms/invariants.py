@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 
-def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
+def pfaffian(x: np.ndarray) -> float:
     """Pfaffian of a real skew-symmetric matrix as a sum over perfect matchings.
 
     Intended for the small matrices appearing here (n <= 8).  Odd dimension
@@ -87,7 +87,7 @@ def pfaffian(x: np.ndarray, tol: float = 1e-10) -> float:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
-    _check_skew(x[None], tol)
+    _check_skew(x[None])
     rows, cols, signs = _matchings(x.shape[0])
     return float(signs @ np.prod(x[rows, cols], axis=1))
 

@@ -14,8 +14,8 @@ piece is the sphere at a fixed polar angle.
 
 Shipped bundles:
 
-    hopf_u1      degree-one U(1) bundle over S^2 (monopole potential),
-                 the c_1 = 1 normalization anchor
+    hopf_u1      degree-one U(1) bundle over S^2, -1/2 of the round S^2
+                 chart, the c_1 = 1 normalization anchor
     ut_s2        frame_sphere(2), SO(2) structure group, Gauss-Bonnet and
                  cap obstruction
     frame_s4     frame_sphere(4), SO(4) group, with two RP^3-bundle variants
@@ -32,7 +32,8 @@ frame_sphere(n) is the frame bundle of the round S^n, n even, with its unit
 sphere bundle SO(n)/SO(n-1) = S^(n-1): one n-generic Householder frame gives
 its fiber lift and its sections.  The last three are one affine chart
 A_a = C_a + x_b D_ab: flat has C = D = 0, linear draws C and D, and
-twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.
+twisted_u2 has C = 0, D_xy = M2 and D_yx = M1.  Every catalog chart is the
+round-sphere chart or the affine chart.
 
 Every chart potential and curvature, chain frame, fiber lift and section
 value here broadcasts over leading batch axes (see csforms.bundles), so
@@ -60,9 +61,9 @@ from .bundles import BundleChart, ChainSpec, FiberModel, Section, Zero
 from .calculus import FormField, ParametrizedChain, _box_chain, _stencil_values, integrate
 from .invariants import InvariantPolynomial, make_polynomial
 from .liealg import (
-    _imaginary_unit,
     _realify,
     algebra_from_tag,
+    quat_conj,
     random_element,
     skew_pair,
     so,
@@ -138,19 +139,19 @@ def _curvature_pattern(n: int) -> np.ndarray:
     return pattern
 
 
-def _sphere_potential(x: np.ndarray) -> np.ndarray:
-    """Levi-Civita spin connection of the round S^n, n = x.shape[-1], in the
-    conformal orthonormal gauge: A_a[b, c] = mu (x_c d_ab - x_b d_ac) with
-    mu = -2/(1 + |x|^2), that is mu sum_e x_e (E_ae - E_ea): one product
+def _sphere_potential(x: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """c times the Levi-Civita spin connection of the round S^n, n = x.shape[-1],
+    in the conformal orthonormal gauge: A_a[i, j] = mu (x_j d_ai - x_i d_aj)
+    with mu = -2/(1 + |x|^2), that is mu sum_e x_e (E_ae - E_ea): one product
     with _curvature_pattern.  It vanishes on radial directions (A_x(x) = 0)."""
     n = x.shape[-1]
-    lam = 2.0 / (1.0 + _sq(x))  # -mu
+    lam = 2.0 * c / (1.0 + _sq(x))  # -c mu
     return (lam[..., None] * (x @ _curvature_pattern(n).reshape(n, -1))).reshape(x.shape[:-1] + (n, n, n))
 
 
-def _sphere_curvature(x: np.ndarray) -> np.ndarray:
-    """Constant-curvature F_ab = lam^2 (E_ab - E_ba), lam = 2/(1 + |x|^2)."""
-    lam2 = (2.0 / (1.0 + _sq(x))) ** 2
+def _sphere_curvature(x: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """c times the round F_ab = lam^2 (E_ab - E_ba), lam = 2/(1 + |x|^2)."""
+    lam2 = c * (2.0 / (1.0 + _sq(x))) ** 2
     return lam2[..., None, None, None, None] * _curvature_pattern(x.shape[-1])
 
 
@@ -228,43 +229,6 @@ def _polar_chains(n: int) -> dict[str, ChainSpec]:
     return {name: ChainSpec(_polar_chain(n, lo, hi, name), zeros) for name, (lo, hi, zeros) in spans.items()}
 
 
-# --- Hopf / monopole bundle ---------------------------------------------------
-
-# the pattern of a curvature on a 2-dimensional base: F_01 = -F_10, F_00 = F_11 = 0
-_PAIR2 = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None, None]
-
-
-def hopf_u1() -> NamedBundle:
-    """Degree-one U(1) bundle over the round S^2, c_1 anchor.  u(1) is
-    realified (csforms.liealg), i as J, and U(1) = SO(2): the fiber is lifted
-    by ut_s2's Householder frame, the rotation by the angle."""
-    J = _imaginary_unit(1)
-
-    def potential(x):
-        d = 1.0 + _sq(x)
-        # A = i (u dv - v du) / (1 + r^2)
-        return (_rotate(x) / d[..., None])[..., None, None] * J
-
-    def curvature(x):
-        f = 2.0 / (1.0 + _sq(x)) ** 2
-        return f[..., None, None, None, None] * (_PAIR2 * J)
-
-    chart = BundleChart(2, u(1), potential, curvature, split=None, name="hopf_u1")
-    fiber = FiberModel(
-        name="u1_fiber",
-        intervals=_angle_box(1),
-        lift=_householder_lift,
-        lift_alt=lambda s: _householder_lift(s + 0.3 * np.sin(s)),
-    )
-    return NamedBundle(
-        name="hopf_u1",
-        chart=chart,
-        fiber=fiber,
-        chains=_polar_chains(2),
-        default_poly=("chern_j", 1),
-    )
-
-
 # --- frame bundles of the even spheres -----------------------------------------
 
 def _householder_frame(v: np.ndarray) -> np.ndarray:
@@ -321,6 +285,29 @@ def unit_tangent_s2() -> NamedBundle:
     circle instead."""
     b = frame_sphere(2, "ut_s2")
     return replace(b, fiber=replace(b.fiber, lift_alt=lambda s: _householder_lift(s + 0.25 * np.sin(2 * s))))
+
+
+def hopf_u1() -> NamedBundle:
+    """Degree-one U(1) bundle over the round S^2, c_1 anchor, the square root
+    of its tangent bundle: u(1) is realified (csforms.liealg), i as J, and
+    U(1) = SO(2), so its chart is -1/2 of ut_s2's and its fiber is lifted by
+    ut_s2's Householder frame, the rotation by the angle."""
+    chart = BundleChart(
+        2, u(1), lambda x: _sphere_potential(x, -0.5), lambda x: _sphere_curvature(x, -0.5), name="hopf_u1"
+    )
+    fiber = FiberModel(
+        name="u1_fiber",
+        intervals=_angle_box(1),
+        lift=_householder_lift,
+        lift_alt=lambda s: _householder_lift(s + 0.3 * np.sin(s)),
+    )
+    return NamedBundle(
+        name="hopf_u1",
+        chart=chart,
+        fiber=fiber,
+        chains=_polar_chains(2),
+        default_poly=("chern_j", 1),
+    )
 
 
 def _ideal_exp(angle: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -531,10 +518,6 @@ def winding_degree(
     return int(nearest)
 
 
-# quaternion conjugation diag(1, -1, -1, -1), as its diagonal
-_CONJ4_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def south_transition_frame(yhat: np.ndarray) -> np.ndarray:
     """Coset representative of the transported frame in the south chart.
 
@@ -544,7 +527,7 @@ def south_transition_frame(yhat: np.ndarray) -> np.ndarray:
     a sign per column; yhat may be a stack (..., 4).
     """
     yhat = np.asarray(yhat, dtype=float)
-    return (np.eye(4) - 2.0 * yhat[..., :, None] * yhat[..., None, :]) * _CONJ4_SIGNS
+    return quat_conj(np.eye(4) - 2.0 * yhat[..., :, None] * yhat[..., None, :])
 
 
 def quaternionic_section_degrees(

@@ -1,5 +1,7 @@
 """Guards of the named checks that do not need a full sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,9 +125,36 @@ def test_psi_bianchi_record_catches_a_sign_error_in_psi(monkeypatch):
     correct = bundles._ChartContext.tables
 
     def wrong_sign(ctx, split):
-        phi, pp, _, om = correct(ctx, split)
-        return phi, pp, split.project_h(om + pp), om
+        phi, pp, psi, om = correct(ctx, split)
+        # without a split Psi is zero, and there is no sign to get wrong
+        return phi, pp, psi if split is None else split.project_h(om + pp), om
 
     monkeypatch.setattr(bundles._ChartContext, "tables", wrong_sign)
     r = _psi_bianchi_records()["psi_bianchi_frame_s4"]
     assert not r.passed and r.computed > 0.1
+
+
+def test_covariant_derivative_records_fail_on_a_curvature_that_does_not_match_its_potential(monkeypatch):
+    # on a 2-D base every 3-form of base directions vanishes, so D_w Omega = 0
+    # holds for any curvature there; each record must see a curvature scaled
+    # by 1 + x_0^2
+    def bumped(name):
+        b = get_bundle(name)
+        F = b.chart.curvature_field
+
+        def scaled(x):
+            return (1.0 + x[..., 0] ** 2)[..., None, None, None, None] * F(x)
+
+        return replace(b, chart=replace(b.chart, curvature_field=scaled))
+
+    monkeypatch.setattr(checks, "get_bundle", bumped)
+    records = [r for r in checks.calculus_identity_checks() if r.name.startswith("covariant_derivative_")]
+    assert len(records) == 2 and not any(r.passed for r in records)
+
+
+def test_pontryagin_sum_rule_fails_when_the_derivatives_vanish():
+    # at a step of 1e-300 every difference quotient is exactly 0, and the two
+    # sides cancel only because both are zero
+    records = {r.name: r for r in checks.pontryagin_checks(points=3, fd_step=1e-300)}
+    assert not records["pontryagin_sum_rule"].passed
+    assert records["pontryagin_sum_rule"].extra["scale"] == 0.0

@@ -443,3 +443,18 @@ def test_python_dash_m_runs_the_cli():
     )
     assert out.returncode == 0, out.stderr
     assert "checks passed" in out.stdout
+
+
+def test_the_library_runs_without_scipy():
+    # scipy is a test and benchmark dependency only; a stray import in src/
+    # would pass every other test, which run with it installed
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; sys.modules['scipy'] = None; from csforms.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, "suite-all", "--points", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

@@ -18,7 +18,7 @@ from csforms.bundles import (
 )
 from csforms.calculus import FormField, _box_chain, gauss_product, integrate
 from csforms.invariants import make_polynomial
-from csforms.liealg import random_group_element
+from csforms.liealg import _imaginary_unit, random_group_element
 from csforms.zoo import (
     _CATALOG,
     _M1,
@@ -168,6 +168,32 @@ def test_chern_anchor():
     assert v == pytest.approx(1.0, abs=1e-8)
 
 
+def test_hopf_chart_is_the_textbook_monopole():
+    # A = (-x_1, x_0) / (1 + |x|^2) J and F_01 = 2 / (1 + |x|^2)^2 J, written
+    # out independently of the round-sphere chart the bundle is built from
+    J = _imaginary_unit(1)
+    x = np.random.default_rng(7).uniform(-2, 2, (3, 5, 2))
+    d = 1.0 + (x * x).sum(axis=-1)
+    A = (np.stack([-x[..., 1], x[..., 0]], axis=-1) / d[..., None])[..., None, None] * J
+    F = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
+    F[..., 0, 1, :, :] = (2.0 / d**2)[..., None, None] * J
+    F[..., 1, 0, :, :] = -F[..., 0, 1, :, :]
+    chart = get_bundle("hopf_u1").chart
+    for got, want in ((chart.potential(x), A), (chart.curvature_field(x), F)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_hopf_c1_is_half_the_euler_form_of_the_tangent_bundle():
+    # the degree-one line bundle is the square root of the tangent bundle of S^2
+    c1 = char_form(get_bundle("hopf_u1").chart, make_polynomial("chern_j", 1, "u1"))
+    e1 = char_form(get_bundle("ut_s2").chart, make_polynomial("euler", 1, "so2"))
+    local = np.random.default_rng(8)
+    x = local.uniform(-2, 2, (6, 2))
+    tg = [local.standard_normal((6, 2)) for _ in range(2)]
+    np.testing.assert_allclose(c1(x, tg), e1(x, tg) / 2, rtol=1e-14, atol=1e-16)
+
+
 def test_gauss_bonnet_s4_smoke():
     # low order for speed; the acceptance suite runs the tight version
     b = get_bundle("frame_s4")
@@ -209,6 +235,12 @@ def test_fiber_normalizations():
     e2 = make_polynomial("euler", 2, "so4")
     v = fiber_integral(fs.chart, lambda ch: phi_p_form(ch, e2), np.zeros(4), fs.fiber, 8)
     assert v == pytest.approx(1.0, abs=1e-4)
+
+    hopf = get_bundle("hopf_u1")
+    c1 = make_polynomial("chern_j", 1, "u1")
+    for order, alt in ((24, False), (48, True)):
+        v = fiber_integral(hopf.chart, lambda ch: phi_p_form(ch, c1), np.zeros(2), hopf.fiber, order, use_alt_lift=alt)
+        assert v == pytest.approx(1.0, abs=1e-8)
 
     p1 = make_polynomial("pontryagin_1", 2, "so4")
     for name in ("frame_s4:b1", "frame_s4:b2"):
